@@ -59,7 +59,6 @@ from .spectra import (
     gcd_graph_spectrum,
     hamming_spectrum,
     isospectral,
-    jacobi_eigenvalues,
     local_ring_unitary_spectrum,
     looped_spectrum,
     mdcg_local_ring_spectrum,

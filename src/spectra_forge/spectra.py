@@ -1,10 +1,12 @@
-"""Spectra: exact character formulas, a dense Jacobi eigensolver as the
-independent numeric oracle, power-trace moment checks for directed
+"""Spectra: exact character formulas, a dense LAPACK route (``eigvalsh``)
+as the independent numeric route, power-trace moment checks for directed
 graphs, the closed-form spectrum families, and classification.
 
-Numeric policy: complex eigenvalues merge within 1e-8; integer snapping
-uses 1e-6; the Jacobi sweep stops at off-diagonal Frobenius norm 1e-12
-(relative to the matrix norm) with a 100-sweep cap.
+Numeric policy: complex eigenvalues merge within 1e-8, and the members of
+one merged entry lie pairwise within that tolerance (clusters never
+chain); spectra compare by pairing merged entries within the same
+tolerance; integer snapping uses 1e-6.  The dense route calls
+``numpy.linalg.eigvalsh`` after an explicit symmetry check.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from .graphs import Graph, cayley
 
 MERGE_TOL = 1e-8
 SNAP_TOL = 1e-6
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 MOMENT_REL_TOL = 1e-6
 
 
@@ -38,8 +38,10 @@ class Spectrum:
     """Multiset of complex eigenvalues, canonically sorted and merged.
 
     Entries are (value, multiplicity) pairs sorted by real part then
-    imaginary part, both descending; no two entries lie within the merge
-    tolerance of each other.
+    imaginary part, both descending.  Each entry is the mean of input
+    values that lie pairwise within the merge tolerance.  A run of values
+    linked by gaps within the tolerance forms one entry when its diameter
+    is within the tolerance too; a wider run is split greedily.
     """
 
     entries: tuple[tuple[complex, int], ...]
@@ -59,35 +61,37 @@ class Spectrum:
             raise SpectrumError("empty spectrum")
         if any(m < 0 for _, m in items):
             raise SpectrumError("negative multiplicity")
-        # exact pre-merge, then union-find clustering within tolerance
+        # exact pre-merge, then greedy clustering in (real, imag) order: a
+        # value joins the first open cluster whose members all lie within
+        # the tolerance of it, so clusters never chain
         exact: dict[complex, int] = {}
         for v, m in items:
             exact[v] = exact.get(v, 0) + m
-        vals = list(exact)
-        parent = list(range(len(vals)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
-        for a in range(len(order)):
-            i = order[a]
-            for b in range(a + 1, len(order)):
-                j = order[b]
-                if vals[j].real - vals[i].real > tolerance:
+        groups: list[list] = []      # [lo_im, hi_im, members]; members[0] has the least real part
+        label: dict[complex, int] = {}
+        start = 0
+        for v in sorted(exact, key=lambda z: (z.real, z.imag)):
+            while start < len(groups) and groups[start][2][0].real < v.real - tolerance:
+                start += 1
+            for k in range(start, len(groups)):
+                g = groups[k]
+                lo_im, hi_im = min(g[0], v.imag), max(g[1], v.imag)
+                # the bounding box diagonal bounds every pairwise distance
+                if math.hypot(v.real - g[2][0].real, hi_im - lo_im) <= tolerance or all(
+                    abs(v - u) <= tolerance for u in g[2]
+                ):
+                    g[0], g[1] = lo_im, hi_im
+                    g[2].append(v)
+                    label[v] = k
                     break
-                if abs(vals[i] - vals[j]) <= tolerance:
-                    parent[find(i)] = find(j)
+            else:
+                label[v] = len(groups)
+                groups.append([v.imag, v.imag, [v]])
         clusters: dict[int, list] = {}
-        for i, v in enumerate(vals):
-            root = find(i)
-            if root not in clusters:
-                clusters[root] = [0j, 0]
-            clusters[root][0] += v * exact[v]
-            clusters[root][1] += exact[v]
+        for v, m in exact.items():      # input order, so the sums do not depend on the sort
+            acc = clusters.setdefault(label[v], [0j, 0])
+            acc[0] += v * m
+            acc[1] += m
         merged = [(acc / m, m) for acc, m in clusters.values()]
         merged.sort(key=lambda e: (-e[0].real, -e[0].imag))
         cleaned = []
@@ -100,12 +104,6 @@ class Spectrum:
     @property
     def size(self) -> int:
         return sum(m for _, m in self.entries)
-
-    def values(self) -> list[complex]:
-        out = []
-        for v, m in self.entries:
-            out.extend([v] * m)
-        return out
 
     def multiplicity_of(self, value: complex, tol: float | None = None) -> int:
         tol = self.tolerance if tol is None else tol
@@ -165,30 +163,37 @@ def _fmt_value(v: complex) -> str:
 def isospectral(s1: Spectrum, s2: Spectrum, tol: float = MERGE_TOL) -> bool:
     """Multiset equality by greedy nearest pairing within the tolerance.
 
+    Runs over the merged (value, multiplicity) entries: each entry of s1,
+    in ascending (real, imag) order, takes units from the nearest entry of
+    s2 with units left, within the tolerance (the first such entry on a
+    tie), min(need, left) at a time.  All copies of one value are equal,
+    so this makes the same pairing decisions as pairing the expanded
+    values one by one, in time independent of the multiplicities.
     Candidates are restricted to a real-part window so the pairing is
     stable even when distinct values share a real part to rounding error.
     """
     if s1.size != s2.size:
         return False
-    a = sorted(s1.values(), key=lambda z: (z.real, z.imag))
-    b = sorted(s2.values(), key=lambda z: (z.real, z.imag))
-    n = len(a)
-    used = [False] * n
+    a, b = (sorted(s.entries, key=lambda e: (e[0].real, e[0].imag)) for s in (s1, s2))
+    left = [m for _, m in b]
     lo = 0
-    for x in a:
-        while lo < n and (used[lo] or b[lo].real < x.real - tol):
-            lo += 1
-        best, best_d = -1, None
-        j = lo
-        while j < n and b[j].real <= x.real + tol:
-            if not used[j]:
-                d = abs(x - b[j])
-                if d <= tol and (best_d is None or d < best_d):
-                    best, best_d = j, d
-            j += 1
-        if best < 0:
-            return False
-        used[best] = True
+    for x, need in a:
+        while need:
+            while lo < len(b) and (not left[lo] or b[lo][0].real < x.real - tol):
+                lo += 1
+            best, best_d = -1, None
+            j = lo
+            while j < len(b) and b[j][0].real <= x.real + tol:
+                if left[j]:
+                    d = abs(x - b[j][0])
+                    if d <= tol and (best_d is None or d < best_d):
+                        best, best_d = j, d
+                j += 1
+            if best < 0:
+                return False
+            take = min(need, left[best])
+            need -= take
+            left[best] -= take
     return True
 
 
@@ -238,50 +243,19 @@ def classify(spec: Spectrum, snap_tol: float = SNAP_TOL) -> SpectrumClass:
 
 
 # ---------------------------------------------------------------------------
-# dense symmetric eigensolver (cyclic Jacobi), the independent oracle
-
-
-def jacobi_eigenvalues(
-    matrix: np.ndarray,
-    tol: float = JACOBI_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
-    A = np.array(matrix, dtype=float)
-    n = A.shape[0]
-    if n == 0 or not np.array_equal(A, A.T):
-        raise SpectrumError("jacobi needs a non-empty symmetric matrix")
-    scale = max(1.0, float(np.linalg.norm(A)))
-    skip = tol * scale / (2 * max(1, n))
-    for _ in range(max_sweeps):
-        off = A - np.diag(np.diag(A))
-        if float(np.linalg.norm(off)) <= tol * scale:
-            return np.sort(np.diag(A))[::-1]
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-    raise SpectrumError(f"jacobi did not converge within {max_sweeps} sweeps")
+# dense symmetric route (LAPACK), the numeric route for non-abelian groups
 
 
 def spectrum_dense_symmetric(graph: Graph) -> Spectrum:
-    if not graph.undirected:
-        raise SpectrumError("dense route requires a symmetric adjacency")
-    vals = jacobi_eigenvalues(graph.adjacency)
-    return Spectrum.from_values(vals)
+    """Spectrum of an undirected graph by LAPACK ``eigvalsh``.
+
+    eigvalsh reads only one triangle, so an asymmetric matrix would give
+    a wrong answer silently; the guard below rejects it explicitly.
+    """
+    A = np.asarray(graph.adjacency, dtype=float)
+    if A.size == 0 or not np.array_equal(A, A.T):
+        raise SpectrumError("dense route requires a non-empty symmetric adjacency")
+    return Spectrum.from_values(np.linalg.eigvalsh(A))
 
 
 # ---------------------------------------------------------------------------

@@ -790,13 +790,16 @@ def build_even_odd_pair(R: FiniteRing) -> EvenOddPairResult:
 def iterated_pairs(R: FiniteRing, n_max: int, vertex_cap: int = 4000) -> list[VerificationReport]:
     """Extend R by Z2 factors; each extension keeps an even integral
     isospectral mirror pair with di-connection set the units."""
+    over = next((n for n in range(1, n_max + 1) if 2 * R.size * 2**n > vertex_cap), None)
+    if over is not None:
+        raise RingError(
+            f"vertex cap {vertex_cap} exceeded at n={over} ({2 * R.size * 2**over} vertices)"
+        )
     base = build_even_odd_pair(R)
     reports = [r for r in base.reports if r.claim_id.endswith("even-pair")]
     z2 = finring.zpk(2, 1)
     for n in range(1, n_max + 1):
         Rn = finring.artin_product(list(R.factors) + [z2] * n)
-        if 2 * Rn.size > vertex_cap:
-            raise RingError(f"vertex cap exceeded at n={n}")
         G = finring.additive_group(Rn)
         S = finring.units(Rn)
         d = mdcg_direct_spectrum(G, S, S, "difference")

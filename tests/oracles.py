@@ -1,0 +1,82 @@
+"""Independent reference implementations the library no longer ships.
+
+``jacobi_eigenvalues`` is the cyclic Jacobi eigensolver that was once the
+dense route; it now checks the LAPACK route on small matrices.
+``isospectral_expanded`` is the greedy nearest pairing over expanded
+values that the merged-entry ``spectra.isospectral`` replaces.
+"""
+
+import math
+
+import numpy as np
+
+from spectra_forge.spectra import MERGE_TOL, Spectrum, SpectrumError
+
+JACOBI_TOL = 1e-12
+JACOBI_MAX_SWEEPS = 100
+
+
+def jacobi_eigenvalues(
+    matrix: np.ndarray,
+    tol: float = JACOBI_TOL,
+    max_sweeps: int = JACOBI_MAX_SWEEPS,
+) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
+    A = np.array(matrix, dtype=float)
+    n = A.shape[0]
+    if n == 0 or not np.array_equal(A, A.T):
+        raise SpectrumError("jacobi needs a non-empty symmetric matrix")
+    scale = max(1.0, float(np.linalg.norm(A)))
+    skip = tol * scale / (2 * max(1, n))
+    for _ in range(max_sweeps):
+        off = A - np.diag(np.diag(A))
+        if float(np.linalg.norm(off)) <= tol * scale:
+            return np.sort(np.diag(A))[::-1]
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if abs(apq) <= skip:
+                    continue
+                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
+                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                rp = A[p, :].copy()
+                rq = A[q, :].copy()
+                A[p, :] = c * rp - s * rq
+                A[q, :] = s * rp + c * rq
+                cp = A[:, p].copy()
+                cq = A[:, q].copy()
+                A[:, p] = c * cp - s * cq
+                A[:, q] = s * cp + c * cq
+    raise SpectrumError(f"jacobi did not converge within {max_sweeps} sweeps")
+
+
+def isospectral_expanded(s1: Spectrum, s2: Spectrum, tol: float = MERGE_TOL) -> bool:
+    """Multiset equality by greedy nearest pairing of the expanded values."""
+    if s1.size != s2.size:
+        return False
+    a = sorted(_expand(s1), key=lambda z: (z.real, z.imag))
+    b = sorted(_expand(s2), key=lambda z: (z.real, z.imag))
+    n = len(a)
+    used = [False] * n
+    lo = 0
+    for x in a:
+        while lo < n and (used[lo] or b[lo].real < x.real - tol):
+            lo += 1
+        best, best_d = -1, None
+        j = lo
+        while j < n and b[j].real <= x.real + tol:
+            if not used[j]:
+                d = abs(x - b[j])
+                if d <= tol and (best_d is None or d < best_d):
+                    best, best_d = j, d
+            j += 1
+        if best < 0:
+            return False
+        used[best] = True
+    return True
+
+
+def _expand(spec: Spectrum) -> list[complex]:
+    return [v for v, m in spec.entries for _ in range(m)]

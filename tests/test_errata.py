@@ -1,8 +1,8 @@
 """Documented discrepancies between printed claims and the actual spectra.
 
 Each test establishes the true value by two independent routes (abelian
-characters over the doubled group, and the dense Jacobi eigensolver) and
-then shows the printed form differs.  These are the facts behind every
+characters over the doubled group, and the dense LAPACK ``eigvalsh``
+route) and then shows the printed form differs.  These are the facts behind every
 xfail outcome in the verification suite.
 """
 

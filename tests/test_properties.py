@@ -1,0 +1,101 @@
+"""Property tests: the merged-entry comparison against the expanded-value
+greedy, and the LAPACK dense route against the Jacobi oracle and the
+character route."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spectra_forge import algebra as alg
+from spectra_forge import graphs as gr
+from spectra_forge import spectra as sp
+
+from oracles import isospectral_expanded, jacobi_eigenvalues
+
+TOL = sp.MERGE_TOL
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# base values on a coarse grid, conjugate pairs included
+BASE = st.builds(
+    complex,
+    st.sampled_from([-3.0, -1.0, 0.0, 1.0, math.sqrt(2), 2.0]),
+    st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.0]),
+)
+# offsets in units of the tolerance, just inside and just outside it
+OFFSET = st.sampled_from([0.0, 0.0, 0.4, -0.4, 0.9, -0.9, 0.999, 1.001, -1.1, 2.0])
+
+
+@st.composite
+def spectrum_pairs(draw):
+    """Two spectra over the same base values; the second moves each unit
+    block by a small offset and may change one multiplicity."""
+    bases = draw(st.lists(BASE, min_size=1, max_size=5, unique=True))
+    bases += [b.conjugate() for b in bases if b.imag and draw(st.booleans())]
+    first, second = [], []
+    for b in bases:
+        m = draw(st.integers(1, 250))
+        first.append((b, m))
+        cut = draw(st.integers(0, m))
+        for part in (cut, m - cut):
+            shift = complex(draw(OFFSET), draw(OFFSET)) * TOL
+            second.append((b + shift, part))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(second) - 1))
+        v, m = second[i]
+        second[i] = (v, m + draw(st.sampled_from([-1, 1])))
+    return first, second
+
+
+def _spectrum(pairs, merged):
+    pairs = [(v, m) for v, m in pairs if m > 0] or [(0j, 1)]
+    if merged:
+        return sp.Spectrum.from_pairs(pairs)
+    return sp.Spectrum(tuple((complex(v), m) for v, m in pairs))
+
+
+@PROPERTY
+@given(spectrum_pairs(), st.booleans())
+def test_merged_isospectral_matches_expanded_greedy(pairs, merged):
+    s1, s2 = (_spectrum(p, merged) for p in pairs)
+    sym = s1.union(s1.negated())
+    for x, y in ((s1, s2), (s2, s1), (s1, s1.negated()), (sym, sym.negated())):
+        assert sp.isospectral(x, y) == isospectral_expanded(x, y)
+
+
+@st.composite
+def symmetric_01(draw):
+    n = draw(st.integers(1, 10))
+    upper = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    A = np.array(upper, dtype=np.uint8).reshape(n, n)
+    return np.triu(A) | np.triu(A, 1).T
+
+
+@PROPERTY
+@given(symmetric_01())
+def test_dense_route_matches_jacobi_oracle(A):
+    got = sp.spectrum_dense_symmetric(gr.Graph(A))
+    want = sp.Spectrum.from_values(jacobi_eigenvalues(A))
+    assert sp.isospectral(got, want)
+
+
+ABELIAN = ("cyclic:5", "cyclic:8", "cyclic:12", "prod:(cyclic:2,cyclic:4)",
+           "prod:(cyclic:3,cyclic:3)", "prod:(cyclic:2,cyclic:2,cyclic:3)")
+
+
+@st.composite
+def abelian_instances(draw):
+    G = alg.make_group(draw(st.sampled_from(ABELIAN)))
+    picks = draw(st.lists(st.sampled_from(list(G.elements())), min_size=1, max_size=6))
+    members = set(picks) | {G.invert(g) for g in picks}
+    return G, alg.subset(G, sorted(members))
+
+
+@PROPERTY
+@given(abelian_instances(), st.sampled_from(["difference", "sum"]))
+def test_dense_route_matches_character_route(instance, kind):
+    G, S = instance
+    dense = sp.spectrum_dense_symmetric(gr.cayley(G, S, kind))
+    chars = sp.spectrum_exact_abelian(G, S, kind)
+    assert sp.isospectral(dense, chars, 1e-7)

@@ -1,4 +1,5 @@
-"""Spectrum arithmetic, the Jacobi oracle, moments, and the closed forms."""
+"""Spectrum arithmetic, the LAPACK dense route and its Jacobi test oracle,
+moments, and the closed forms."""
 
 import math
 
@@ -10,6 +11,8 @@ from spectra_forge import finring as fr
 from spectra_forge import graphs as gr
 from spectra_forge import spectra as sp
 from spectra_forge import theorems as th
+
+from oracles import jacobi_eigenvalues
 
 
 def spec(*pairs):
@@ -23,6 +26,22 @@ def test_spectrum_merging_and_order():
     assert [m for _, m in s.entries] == [2, 2, 1]
     with pytest.raises(sp.SpectrumError):
         sp.Spectrum.from_values([])
+
+
+def test_spectrum_merging_does_not_chain():
+    # 0 and 1.2e-8 are linked through 0.6e-8 but lie more than 1e-8 apart
+    s = sp.Spectrum.from_values([0, 0.6e-8, 1.2e-8], 1e-8)
+    assert s.size == 3 and len(s.entries) == 2
+    assert s.entries == ((1.2e-8 + 0j, 1), (0.3e-8 + 0j, 2))
+    # the same run, tighter than the tolerance, still merges whole
+    assert len(sp.Spectrum.from_values([0, 0.4e-8, 0.8e-8], 1e-8).entries) == 1
+
+
+def test_dense_route_guards():
+    with pytest.raises(sp.SpectrumError):
+        sp.spectrum_dense_symmetric(gr.Graph(np.zeros((0, 0), dtype=np.uint8)))
+    with pytest.raises(sp.SpectrumError):
+        sp.spectrum_dense_symmetric(gr.Graph(np.array([[0, 1], [0, 0]])))
 
 
 def test_spectrum_ops():
@@ -145,11 +164,11 @@ def test_jacobi_against_numpy_oracle():
     for n in (5, 20, 45):
         x = rng.standard_normal((n, n))
         x = (x + x.T) / 2
-        got = sp.jacobi_eigenvalues(x)
+        got = jacobi_eigenvalues(x)
         want = np.sort(np.linalg.eigvalsh(x))[::-1]
         assert np.max(np.abs(got - want)) < 1e-9
     with pytest.raises(sp.SpectrumError):
-        sp.jacobi_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        jacobi_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_moments():
@@ -289,7 +308,7 @@ def test_hamming_spectra():
 def test_gcd_graph_spectrum():
     got = sp.gcd_graph_spectrum(4, [1])
     assert sp.isospectral(got, spec((2, 1), (0, 2), (-2, 1)))
-    lam0 = max(v.real for v in sp.gcd_graph_spectrum(6, [1, 2, 3]).values())
+    lam0 = max(v.real for v, _ in sp.gcd_graph_spectrum(6, [1, 2, 3]).entries)
     assert lam0 == 5   # phi(6) + phi(3) + phi(2)
 
     # cross-oracle against the character route on Z8 with D = {1, 2, 4}
@@ -312,7 +331,7 @@ def test_eigenvalue_range_bound():
         for kind in ("difference", "sum"):
             s = sp.spectrum_exact_abelian(G, S, kind)
             d = len(S)
-            assert all(abs(v) <= d + 1e-9 for v in s.values())
+            assert all(abs(v) <= d + 1e-9 for v, _ in s.entries)
 
 
 def test_spectrum_serialization():

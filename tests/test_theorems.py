@@ -290,6 +290,17 @@ def test_iterated_pairs():
         th.iterated_pairs(R, 9)
 
 
+def test_iterated_pairs_cap_checked_before_any_work(monkeypatch):
+    def no_groups(R):
+        raise AssertionError("a group was built before the vertex cap check")
+
+    monkeypatch.setattr(fr, "additive_group", no_groups)
+    R = fr.parse_ring("zpk:2^2*gf:3")
+    # 2 * 12 * 2**8 = 6144 vertices is the first step over the default cap
+    with pytest.raises(fr.RingError, match="n=8"):
+        th.iterated_pairs(R, 9)
+
+
 def _even_odd_cayley_over_doubled_group(G, S):
     """The S-case and S-with-identity mirror graphs as Cayley graphs over
     G x Z2, with their parity certificates."""
