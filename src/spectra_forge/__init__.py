@@ -3,13 +3,13 @@ groups and finite commutative rings, with executable verification of
 the product-decomposition, parity and isospectrality results."""
 
 from .algebra import (
-    AbelianCharacter,
     FiniteGroup,
     GroupError,
     GroupSubset,
     boolean_algebra_member,
-    character_sum,
-    characters,
+    character_exponents,
+    character_sums_over,
+    character_value_table,
     cyclic,
     dicyclic,
     dihedral,
@@ -33,7 +33,6 @@ from .finring import (
     gf,
     gp_integrality,
     hamming_gp_parameters,
-    local_ring,
     parse_ring,
     power_residues,
     semiprimitive_check,
@@ -83,6 +82,7 @@ from .theorems import (
     check_spectrum_formulas,
     iterated_pairs,
     run_suite,
+    spectrum_of,
 )
 
 __version__ = "0.1.0"

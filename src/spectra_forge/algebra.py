@@ -1,5 +1,6 @@
 """Finite groups as explicit multiplication tables, abelian characters,
-and the subset predicates used by the graph constructions.
+the subset predicates used by the graph constructions, and the
+trial-division number theory the ring and spectrum code shares.
 
 Groups are immutable after construction.  Elements are integers
 0..order-1; the table fixes the operation, and every constructor
@@ -8,10 +9,8 @@ validates the axioms exhaustively for orders up to 512 (sampled above).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import permutations as _permutations
 
 import numpy as np
@@ -57,21 +56,18 @@ class FiniteGroup:
             raise GroupError(f"element index out of range for {self.label}")
         return int(self.inv_table[g])
 
+    def powers(self, g: int) -> list[int]:
+        """[e, g, g^2, ..., g^(d-1)] for g of order d."""
+        if not (0 <= g < self.order):      # a negative index would wrap silently
+            raise GroupError(f"element index out of range for {self.label}")
+        return _powers(self.op_table, self.identity, g)
+
     def power(self, g: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.invert(g), -k)
-        acc = self.identity
-        for _ in range(k):
-            acc = int(self.op_table[acc, g])
-        return acc
+        cycle = self.powers(g)
+        return cycle[k % len(cycle)]
 
     def element_order(self, g: int) -> int:
-        acc = int(self.op_table[self.identity, g])
-        k = 1
-        while acc != self.identity:
-            acc = int(self.op_table[acc, g])
-            k += 1
-        return k
+        return len(self.powers(g))
 
     def elements(self) -> range:
         return range(self.order)
@@ -84,7 +80,8 @@ class FiniteGroup:
         )
 
     def __hash__(self) -> int:
-        return hash((self.order, self.label))
+        # equality compares tables, not labels: Z2xZ2 equals the additive group of F4
+        return hash(self.order)
 
 
 @dataclass(frozen=True)
@@ -172,6 +169,16 @@ def _validate_table(op: np.ndarray, label: str) -> tuple[np.ndarray, int]:
     return inv, identity
 
 
+def _powers(op: np.ndarray, identity: int, g: int) -> list[int]:
+    """[e, g, g^2, ...] up to the last power before e recurs."""
+    out = [identity]
+    acc = int(op[identity, g])
+    while acc != identity:
+        out.append(acc)
+        acc = int(op[acc, g])
+    return out
+
+
 def _element_orders(op: np.ndarray, identity: int) -> np.ndarray:
     n = op.shape[0]
     orders = np.zeros(n, dtype=np.int64)
@@ -202,14 +209,6 @@ def _abelian_basis(op: np.ndarray, identity: int) -> list[tuple[int, int]]:
     orders = _element_orders(op, identity)
     by_order = sorted(range(n), key=lambda g: -orders[g])
 
-    def powers(g: int) -> list[int]:
-        out = [identity]
-        acc = int(op[identity, g])
-        while acc != identity:
-            out.append(acc)
-            acc = int(op[acc, g])
-        return out
-
     def extend(span: set[int], basis: list[tuple[int, int]]):
         if len(span) == n:
             return basis
@@ -218,7 +217,7 @@ def _abelian_basis(op: np.ndarray, identity: int) -> list[tuple[int, int]]:
             d = int(orders[g])
             if d > limit or g in span:
                 continue
-            pg = powers(g)
+            pg = _powers(op, identity, g)
             if any(p in span for p in pg[1:]):
                 continue
             new_span = {int(op[s, p]) for s in span for p in pg}
@@ -245,10 +244,10 @@ def _canonical_chain(op: np.ndarray, identity: int) -> tuple[tuple[int, ...], np
     # refine each basis element into prime-power generators
     pp: list[tuple[int, int, int]] = []   # (generator, prime, p^e)
     for g, d in basis:
-        fac = _factorize(d)
-        for p, e in fac.items():
+        cycle = _powers(op, identity, g)
+        for p, e in factorize(d).items():
             q = p**e
-            pp.append((_pow(op, identity, g, d // q), p, q))
+            pp.append((cycle[d // q], p, q))
 
     # canonical chain: repeatedly take the largest remaining power of each prime
     pools: dict[int, list[tuple[int, int]]] = {}
@@ -268,7 +267,7 @@ def _canonical_chain(op: np.ndarray, identity: int) -> tuple[tuple[int, ...], np
     chain.reverse()                       # ascending so d1 | d2 | ...
 
     dims = tuple(d for d, _ in chain)
-    gens = [g for _, g in chain]
+    cycles = [_powers(op, identity, g) for _, g in chain]
     coords = np.zeros((n, len(dims)), dtype=np.int64)
     coords_map: dict[int, tuple[int, ...]] = {}
 
@@ -276,10 +275,8 @@ def _canonical_chain(op: np.ndarray, identity: int) -> tuple[tuple[int, ...], np
         if j == len(dims):
             coords_map[elt] = tuple(vec)
             return
-        acc = elt
-        for a in range(dims[j]):
-            rec(j + 1, acc, vec + [a])
-            acc = int(op[acc, gens[j]])
+        for a, ga in enumerate(cycles[j]):
+            rec(j + 1, int(op[elt, ga]), vec + [a])
 
     rec(0, identity, [])
     if len(coords_map) != n:
@@ -289,14 +286,19 @@ def _canonical_chain(op: np.ndarray, identity: int) -> tuple[tuple[int, ...], np
     return dims, coords
 
 
-def _pow(op: np.ndarray, identity: int, g: int, k: int) -> int:
-    acc = identity
-    for _ in range(k):
-        acc = int(op[acc, g])
-    return acc
+def compose_tables(tables) -> np.ndarray:
+    """Operation table of a product of tables, mixed-radix with the first
+    factor most significant: new[(a1,a2),(b1,b2)] = op1[a1,b1]*m + op2[a2,b2]."""
+    op = np.zeros((1, 1), dtype=np.int64)
+    for tbl in tables:
+        m = tbl.shape[0]
+        size = op.shape[0] * m
+        op = (op[:, None, :, None] * m + tbl[None, :, None, :]).reshape(size, size)
+    return op
 
 
-def _factorize(n: int) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
+    """{p: e} with n = prod p^e, by trial division; empty for n < 2."""
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -306,6 +308,19 @@ def _factorize(n: int) -> dict[int, int]:
         d += 1
     if n > 1:
         out[n] = out.get(n, 0) + 1
+    return out
+
+
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, m) with q = p^m for a prime p and m >= 1, else None."""
+    fac = factorize(q)
+    return next(iter(fac.items())) if len(fac) == 1 else None
+
+
+def _totient(n: int) -> int:
+    out = n
+    for p in factorize(n):
+        out -= out // p
     return out
 
 
@@ -320,7 +335,7 @@ def group_from_table(op: np.ndarray, label: str) -> FiniteGroup:
     coords = None
     if np.array_equal(op, op.T):
         decomposition, coords = _canonical_chain(op, identity)
-        if reduce(lambda a, b: a * b, decomposition, 1) != n:
+        if math.prod(decomposition) != n:
             raise GroupError(f"{label}: invariant factor product != order")
     return FiniteGroup(n, op, inv, identity, label, decomposition, coords)
 
@@ -343,22 +358,11 @@ def direct_product(*groups: FiniteGroup) -> FiniteGroup:
         raise GroupError("direct product needs at least one factor")
     if len(groups) == 1:
         return groups[0]
-    n = 1
-    for g in groups:
-        n *= g.order
+    n = math.prod(g.order for g in groups)
     if n > MAX_GROUP_ORDER:
         raise GroupError(f"group order {n} exceeds cap {MAX_GROUP_ORDER}")
-    op = np.zeros((1, 1), dtype=np.int64)
-    size = 1
-    for g in groups:
-        m = g.order
-        # block-compose: new[(a1,a2),(b1,b2)] = op1[a1,b1]*m + op2[a2,b2]
-        op = (op[:, None, :, None] * m + g.op_table[None, :, None, :]).reshape(
-            size * m, size * m
-        )
-        size *= m
-    label = "x".join(g.label for g in groups)
-    return group_from_table(op, label)
+    op = compose_tables([g.op_table for g in groups])
+    return group_from_table(op, "x".join(g.label for g in groups))
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -472,48 +476,6 @@ def _split_top_level(s: str) -> list[str]:
 # characters
 
 
-@dataclass(frozen=True)
-class AbelianCharacter:
-    """Character of an abelian group, one exponent per invariant factor."""
-
-    group: FiniteGroup
-    exponent_vector: tuple[int, ...]
-
-    def __call__(self, g: int) -> complex:
-        coords = self.group.coords[g]
-        dims = self.group.abelian_decomposition
-        phase = sum(a * int(x) / d for a, x, d in zip(self.exponent_vector, coords, dims))
-        return cmath.exp(2j * cmath.pi * phase)
-
-    @property
-    def is_real(self) -> bool:
-        dims = self.group.abelian_decomposition
-        return all((2 * a) % d == 0 for a, d in zip(self.exponent_vector, dims))
-
-    def conjugate(self) -> "AbelianCharacter":
-        dims = self.group.abelian_decomposition
-        return AbelianCharacter(
-            self.group, tuple((-a) % d for a, d in zip(self.exponent_vector, dims))
-        )
-
-
-def characters(group: FiniteGroup) -> list[AbelianCharacter]:
-    if not group.is_abelian:
-        raise GroupError("characters require an abelian group")
-    dims = group.abelian_decomposition
-    chars: list[AbelianCharacter] = []
-
-    def rec(j: int, vec: list[int]):
-        if j == len(dims):
-            chars.append(AbelianCharacter(group, tuple(vec)))
-            return
-        for a in range(dims[j]):
-            rec(j + 1, vec + [a])
-
-    rec(0, [])
-    return chars
-
-
 def character_exponents(group: FiniteGroup) -> np.ndarray:
     """Exponent vectors of all characters in lexicographic order, one row each."""
     if not group.is_abelian:
@@ -536,12 +498,6 @@ def character_value_table(group: FiniteGroup) -> np.ndarray:
         return np.ones((1, 1), dtype=complex)
     coords = group.coords.astype(float) / np.asarray(dims, dtype=float)
     return np.exp(2j * np.pi * (exps @ coords.T))
-
-
-def character_sum(chi: AbelianCharacter, S: GroupSubset) -> complex:
-    if S.parent != chi.group:
-        raise GroupError("character and subset over different groups")
-    return sum((chi(s) for s in S.members), 0j)
 
 
 def character_sums_over(group: FiniteGroup, S: GroupSubset) -> np.ndarray:
@@ -589,30 +545,20 @@ def subset_predicates(S: GroupSubset) -> SubsetPredicates:
     symmetric = mem == inv_mem
     antisymmetric = not (mem & inv_mem)
 
-    normal = True
-    for g in G.elements():
-        gi = G.invert(g)
-        conj = {G.combine(G.combine(g, s), gi) for s in mem}
-        if conj != mem:
-            normal = False
-            break
-
     normalizer = set()
     for g in G.elements():
         gi = G.invert(g)
         if {G.combine(G.combine(g, s), gi) for s in mem} == mem:
             normalizer.add(g)
+    normal = len(normalizer) == G.order
     antinormal = not (mem & normalizer)
 
-    eulerian = True
-    for x in mem:
-        d = G.element_order(x)
-        for j in range(1, d):
-            if math.gcd(j, d) == 1 and G.power(x, j) not in mem:
-                eulerian = False
-                break
-        if not eulerian:
-            break
+    def generators_inside(x: int) -> bool:
+        cycle = G.powers(x)
+        d = len(cycle)
+        return all(cycle[j] in mem for j in range(1, d) if math.gcd(j, d) == 1)
+
+    eulerian = all(generators_inside(x) for x in mem)
 
     return SubsetPredicates(
         symmetric=symmetric,
@@ -688,33 +634,23 @@ def boolean_algebra_member(group: FiniteGroup, S: GroupSubset) -> bool:
         raise GroupError("subset over a different group")
     mem = set(S.members)
     for g in mem:
-        cyc = _cyclic_subgroup(group, g)
-        gens = {h for h in cyc if _cyclic_subgroup(group, h) == cyc}
+        cyc = frozenset(group.powers(g))
+        gens = {h for h in cyc if frozenset(group.powers(h)) == cyc}
         if not gens <= mem:
             return False
     return True
 
 
-def _cyclic_subgroup(group: FiniteGroup, g: int) -> frozenset[int]:
-    out = [group.identity]
-    acc = group.combine(group.identity, g)
-    while acc != group.identity:
-        out.append(acc)
-        acc = group.combine(acc, g)
-    return frozenset(out)
-
-
 def ramanujan_sum(r: int, n: int) -> int:
-    """c(r, n), computed by direct summation over the units of Z_n.
+    """c(r, n) = sum of e^(2 pi i r j / n) over the units j of Z_n, so c(r, 1) = 1.
 
-    The sum runs over 1 <= j <= n with gcd(j, n) = 1, so c(r, 1) = 1.
+    Exact by von Sterneck's formula c(r, n) = mu(n/g) phi(n) / phi(n/g)
+    with g = gcd(r, n).
     """
     if n < 1:
         raise GroupError("modulus must be positive")
-    total = 0j
-    for j in range(1, n + 1):
-        if math.gcd(j, n) == 1:
-            total += cmath.exp(2j * cmath.pi * r * j / n)
-    if abs(total.imag) >= 1e-9:
-        raise ArithmeticError(f"ramanujan sum c({r},{n}) failed to cancel: {total}")
-    return round(total.real)
+    q = n // math.gcd(r, n)
+    fac = factorize(q)
+    if any(e > 1 for e in fac.values()):
+        return 0                      # mu(q) = 0
+    return (-1) ** len(fac) * (_totient(n) // _totient(q))

@@ -8,12 +8,12 @@ tables precomputed at construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
-from .algebra import FiniteGroup, GroupSubset, group_from_table
+from .algebra import FiniteGroup, GroupSubset, compose_tables, group_from_table, prime_power
 
 MAX_LOCAL_SIZE = 4096
 MAX_RING_SIZE = 10_000
@@ -24,14 +24,7 @@ class RingError(ValueError):
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return prime_power(p) == (p, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +301,6 @@ def field_quotient(p: int, m: int, t: int) -> LocalRing:
     return ring
 
 
-def local_ring(kind: str, p: int, s_or_m: int, t: int = 1) -> LocalRing:
-    """Dispatcher over the four local families."""
-    if kind == "zpk":
-        return zpk(p, s_or_m)
-    if kind == "gf":
-        return gf(p, s_or_m)
-    if kind == "gr":
-        return galois_ring(p, s_or_m, t)
-    if kind == "quot":
-        return field_quotient(p, s_or_m, t)
-    raise RingError(f"unknown local ring kind: {kind}")
-
-
 # ---------------------------------------------------------------------------
 # Artin products
 
@@ -333,7 +313,7 @@ class FiniteRing:
         if not factors:
             raise RingError("Artin product needs at least one factor")
         self.factors = list(factors)
-        self.size = reduce(lambda a, b: a * b, (f.size for f in factors), 1)
+        self.size = math.prod(f.size for f in factors)
         if self.size > MAX_RING_SIZE:
             raise RingError(f"ring size {self.size} exceeds cap {MAX_RING_SIZE}")
         self.label = "x".join(f.label for f in factors)
@@ -356,21 +336,10 @@ class FiniteRing:
             out.append((v // s) % f.size)
         return tuple(out)
 
-    def _compose(self, tables: list[np.ndarray]) -> np.ndarray:
-        op = np.zeros((1, 1), dtype=np.int64)
-        size = 1
-        for tbl in tables:
-            m = tbl.shape[0]
-            op = (op[:, None, :, None] * m + tbl[None, :, None, :]).reshape(
-                size * m, size * m
-            )
-            size *= m
-        return op
-
     @property
     def add_table(self) -> np.ndarray:
         if self._add is None:
-            self._add = self._compose([f.add for f in self.factors])
+            self._add = compose_tables([f.add for f in self.factors])
         return self._add
 
     @property
@@ -448,19 +417,10 @@ def power_residues(field_ring: FiniteRing | LocalRing, k: int) -> GroupSubset:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    fac = {}
-    n, d = q, 2
-    while d * d <= n:
-        while n % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        fac[n] = fac.get(n, 0) + 1
-    if len(fac) != 1:
+    pm = prime_power(q)
+    if pm is None:
         raise RingError(f"{q} is not a prime power")
-    ((p, m),) = fac.items()
-    return p, m
+    return pm
 
 
 def gp_integrality(k: int, q: int) -> bool:

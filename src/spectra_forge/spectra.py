@@ -92,14 +92,7 @@ class Spectrum:
             acc = clusters.setdefault(label[v], [0j, 0])
             acc[0] += v * m
             acc[1] += m
-        merged = [(acc / m, m) for acc, m in clusters.values()]
-        merged.sort(key=lambda e: (-e[0].real, -e[0].imag))
-        cleaned = []
-        for v, m in merged:
-            re = 0.0 if abs(v.real) < 1e-12 else v.real
-            im = 0.0 if abs(v.imag) < 1e-12 else v.imag
-            cleaned.append((complex(re, im), m))
-        return Spectrum(tuple(cleaned), tolerance)
+        return _canonical([(acc / m, m) for acc, m in clusters.values()], tolerance)
 
     @property
     def size(self) -> int:
@@ -110,15 +103,19 @@ class Spectrum:
         return sum(m for v, m in self.entries if abs(v - value) <= tol)
 
     def shifted(self, c: complex) -> "Spectrum":
-        return Spectrum.from_pairs([(v + c, m) for v, m in self.entries], self.tolerance)
+        """v + c for every entry; an isometry, so the entries are not merged again."""
+        return _canonical([(v + c, m) for v, m in self.entries], self.tolerance)
 
     def scaled(self, c: complex) -> "Spectrum":
+        """v * c for every entry, merged again (scaling can bring entries within the tolerance)."""
         return Spectrum.from_pairs([(v * c, m) for v, m in self.entries], self.tolerance)
 
     def negated(self) -> "Spectrum":
-        return Spectrum.from_pairs([(-v, m) for v, m in self.entries], self.tolerance)
+        """-v for every entry; an isometry, so the entries are not merged again."""
+        return _canonical([(-v, m) for v, m in self.entries], self.tolerance)
 
     def union(self, other: "Spectrum") -> "Spectrum":
+        """Multiset sum, merged again: entries of the two sides within the tolerance join."""
         return Spectrum.from_pairs(
             list(self.entries) + list(other.entries), self.tolerance
         )
@@ -142,6 +139,17 @@ class Spectrum:
 
     def __str__(self) -> str:
         return "{" + self.to_string() + "}"
+
+
+def _canonical(pairs, tolerance: float) -> Spectrum:
+    """Spectrum of already-merged pairs: sorted by real part then imaginary
+    part, both descending, with parts below 1e-12 set to +0.0 (never -0)."""
+    out = []
+    for v, m in sorted(pairs, key=lambda e: (-e[0].real, -e[0].imag)):
+        re = 0.0 if abs(v.real) < 1e-12 else v.real
+        im = 0.0 if abs(v.imag) < 1e-12 else v.imag
+        out.append((complex(re, im), m))
+    return Spectrum(tuple(out), tolerance)
 
 
 def _fmt_value(v: complex) -> str:
@@ -406,7 +414,7 @@ def local_ring_unitary_spectrum(r: int, m: int, kind: str) -> Spectrum:
     if r < 2 or m < 1 or r % m != 0:
         raise SpectrumError(f"invalid local parameters r={r}, m={m}")
     q = r // m
-    if not _is_prime_power(q):
+    if algebra.prime_power(q) is None:
         raise SpectrumError(f"residue field size {q} is not a prime power")
     if kind not in ("difference", "sum"):
         raise SpectrumError(f"bad kind {kind!r}")
@@ -439,7 +447,7 @@ def mdcg_local_ring_spectrum(r: int, m: int, t_kind: str, kind: str) -> Spectrum
     """
     if r % 2 == 0:
         raise SpectrumError("the closed forms require odd local size r")
-    if r < 3 or m < 1 or r % m != 0 or not _is_prime_power(r // m):
+    if r < 3 or m < 1 or r % m != 0 or algebra.prime_power(r // m) is None:
         raise SpectrumError(f"invalid local parameters r={r}, m={m}")
     if kind not in ("difference", "sum"):
         raise SpectrumError(f"bad kind {kind!r}")
@@ -507,14 +515,14 @@ def mdcg_local_ring_spectrum(r: int, m: int, t_kind: str, kind: str) -> Spectrum
 
 def semiprimitive_gp_spectrum(k: int, q: int, kind: str = "difference") -> Spectrum:
     """Three-eigenvalue spectrum of a semiprimitive power-residue graph."""
-    from .finring import semiprimitive_check, _prime_power
+    from .finring import semiprimitive_check
 
     ok, t = semiprimitive_check(k, q)
     if not ok or t is None:
         raise SpectrumError(f"(k={k}, q={q}) is not a semiprimitive pair")
     if kind not in ("difference", "sum"):
         raise SpectrumError(f"bad kind {kind!r}")
-    p, m = _prime_power(q)
+    p, m = algebra.prime_power(q)
     n = (q - 1) // k
     sign = (-1) ** (m // (2 * t) + 1)
     root = p ** (m // 2)
@@ -551,19 +559,6 @@ def gcd_graph_spectrum(n: int, D) -> Spectrum:
         sum(algebra.ramanujan_sum(r, n // d) for d in D) for r in range(n)
     ]
     return Spectrum.from_values(vals)
-
-
-def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            while q % d == 0:
-                q //= d
-            return q == 1
-        d += 1
-    return True
 
 
 def spectrum_to_json(spec: Spectrum) -> str:

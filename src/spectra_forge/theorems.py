@@ -16,6 +16,7 @@ anything else that fails reports "fail".
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -69,6 +70,16 @@ class VerificationReport:
         return self.outcome in (PASS, XFAIL, SKIP)
 
 
+def _report(claim: str, inst: str, ok: bool | None, witness: str | None = None,
+            xfail: bool = False) -> VerificationReport:
+    """PASS when ok (the witness is dropped), else XFAIL for a documented
+    erratum or FAIL; ok=None means the claim was not decided (SKIP)."""
+    if ok:
+        return VerificationReport(claim, inst, PASS)
+    outcome = SKIP if ok is None else XFAIL if xfail else FAIL
+    return VerificationReport(claim, inst, outcome, witness)
+
+
 def _inst(G: FiniteGroup, S: GroupSubset, extra: str = "") -> str:
     s = f"G={G.label}, S={list(S.members)}"
     return f"({s}{', ' + extra if extra else ''})"
@@ -89,17 +100,12 @@ def _transpose_to_mirror(prod: Graph, n: int) -> Graph:
     return prod.permuted(perm)
 
 
-_Z2_PRODUCT_CACHE: dict[int, tuple[FiniteGroup, FiniteGroup]] = {}
-
-
 def product_group_with_z2(G: FiniteGroup) -> FiniteGroup:
-    entry = _Z2_PRODUCT_CACHE.get(id(G))
-    if entry is not None and entry[0] is G:
-        return entry[1]
-    Gp = algebra.direct_product(G, algebra.cyclic(2))
-    if len(_Z2_PRODUCT_CACHE) > 64:
-        _Z2_PRODUCT_CACHE.clear()
-    _Z2_PRODUCT_CACHE[id(G)] = (G, Gp)
+    """G x Z2, built once per group and cached on it."""
+    Gp = G.__dict__.get("_times_z2")
+    if Gp is None:
+        Gp = algebra.direct_product(G, algebra.cyclic(2))
+        object.__setattr__(G, "_times_z2", Gp)
     return Gp
 
 
@@ -126,32 +132,26 @@ KINDS = ("difference", "sum")
 
 
 # ---------------------------------------------------------------------------
-# direct MDCG spectra
+# the spectrum route
 
 
-def mdcg_direct_spectrum(
-    G: FiniteGroup, S: GroupSubset, T: GroupSubset, kind: str
+def spectrum_of(
+    G: FiniteGroup, S: GroupSubset, kind: str, T: GroupSubset | None = None
 ) -> spectra.Spectrum | None:
-    """Spectrum of MX*(G;S,T) by an independent route: characters over
-    G x Z2 when G is abelian, the dense eigensolver when the adjacency is
-    symmetric, and None when neither route applies."""
+    """Spectrum of X*(G,S), or of MX*(G;S,T) when T is given.
+
+    Characters over G (over G x Z2 for the mirror graph) when G is
+    abelian; otherwise LAPACK eigvalsh on the built graph when it is
+    undirected; None when neither route applies.
+    """
     if G.is_abelian:
+        if T is None:
+            return spectra.spectrum_exact_abelian(G, S, kind, validate=False)
         Gp = product_group_with_z2(G)
         Sp = mdcg_connection_subset(Gp, S, T)
         return spectra.spectrum_exact_abelian(Gp, Sp, kind, validate=False)
-    graph = graphs.mirror_dicayley(G, S, T, kind)
-    if graph.undirected:
-        return spectra.spectrum_dense_symmetric(graph)
-    return None
-
-
-def base_spectrum(G: FiniteGroup, S: GroupSubset, kind: str) -> spectra.Spectrum | None:
-    if G.is_abelian:
-        return spectra.spectrum_exact_abelian(G, S, kind, validate=False)
-    graph = graphs.cayley(G, S, kind)
-    if graph.undirected:
-        return spectra.spectrum_dense_symmetric(graph)
-    return None
+    graph = graphs.cayley(G, S, kind) if T is None else graphs.mirror_dicayley(G, S, T, kind)
+    return spectra.spectrum_dense_symmetric(graph) if graph.undirected else None
 
 
 def _complex_pair_sums(G: FiniteGroup, S: GroupSubset) -> list[complex]:
@@ -162,6 +162,14 @@ def _complex_pair_sums(G: FiniteGroup, S: GroupSubset) -> list[complex]:
 
 # ---------------------------------------------------------------------------
 # product decompositions (Thm. prods, Lemma strong-sum, eq. XGSx+P2)
+
+
+def _adjacency_diff(lhs: Graph, rhs: Graph) -> str | None:
+    """None for equal graphs, else the first adjacency cell that differs."""
+    if lhs == rhs:
+        return None
+    diff = np.argwhere(lhs.adjacency != rhs.adjacency)[0]
+    return f"adjacency differs at {tuple(int(x) for x in diff)}"
 
 
 def check_product_decompositions(
@@ -194,30 +202,13 @@ def check_product_decompositions(
          products.named_product(gamma, p2l, "direct"),
          products.named_product(gamma, p2, "strong_sum"), None, True),
     ]
+    inst = _inst(G, S, f"kind={kind}")
     for claim, lhs, rhs, p2_first, valid in cases:
         if p2_first is False:
             rhs = _transpose_to_mirror(rhs, n)
-        equal = lhs == rhs
-        inst = _inst(G, S, f"kind={kind}")
-        if equal:
-            reports.append(VerificationReport(claim, inst, PASS))
-        elif not valid:
-            diff = np.argwhere(lhs.adjacency != rhs.adjacency)[0]
-            reports.append(
-                VerificationReport(
-                    claim, inst, XFAIL,
-                    witness=f"adjacency differs at {tuple(int(x) for x in diff)}; "
-                    + ERRATUM_PRODUCTS,
-                )
-            )
-        else:
-            diff = np.argwhere(lhs.adjacency != rhs.adjacency)[0]
-            reports.append(
-                VerificationReport(
-                    claim, inst, FAIL,
-                    witness=f"adjacency differs at {tuple(int(x) for x in diff)}",
-                )
-            )
+        diff = _adjacency_diff(lhs, rhs)
+        witness = diff if valid else f"{diff}; {ERRATUM_PRODUCTS}"
+        reports.append(_report(claim, inst, diff is None, witness, xfail=not valid))
     return reports
 
 
@@ -226,17 +217,11 @@ def check_cayley_structure(
 ) -> VerificationReport:
     """MX*(G;S,T) equals the Cayley (sum) graph over G x Z2 exactly."""
     mx = graphs.mirror_dicayley(G, S, T, kind)
-    Gp = algebra.direct_product(G, algebra.cyclic(2))
+    Gp = product_group_with_z2(G)
     Sp = mdcg_connection_subset(Gp, S, T)
-    cay = _transpose_to_mirror(graphs.cayley(Gp, Sp, kind), G.order)
+    diff = _adjacency_diff(mx, _transpose_to_mirror(graphs.cayley(Gp, Sp, kind), G.order))
     inst = _inst(G, S, f"T={list(T.members)}, kind={kind}")
-    if mx == cay:
-        return VerificationReport("prop-cayley-structure", inst, PASS)
-    diff = np.argwhere(mx.adjacency != cay.adjacency)[0]
-    return VerificationReport(
-        "prop-cayley-structure", inst, FAIL,
-        witness=f"adjacency differs at {tuple(int(x) for x in diff)}",
-    )
+    return _report("prop-cayley-structure", inst, diff is None, diff)
 
 
 def check_union_identity(
@@ -247,10 +232,7 @@ def check_union_identity(
     a = graphs.mirror_dicayley(G, S, T1, kind).adjacency
     b = graphs.mirror_dicayley(G, S, T2, kind).adjacency
     rhs = Graph((a | b), lhs.vertex_labels)
-    inst = _inst(G, S, f"kind={kind}")
-    if lhs == rhs:
-        return VerificationReport("eq-unions", inst, PASS)
-    return VerificationReport("eq-unions", inst, FAIL, witness="edge sets differ")
+    return _report("eq-unions", _inst(G, S, f"kind={kind}"), lhs == rhs, "edge sets differ")
 
 
 # ---------------------------------------------------------------------------
@@ -272,57 +254,37 @@ def specbi_formula_valid(G: FiniteGroup, S: GroupSubset, t_kind: str, kind: str)
 def check_spectrum_formulas(
     G: FiniteGroup, S: GroupSubset, kind: str
 ) -> list[VerificationReport]:
-    reports = []
-    base = base_spectrum(G, S, kind)
+    base = spectrum_of(G, S, kind)
     if base is None:
-        return [
-            VerificationReport(
-                "prop-spec-bicayleys", _inst(G, S, f"kind={kind}"), SKIP,
-                witness="no exact route for a directed non-abelian instance",
-            )
-        ]
+        return [_report("prop-spec-bicayleys", _inst(G, S, f"kind={kind}"), None,
+                        "no exact route for a directed non-abelian instance")]
+    reports = []
     for t_kind in T_KINDS:
         inst = _inst(G, S, f"T={t_kind}, kind={kind}")
         claim = f"prop-spec-bicayleys/{t_kind}"
         if t_kind == "S_and_identity" and G.identity in S:
-            reports.append(
-                VerificationReport(
-                    claim, inst, SKIP,
-                    witness="identity in S: the S-with-identity family assumes e not in S",
-                )
-            )
+            reports.append(_report(
+                claim, inst, None,
+                "identity in S: the S-with-identity family assumes e not in S"))
             continue
         T = t_subset(G, S, t_kind)
         formula = spectra.mdcg_spectrum_formula(base, t_kind, G.order)
-        direct = mdcg_direct_spectrum(G, S, T, kind)
+        direct = spectrum_of(G, S, kind, T)
         if direct is None:
             graph = graphs.mirror_dicayley(G, S, T, kind)
             K = min(12, graph.n)
             ok = spectra.moment_check(
                 formula, spectra.moments(graph, K), max(1, len(S) + len(T)), graph.n
             )
-            outcome = PASS if ok else FAIL
-            reports.append(
-                VerificationReport(claim, inst, outcome,
-                                   witness=None if ok else "moment mismatch"))
+            reports.append(_report(claim, inst, ok, "moment mismatch"))
             continue
-        equal = spectra.isospectral(formula, direct)
-        if equal:
-            reports.append(VerificationReport(claim, inst, PASS))
-        elif not specbi_formula_valid(G, S, t_kind, kind):
-            reports.append(
-                VerificationReport(
-                    claim, inst, XFAIL,
-                    witness=f"formula {formula} vs actual {direct}; " + ERRATUM_SPECBI,
-                )
-            )
-        else:
-            reports.append(
-                VerificationReport(
-                    claim, inst, FAIL,
-                    witness=f"formula {formula} vs actual {direct}",
-                )
-            )
+        if spectra.isospectral(formula, direct):
+            reports.append(_report(claim, inst, True))
+            continue
+        xfail = not specbi_formula_valid(G, S, t_kind, kind)
+        witness = f"formula {formula} vs actual {direct}"
+        reports.append(_report(claim, inst, False,
+                               f"{witness}; {ERRATUM_SPECBI}" if xfail else witness, xfail))
     return reports
 
 
@@ -333,43 +295,22 @@ def check_spectrum_formulas(
 def check_crossed_nonisospectrality(
     G: FiniteGroup, S: GroupSubset, kind: str
 ) -> list[VerificationReport]:
+    inst = _inst(G, S, f"kind={kind}")
     if len(S) < 2:
-        return [
-            VerificationReport(
-                "prop-isospec-TT", _inst(G, S, f"kind={kind}"), SKIP,
-                witness="|S| < 2",
-            )
-        ]
+        return [_report("prop-isospec-TT", inst, None, "|S| < 2")]
     if G.identity in S:
-        return [
-            VerificationReport(
-                "prop-isospec-TT", _inst(G, S, f"kind={kind}"), SKIP,
-                witness="identity in S (family convention)",
-            )
-        ]
+        return [_report("prop-isospec-TT", inst, None, "identity in S (family convention)")]
     specs = {}
     for t_kind in T_KINDS:
-        T = t_subset(G, S, t_kind)
-        spec = mdcg_direct_spectrum(G, S, T, kind)
-        if spec is None:
-            return [
-                VerificationReport(
-                    "prop-isospec-TT", _inst(G, S, f"kind={kind}"), SKIP,
-                    witness="no exact route for a directed non-abelian instance",
-                )
-            ]
-        specs[t_kind] = spec
+        specs[t_kind] = spectrum_of(G, S, kind, t_subset(G, S, t_kind))
+        if specs[t_kind] is None:
+            return [_report("prop-isospec-TT", inst, None,
+                            "no exact route for a directed non-abelian instance")]
     reports = []
     for a, b in (("identity", "S"), ("identity", "S_and_identity"), ("S", "S_and_identity")):
         iso = spectra.isospectral(specs[a], specs[b])
-        inst = _inst(G, S, f"{a} vs {b}, kind={kind}")
-        reports.append(
-            VerificationReport(
-                "prop-isospec-TT", inst,
-                FAIL if iso else PASS,
-                witness=f"unexpected isospectrality: {specs[a]}" if iso else None,
-            )
-        )
+        reports.append(_report("prop-isospec-TT", _inst(G, S, f"{a} vs {b}, kind={kind}"),
+                               not iso, f"unexpected isospectrality: {specs[a]}"))
     return reports
 
 
@@ -378,81 +319,52 @@ def check_crossed_nonisospectrality(
 
 
 def check_isosp_transfer(G: FiniteGroup, S: GroupSubset) -> list[VerificationReport]:
-    base_d = base_spectrum(G, S, "difference")
-    base_s = base_spectrum(G, S, "sum")
+    base_d = spectrum_of(G, S, "difference")
+    base_s = spectrum_of(G, S, "sum")
     if base_d is None or base_s is None:
-        return [
-            VerificationReport(
-                "thm-isosp-XX+", _inst(G, S), SKIP,
-                witness="no exact route for a directed non-abelian instance",
-            )
-        ]
+        return [_report("thm-isosp-XX+", _inst(G, S), None,
+                        "no exact route for a directed non-abelian instance")]
     base_iso = spectra.isospectral(base_d, base_s)
     reports = []
     for t_kind in T_KINDS:
         T = t_subset(G, S, t_kind)
-        md = mdcg_direct_spectrum(G, S, T, "difference")
-        ms = mdcg_direct_spectrum(G, S, T, "sum")
+        md = spectrum_of(G, S, "difference", T)
+        ms = spectrum_of(G, S, "sum", T)
         inst = _inst(G, S, f"T={t_kind}")
+        claim = f"thm-isosp-XX+/{t_kind}"
         if md is None or ms is None:
-            reports.append(VerificationReport(f"thm-isosp-XX+/{t_kind}", inst, SKIP,
-                                              witness="no exact route"))
+            reports.append(_report(claim, inst, None, "no exact route"))
             continue
         pair_iso = spectra.isospectral(md, ms)
-        claim = f"thm-isosp-XX+/{t_kind}"
-        if pair_iso == base_iso:
-            reports.append(VerificationReport(claim, inst, PASS))
-        elif (
-            t_kind == "S_and_identity"
-            and base_iso
-            and not specbi_formula_valid(G, S, t_kind, "sum")
-        ):
-            reports.append(
-                VerificationReport(
-                    claim, inst, XFAIL,
-                    witness=f"base isospectral but MX {md} vs MX+ {ms}; " + ERRATUM_SPECBI,
-                )
-            )
-        else:
-            reports.append(
-                VerificationReport(
-                    claim, inst, FAIL,
-                    witness=f"base isospectral={base_iso}, pair isospectral={pair_iso}",
-                )
-            )
+        ok = pair_iso == base_iso
+        xfail = (not ok and t_kind == "S_and_identity" and base_iso
+                 and not specbi_formula_valid(G, S, t_kind, "sum"))
+        witness = (f"base isospectral but MX {md} vs MX+ {ms}; {ERRATUM_SPECBI}" if xfail
+                   else f"base isospectral={base_iso}, pair isospectral={pair_iso}")
+        reports.append(_report(claim, inst, ok, witness, xfail))
     return reports
 
 
 def check_gen_isosp(
     G1: FiniteGroup, S1: GroupSubset, G2: FiniteGroup, S2: GroupSubset, kind: str
 ) -> list[VerificationReport]:
-    b1 = base_spectrum(G1, S1, kind)
-    b2 = base_spectrum(G2, S2, kind)
+    b1 = spectrum_of(G1, S1, kind)
+    b2 = spectrum_of(G2, S2, kind)
     inst = f"(G1={G1.label}, S1={list(S1.members)}; G2={G2.label}, S2={list(S2.members)}, kind={kind})"
     if b1 is None or b2 is None:
-        return [VerificationReport("thm-gen-isosp", inst, SKIP,
-                                   witness="no exact route")]
+        return [_report("thm-gen-isosp", inst, None, "no exact route")]
     base_iso = b1.size == b2.size and spectra.isospectral(b1, b2)
     reports = []
     for t_kind in T_KINDS:
-        m1 = mdcg_direct_spectrum(G1, S1, t_subset(G1, S1, t_kind), kind)
-        m2 = mdcg_direct_spectrum(G2, S2, t_subset(G2, S2, t_kind), kind)
+        m1 = spectrum_of(G1, S1, kind, t_subset(G1, S1, t_kind))
+        m2 = spectrum_of(G2, S2, kind, t_subset(G2, S2, t_kind))
         pair_iso = m1.size == m2.size and spectra.isospectral(m1, m2)
-        claim = f"thm-gen-isosp/{t_kind}"
+        witness = None
         if pair_iso != base_iso:
-            reports.append(
-                VerificationReport(
-                    claim, inst, FAIL,
-                    witness=f"base isospectral={base_iso}, MDCG isospectral={pair_iso}",
-                )
-            )
-            continue
-        if base_iso and (G1.order != G2.order or len(S1) != len(S2)):
-            reports.append(
-                VerificationReport(claim, inst, FAIL,
-                                   witness="isospectral but |G| or |S| differ"))
-            continue
-        reports.append(VerificationReport(claim, inst, PASS))
+            witness = f"base isospectral={base_iso}, MDCG isospectral={pair_iso}"
+        elif base_iso and (G1.order != G2.order or len(S1) != len(S2)):
+            witness = "isospectral but |G| or |S| differ"
+        reports.append(_report(f"thm-gen-isosp/{t_kind}", inst, witness is None, witness))
     return reports
 
 
@@ -463,69 +375,50 @@ def check_gen_isosp(
 def check_parity_and_symmetry(
     G: FiniteGroup, S: GroupSubset, kind: str
 ) -> list[VerificationReport]:
-    base = base_spectrum(G, S, kind)
+    base = spectrum_of(G, S, kind)
     inst = _inst(G, S, f"kind={kind}")
     if base is None:
-        return [VerificationReport("cor-integral-symmetric", inst, SKIP,
-                                   witness="no exact route")]
+        return [_report("cor-integral-symmetric", inst, None, "no exact route")]
     base_cls = spectra.classify(base)
     e_in_S = G.identity in S
-    reports = []
-    specs = {}
-    for t_kind in T_KINDS:
-        specs[t_kind] = mdcg_direct_spectrum(G, S, t_subset(G, S, t_kind), kind)
-    classes = {k: spectra.classify(v) for k, v in specs.items()}
-
-    def add(claim, ok, witness=None, expected_defect=False):
-        outcome = PASS if ok else (XFAIL if expected_defect else FAIL)
-        reports.append(VerificationReport(claim, inst, outcome,
-                                          witness=None if ok else witness))
-
+    classes = {tk: spectra.classify(spectrum_of(G, S, kind, t_subset(G, S, tk)))
+               for tk in T_KINDS}
     formula_ok = {tk: specbi_formula_valid(G, S, tk, kind) for tk in T_KINDS}
-    for t_kind in T_KINDS:
-        ok = classes[t_kind].integral == base_cls.integral
-        add(
-            f"cor-integral/transfer/{t_kind}", ok,
-            witness=f"base integral={base_cls.integral}, MDCG {t_kind} "
-            f"integral={classes[t_kind].integral}",
-            expected_defect=not formula_ok[t_kind],
-        )
+    reports = [
+        _report(f"cor-integral/transfer/{tk}", inst,
+                classes[tk].integral == base_cls.integral,
+                f"base integral={base_cls.integral}, MDCG {tk} "
+                f"integral={classes[tk].integral}",
+                xfail=not formula_ok[tk])
+        for tk in T_KINDS
+    ]
     if base_cls.integral:
-        if base_cls.parity in ("even", "odd"):
+        if base_cls.parity in ("even", "odd") and classes["identity"].integral:
             want = "odd" if base_cls.parity == "even" else "even"
-            if classes["identity"].integral:
-                add(
-                    "cor-integral/e-case-parity-flip",
-                    classes["identity"].parity == want,
-                    witness=f"{classes['identity'].parity} != {want}",
-                    expected_defect=not formula_ok["identity"],
-                )
+            reports.append(_report(
+                "cor-integral/e-case-parity-flip", inst,
+                classes["identity"].parity == want,
+                f"{classes['identity'].parity} != {want}",
+                xfail=not formula_ok["identity"]))
         if classes["S"].integral:
-            add("cor-integral/S-case-even", classes["S"].parity == "even",
-                witness=f"S case parity {classes['S'].parity}")
+            reports.append(_report(
+                "cor-integral/S-case-even", inst, classes["S"].parity == "even",
+                f"S case parity {classes['S'].parity}"))
         if not e_in_S and classes["S_and_identity"].integral:
-            add(
-                "cor-integral/Se-case-odd",
-                classes["S_and_identity"].parity == "odd",
-                witness=f"S+e case parity {classes['S_and_identity'].parity}",
-            )
-    add(
-        "cor-symmetric/e-case",
-        classes["identity"].symmetric == base_cls.symmetric,
-        witness="symmetry transfer failed for the matching case",
-        expected_defect=not formula_ok["identity"],
-    )
-    add(
-        "cor-symmetric/S-case",
-        classes["S"].symmetric == base_cls.symmetric,
-        witness="symmetry transfer failed for the S case",
-    )
+            reports.append(_report(
+                "cor-integral/Se-case-odd", inst, classes["S_and_identity"].parity == "odd",
+                f"S+e case parity {classes['S_and_identity'].parity}"))
+    reports.append(_report(
+        "cor-symmetric/e-case", inst, classes["identity"].symmetric == base_cls.symmetric,
+        "symmetry transfer failed for the matching case",
+        xfail=not formula_ok["identity"]))
+    reports.append(_report(
+        "cor-symmetric/S-case", inst, classes["S"].symmetric == base_cls.symmetric,
+        "symmetry transfer failed for the S case"))
     if base_cls.symmetric and not e_in_S:
-        add(
-            "cor-symmetric/Se-case-nonsymmetric",
-            not classes["S_and_identity"].symmetric,
-            witness="S+e case unexpectedly symmetric",
-        )
+        reports.append(_report(
+            "cor-symmetric/Se-case-nonsymmetric", inst, not classes["S_and_identity"].symmetric,
+            "S+e case unexpectedly symmetric"))
     return reports
 
 
@@ -533,57 +426,25 @@ def check_integrality_criteria(G: FiniteGroup, S: GroupSubset) -> list[Verificat
     """Prop. integral-MDCGs: integrality of X(G,S) against the set-theoretic
     criteria (gcd classes / Boolean algebra / Eulerian)."""
     inst = _inst(G, S)
-    reports = []
     preds = algebra.subset_predicates(S)
-    if G.is_abelian:
-        spec = spectra.spectrum_exact_abelian(G, S, "difference", validate=False)
-        integral = spectra.classify(spec).integral
-        cyclic_group = len(G.abelian_decomposition or ()) <= 1
-        if cyclic_group and G.identity not in S:
-            ok_gcd, _ = algebra.is_union_of_gcd_classes(S)
-            reports.append(
-                VerificationReport(
-                    "prop-integral-mdcgs/gcd", inst,
-                    PASS if ok_gcd == integral else FAIL,
-                    witness=None if ok_gcd == integral
-                    else f"integral={integral}, gcd-union={ok_gcd}",
-                )
-            )
-        ok_bool = algebra.boolean_algebra_member(G, S)
-        reports.append(
-            VerificationReport(
-                "prop-integral-mdcgs/boolean", inst,
-                PASS if ok_bool == integral else FAIL,
-                witness=None if ok_bool == integral
-                else f"integral={integral}, boolean={ok_bool}",
-            )
-        )
-        reports.append(
-            VerificationReport(
-                "prop-integral-mdcgs/eulerian", inst,
-                PASS if preds.eulerian == integral else FAIL,
-                witness=None if preds.eulerian == integral
-                else f"integral={integral}, eulerian={preds.eulerian}",
-            )
-        )
-        return reports
-    if not preds.normal:
-        return [VerificationReport("prop-integral-mdcgs/eulerian", inst, SKIP,
-                                   witness="S not normal")]
-    graph = graphs.cayley(G, S, "difference")
-    if not graph.undirected:
-        return [VerificationReport("prop-integral-mdcgs/eulerian", inst, SKIP,
-                                   witness="directed non-abelian instance")]
-    spec = spectra.spectrum_dense_symmetric(graph)
+    if not G.is_abelian and not preds.normal:
+        return [_report("prop-integral-mdcgs/eulerian", inst, None, "S not normal")]
+    spec = spectrum_of(G, S, "difference")
+    if spec is None:
+        return [_report("prop-integral-mdcgs/eulerian", inst, None,
+                        "directed non-abelian instance")]
     integral = spectra.classify(spec).integral
-    reports.append(
-        VerificationReport(
-            "prop-integral-mdcgs/eulerian", inst,
-            PASS if preds.eulerian == integral else FAIL,
-            witness=None if preds.eulerian == integral
-            else f"integral={integral}, eulerian={preds.eulerian}",
-        )
-    )
+    reports = []
+    if G.is_abelian:
+        if len(G.abelian_decomposition) <= 1 and G.identity not in S:
+            ok_gcd, _ = algebra.is_union_of_gcd_classes(S)
+            reports.append(_report("prop-integral-mdcgs/gcd", inst, ok_gcd == integral,
+                                   f"integral={integral}, gcd-union={ok_gcd}"))
+        ok_bool = algebra.boolean_algebra_member(G, S)
+        reports.append(_report("prop-integral-mdcgs/boolean", inst, ok_bool == integral,
+                               f"integral={integral}, boolean={ok_bool}"))
+    reports.append(_report("prop-integral-mdcgs/eulerian", inst, preds.eulerian == integral,
+                           f"integral={integral}, eulerian={preds.eulerian}"))
     return reports
 
 
@@ -603,64 +464,37 @@ def check_local_ring_closed_forms(local: finring.LocalRing) -> list[Verification
     G = finring.additive_group(R)
     U = finring.units(R)
     inst = f"(R={local.label}, r={r}, m={m})"
-    reports = []
 
     base_graph = graphs.cayley(G, U, "difference")
     dense = spectra.spectrum_dense_symmetric(base_graph)
     formula = spectra.local_ring_unitary_spectrum(r, m, "difference")
-    ok = spectra.isospectral(dense, formula)
-    reports.append(
-        VerificationReport(
-            "eq-spec-GR-local", inst, PASS if ok else FAIL,
-            witness=None if ok else f"dense {dense} vs formula {formula}",
-        )
-    )
+    reports = [_report("eq-spec-GR-local", inst, spectra.isospectral(dense, formula),
+                       f"dense {dense} vs formula {formula}")]
     if r % 2 == 0:
-        same = base_graph == graphs.cayley(G, U, "sum")
-        reports.append(
-            VerificationReport(
-                "even-local-sum-graph-equal", inst, PASS if same else FAIL,
-                witness=None if same else "X and X+ differ for an even local ring",
-            )
-        )
+        reports.append(_report("even-local-sum-graph-equal", inst,
+                               base_graph == graphs.cayley(G, U, "sum"),
+                               "X and X+ differ for an even local ring"))
         return reports
 
-    sum_graph = graphs.cayley(G, U, "sum")
-    dense_sum = spectra.spectrum_dense_symmetric(sum_graph)
+    dense_sum = spectra.spectrum_dense_symmetric(graphs.cayley(G, U, "sum"))
     formula_sum = spectra.local_ring_unitary_spectrum(r, m, "sum")
-    ok = spectra.isospectral(dense_sum, formula_sum)
-    reports.append(
-        VerificationReport(
-            "eq-spec-GR+-local", inst, PASS if ok else FAIL,
-            witness=None if ok else f"dense {dense_sum} vs formula {formula_sum}",
-        )
-    )
+    reports.append(_report("eq-spec-GR+-local", inst, spectra.isospectral(dense_sum, formula_sum),
+                           f"dense {dense_sum} vs formula {formula_sum}"))
 
     for kind in KINDS:
         for t_kind in T_KINDS:
-            T = t_subset(G, U, t_kind)
-            actual = mdcg_direct_spectrum(G, U, T, kind)
+            actual = spectrum_of(G, U, kind, t_subset(G, U, t_kind))
             printed = spectra.mdcg_local_ring_spectrum(r, m, t_kind, kind)
             equal = spectra.isospectral(actual, printed)
             claim = f"cor-spec-GRR/{t_kind}/{kind}"
-            if equal:
-                outcome = PASS if t_kind != "S_and_identity" else FAIL
-                witness = None if outcome == PASS else "misprinted row unexpectedly matches"
-                reports.append(VerificationReport(claim, inst, outcome, witness))
-            elif t_kind == "S_and_identity":
-                reports.append(
-                    VerificationReport(
-                        claim, inst, XFAIL,
-                        witness=f"actual {actual} vs printed {printed}; " + ERRATUM_CORO_SE,
-                    )
-                )
+            witness = f"actual {actual} vs printed {printed}"
+            if t_kind != "S_and_identity":
+                reports.append(_report(claim, inst, equal, witness))
+            elif equal:      # a misprinted row must differ from the actual spectrum
+                reports.append(_report(claim, inst, False, "misprinted row unexpectedly matches"))
             else:
-                reports.append(
-                    VerificationReport(
-                        claim, inst, FAIL,
-                        witness=f"actual {actual} vs printed {printed}",
-                    )
-                )
+                reports.append(_report(claim, inst, False, f"{witness}; {ERRATUM_CORO_SE}",
+                                       xfail=True))
     return reports
 
 
@@ -704,11 +538,8 @@ def build_even_odd_pair(R: FiniteRing) -> EvenOddPairResult:
     inst = f"(R={R.label})"
     reports: list[VerificationReport] = []
 
-    def spec_for(T: GroupSubset, kind: str) -> spectra.Spectrum:
-        return mdcg_direct_spectrum(G, S, T, kind)
-
-    even_d = spec_for(S, "difference")
-    even_s = spec_for(S, "sum")
+    even_d = spectrum_of(G, S, "difference", S)
+    even_s = spectrum_of(G, S, "sum", S)
     even_cls = spectra.classify(even_d)
     even_ok = (
         spectra.isospectral(even_d, even_s)
@@ -717,26 +548,17 @@ def build_even_odd_pair(R: FiniteRing) -> EvenOddPairResult:
         and even_cls.symmetric
         and even_cls.bipartite_criterion
     )
-    reports.append(
-        VerificationReport(
-            "prop-isosp-R/even-pair", inst, PASS if even_ok else FAIL,
-            witness=None if even_ok else f"{even_d} vs {even_s} ({even_cls})",
-        )
-    )
+    reports.append(_report("prop-isosp-R/even-pair", inst, even_ok,
+                           f"{even_d} vs {even_s} ({even_cls})"))
 
-    zero_d = spec_for(_identity_subset(G), "difference")
-    zero_s = spec_for(_identity_subset(G), "sum")
+    zero_d = spectrum_of(G, S, "difference", _identity_subset(G))
+    zero_s = spectrum_of(G, S, "sum", _identity_subset(G))
     zero_ok = spectra.isospectral(zero_d, zero_s) and spectra.classify(zero_d).integral
-    reports.append(
-        VerificationReport(
-            "prop-isosp-R/zero-pair", inst, PASS if zero_ok else FAIL,
-            witness=None if zero_ok else f"{zero_d} vs {zero_s}",
-        )
-    )
+    reports.append(_report("prop-isosp-R/zero-pair", inst, zero_ok, f"{zero_d} vs {zero_s}"))
 
     T_odd = S.with_identity()
-    odd_d = spec_for(T_odd, "difference")
-    odd_s = spec_for(T_odd, "sum")
+    odd_d = spectrum_of(G, S, "difference", T_odd)
+    odd_s = spectrum_of(G, S, "sum", T_odd)
     cls_d = spectra.classify(odd_d)
     cls_s = spectra.classify(odd_s)
     both_odd = (
@@ -745,35 +567,20 @@ def build_even_odd_pair(R: FiniteRing) -> EvenOddPairResult:
         and not cls_d.symmetric and not cls_s.symmetric
         and not cls_d.bipartite_criterion and not cls_s.bipartite_criterion
     )
-    reports.append(
-        VerificationReport(
-            "thm-main/odd-classes", inst, PASS if both_odd else FAIL,
-            witness=None if both_odd else f"{cls_d} / {cls_s}",
-        )
-    )
-    odd_iso = spectra.isospectral(odd_d, odd_s)
-    if odd_iso:
-        expected = specbi_formula_valid(G, S, "S_and_identity", "sum")
-        reports.append(
-            VerificationReport(
-                "prop-isosp-R/odd-pair", inst, PASS if expected else FAIL,
-                witness=None if expected else "unexpectedly isospectral",
-            )
-        )
+    reports.append(_report("thm-main/odd-classes", inst, both_odd, f"{cls_d} / {cls_s}"))
+    if spectra.isospectral(odd_d, odd_s):
+        reports.append(_report("prop-isosp-R/odd-pair", inst,
+                               specbi_formula_valid(G, S, "S_and_identity", "sum"),
+                               "unexpectedly isospectral"))
     else:
-        reports.append(
-            VerificationReport(
-                "prop-isosp-R/odd-pair", inst, XFAIL,
-                witness=f"MX {odd_d} vs MX+ {odd_s}; " + ERRATUM_SPECBI,
-            )
-        )
+        reports.append(_report("prop-isosp-R/odd-pair", inst, False,
+                               f"MX {odd_d} vs MX+ {odd_s}; {ERRATUM_SPECBI}", xfail=True))
 
-    T_even = S
     return EvenOddPairResult(
         ring_label=R.label,
         even_graphs=(
-            graphs.mirror_dicayley(G, S, T_even, "difference"),
-            graphs.mirror_dicayley(G, S, T_even, "sum"),
+            graphs.mirror_dicayley(G, S, S, "difference"),
+            graphs.mirror_dicayley(G, S, S, "sum"),
         ),
         even_spectrum=even_d,
         odd_graphs=(
@@ -802,21 +609,16 @@ def iterated_pairs(R: FiniteRing, n_max: int, vertex_cap: int = 4000) -> list[Ve
         Rn = finring.artin_product(list(R.factors) + [z2] * n)
         G = finring.additive_group(Rn)
         S = finring.units(Rn)
-        d = mdcg_direct_spectrum(G, S, S, "difference")
-        s = mdcg_direct_spectrum(G, S, S, "sum")
+        d = spectrum_of(G, S, "difference", S)
+        s = spectrum_of(G, S, "sum", S)
         cls = spectra.classify(d)
         ok = (
             spectra.isospectral(d, s)
             and cls.integral
             and cls.parity == "even"
         )
-        reports.append(
-            VerificationReport(
-                "cor-iterated", f"(R={Rn.label}, vertices={2 * Rn.size})",
-                PASS if ok else FAIL,
-                witness=None if ok else f"{d} vs {s} ({cls})",
-            )
-        )
+        reports.append(_report("cor-iterated", f"(R={Rn.label}, vertices={2 * Rn.size})",
+                               ok, f"{d} vs {s} ({cls})"))
     return reports
 
 
@@ -862,7 +664,7 @@ def run_suite(seed: int = 7, trials: int = 20) -> list[VerificationReport]:
 
     def tag(rs):
         for r in rs if isinstance(rs, list) else [rs]:
-            reports.append(VerificationReport(r.claim_id, r.instance, r.outcome, r.witness, seed))
+            reports.append(dataclasses.replace(r, seed=seed))
 
     z4 = algebra.cyclic(4)
     s13 = algebra.subset(z4, [1, 3])

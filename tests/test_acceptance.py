@@ -49,7 +49,7 @@ def test_criterion_1_cay_z4_reproduction():
     want_parity = {"identity": "odd", "S": "even", "S_and_identity": "odd"}
     want_symmetric = {"identity": True, "S": True, "S_and_identity": False}
     for t_kind, want in printed.items():
-        direct = th.mdcg_direct_spectrum(z4, S, th.t_subset(z4, S, t_kind), "difference")
+        direct = th.spectrum_of(z4, S, "difference", th.t_subset(z4, S, t_kind))
         assert sp.isospectral(direct, want, TOL), t_kind
         cls = sp.classify(direct)
         assert cls.integral and cls.parity == want_parity[t_kind]
@@ -113,11 +113,11 @@ def test_criterion_3_z4z3_example():
         "S_and_identity": spec((9, 1), (5, 2), (1, 6), (-3, 2), (-7, 1), (-1, 12)),
     }
     for t_kind, want in printed.items():
-        direct = th.mdcg_direct_spectrum(G, U, th.t_subset(G, U, t_kind), "difference")
+        direct = th.spectrum_of(G, U, "difference", th.t_subset(G, U, t_kind))
         assert sp.isospectral(direct, want, TOL), t_kind
     # the sum versions also match for the identity and S cases
     for t_kind in ("identity", "S"):
-        direct = th.mdcg_direct_spectrum(G, U, th.t_subset(G, U, t_kind), "sum")
+        direct = th.spectrum_of(G, U, "sum", th.t_subset(G, U, t_kind))
         assert sp.isospectral(direct, printed[t_kind], TOL)
 
     cls0 = sp.classify(printed["identity"])
@@ -194,7 +194,7 @@ def test_criterion_4_printed_mirror_with_identity_rows():
         G, U = fr.additive_group(R), fr.units(R)
         r, m = ring.size, ring.maximal_ideal_size
         for kind in th.KINDS:
-            actual = th.mdcg_direct_spectrum(G, U, U.with_identity(), kind)
+            actual = th.spectrum_of(G, U, kind, U.with_identity())
             printed = sp.mdcg_local_ring_spectrum(r, m, "S_and_identity", kind)
             assert sp.isospectral(actual, printed, TOL), (ring.label, kind)
 
@@ -310,8 +310,8 @@ def test_criterion_8_even_odd_pair_end_to_end():
     assert even_cls.symmetric and even_cls.bipartite_criterion
     for g in result.even_graphs:
         assert gr.structure_report(g).bipartite
-    d = th.mdcg_direct_spectrum(
-        fr.additive_group(R), fr.units(R), fr.units(R), "sum"
+    d = th.spectrum_of(
+        fr.additive_group(R), fr.units(R), "sum", fr.units(R)
     )
     assert sp.isospectral(d, result.even_spectrum, TOL)
 

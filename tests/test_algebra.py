@@ -67,6 +67,36 @@ def test_order_cap():
         alg.direct_product(alg.cyclic(200), alg.cyclic(200))
 
 
+def test_equal_groups_hash_equal():
+    from spectra_forge import finring as fr
+
+    klein = alg.direct_product(alg.cyclic(2), alg.cyclic(2))
+    f4 = fr.additive_group(fr.parse_ring("gf:2^2"))
+    assert klein.label != f4.label and klein == f4
+    assert hash(klein) == hash(f4)
+    assert len({klein, f4}) == 1
+
+
+def test_powers_walk():
+    z6 = alg.cyclic(6)
+    assert z6.powers(0) == [0]
+    assert z6.powers(2) == [0, 2, 4]
+    assert z6.element_order(1) == 6
+    assert z6.power(1, 8) == 2 and z6.power(1, -1) == 5
+    with pytest.raises(alg.GroupError):
+        z6.element_order(-1)       # must not wrap to element 5
+    s3 = alg.symmetric(3)
+    for g in s3.elements():
+        assert s3.power(g, -1) == s3.invert(g)
+
+
+def test_factorize_and_prime_power():
+    assert alg.factorize(360) == {2: 3, 3: 2, 5: 1}
+    assert alg.factorize(1) == {} and alg.factorize(97) == {97: 1}
+    assert alg.prime_power(8) == (2, 3) and alg.prime_power(7) == (7, 1)
+    assert alg.prime_power(12) is None and alg.prime_power(1) is None
+
+
 def test_element_index_errors():
     z4 = alg.cyclic(4)
     with pytest.raises(alg.GroupError):
@@ -81,35 +111,43 @@ def test_broken_table_rejected():
         alg.group_from_table(op, "broken")
 
 
+def _character_row(group, exponents):
+    """Row of character_exponents(group) equal to the given exponent vector."""
+    exps = alg.character_exponents(group)
+    return int(np.nonzero((exps == exponents).all(axis=1))[0][0])
+
+
 def test_characters_z2_z4():
     z2 = alg.cyclic(2)
-    chars = alg.characters(z2)
-    assert len(chars) == 2
-    vals = sorted(round(c(1).real) for c in chars)
-    assert vals == [-1, 1]
+    W = alg.character_value_table(z2)
+    assert W.shape == (2, 2)
+    assert sorted(round(v.real) for v in W[:, 1]) == [-1, 1]
 
     z4 = alg.cyclic(4)
-    chi = [c for c in alg.characters(z4) if c.exponent_vector == (1,)][0]
+    chi = alg.character_value_table(z4)[_character_row(z4, (1,))]
     g1 = int(np.nonzero(z4.coords[:, 0] == 1)[0][0])
-    assert abs(chi(g1) - 1j) < 1e-12
+    assert abs(chi[g1] - 1j) < 1e-12
 
 
 def test_characters_z4xz4_formula():
     g = alg.direct_product(alg.cyclic(4), alg.cyclic(4))
-    chars = alg.characters(g)
-    assert len(chars) == 16
+    exps = alg.character_exponents(g)
+    W = alg.character_value_table(g)
+    assert exps.shape == (16, 2) and W.shape == (16, 16)
     # chi_{a,b}(x,y) = e^(2 pi i (ax + by)/4) against the coordinate map
-    for chi in chars[:6]:
-        a, b = chi.exponent_vector
+    for row in range(6):
+        a, b = exps[row]
         for elt in range(16):
             x, y = g.coords[elt]
             want = np.exp(2j * np.pi * (a * x + b * y) / 4)
-            assert abs(chi(elt) - want) < 1e-12
+            assert abs(W[row, elt] - want) < 1e-12
 
 
 def test_characters_require_abelian():
     with pytest.raises(alg.GroupError):
-        alg.characters(alg.dihedral(3))
+        alg.character_exponents(alg.dihedral(3))
+    with pytest.raises(alg.GroupError):
+        alg.character_value_table(alg.dihedral(3))
 
 
 @pytest.mark.parametrize(
@@ -134,10 +172,9 @@ def test_character_orthogonality(group):
 def test_character_sums():
     z4 = alg.cyclic(4)
     S = alg.subset(z4, [1, 3])
-    triv = [c for c in alg.characters(z4) if c.exponent_vector == (0,)][0]
-    assert abs(alg.character_sum(triv, S) - 2) < 1e-12
-    chi = [c for c in alg.characters(z4) if c.exponent_vector == (1,)][0]
-    assert abs(alg.character_sum(chi, S)) < 1e-12   # i + i^3 = 0
+    z4_sums = alg.character_sums_over(z4, S)
+    assert abs(z4_sums[_character_row(z4, (0,))] - 2) < 1e-12
+    assert abs(z4_sums[_character_row(z4, (1,))]) < 1e-12   # i + i^3 = 0
 
     z16 = alg.cyclic(16)
     S1 = alg.subset(z16, [1, 2, 4, 5, 9, 10, 12, 13])
@@ -145,7 +182,7 @@ def test_character_sums():
     assert any(abs(v - 8) < 1e-9 for v in sums)
 
     with pytest.raises(alg.GroupError):
-        alg.character_sum(chi, S1)
+        alg.character_sums_over(z4, S1)
 
 
 def test_subset_predicates_examples():

@@ -88,6 +88,11 @@ def test_verify_json_lines(capsys):
     assert all(r["seed"] == 7 for r in rows)
 
 
+def test_verify_seed_default_ignores_environment(monkeypatch):
+    monkeypatch.setenv("SPECTRA_FORGE_SEED", "11")
+    assert cli.build_parser().parse_args(["verify"]).seed == 7
+
+
 def test_verify_deterministic(capsys):
     _, out1 = run(capsys, "verify", "--seed", "3", "--trials", "4")
     _, out2 = run(capsys, "verify", "--seed", "3", "--trials", "4")

@@ -18,7 +18,7 @@ from spectra_forge import theorems as th
 
 def dual_route_spectrum(G, S, T, kind):
     """Character route and dense route must agree; returns the spectrum."""
-    chars = th.mdcg_direct_spectrum(G, S, T, kind)
+    chars = th.spectrum_of(G, S, kind, T)
     graph = gr.mirror_dicayley(G, S, T, kind)
     assert graph.undirected
     dense = sp.spectrum_dense_symmetric(graph)
@@ -145,7 +145,7 @@ def test_validity_predicate_matches_reality():
         base = sp.spectrum_exact_abelian(G, S, "sum")
         for t_kind in ("identity", "S", "S_and_identity"):
             formula = sp.mdcg_spectrum_formula(base, t_kind, G.order)
-            actual = th.mdcg_direct_spectrum(G, S, th.t_subset(G, S, t_kind), "sum")
+            actual = th.spectrum_of(G, S, "sum", th.t_subset(G, S, t_kind))
             predicted = th.specbi_formula_valid(G, S, t_kind, "sum")
             if predicted:
                 assert sp.isospectral(formula, actual), (G.label, t_kind)

@@ -37,6 +37,17 @@ def test_spectrum_merging_does_not_chain():
     assert len(sp.Spectrum.from_values([0, 0.4e-8, 0.8e-8], 1e-8).entries) == 1
 
 
+def test_isometries_do_not_merge_again():
+    # the two entries of the split chain lie within 1e-8 of each other
+    s = sp.Spectrum.from_values([0, 0.6e-8, 1.2e-8], 1e-8)
+    assert len(s.negated().entries) == 2 and len(s.shifted(0).entries) == 2
+    assert s.negated().negated() == s
+    assert s.shifted(0) == s
+    # the +-0 clean-up still holds, so CSV output never prints -0
+    z = sp.Spectrum.from_values([0, 1])
+    assert "-0" not in z.negated().to_csv() and "-0" not in z.shifted(-1).to_csv()
+
+
 def test_dense_route_guards():
     with pytest.raises(sp.SpectrumError):
         sp.spectrum_dense_symmetric(gr.Graph(np.zeros((0, 0), dtype=np.uint8)))

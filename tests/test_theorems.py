@@ -304,8 +304,8 @@ def test_iterated_pairs_cap_checked_before_any_work(monkeypatch):
 def _even_odd_cayley_over_doubled_group(G, S):
     """The S-case and S-with-identity mirror graphs as Cayley graphs over
     G x Z2, with their parity certificates."""
-    even = th.mdcg_direct_spectrum(G, S, S, "difference")
-    odd = th.mdcg_direct_spectrum(G, S, S.with_identity(), "difference")
+    even = th.spectrum_of(G, S, "difference", S)
+    odd = th.spectrum_of(G, S, "difference", S.with_identity())
     if even is None:
         even = sp.spectrum_dense_symmetric(gr.mirror_dicayley(G, S, S, "difference"))
         odd = sp.spectrum_dense_symmetric(
@@ -339,3 +339,27 @@ def test_run_suite_all_ok():
     assert not bad, bad[:3]
     assert any(r.outcome == "xfail" for r in reports)
     assert all(r.seed == 11 for r in reports)
+
+
+def test_spectrum_of_routes():
+    z4, S = z4_s13()
+    assert th.spectrum_of(z4, S, "difference") == sp.spectrum_exact_abelian(z4, S, "difference")
+    mirror = gr.mirror_dicayley(z4, S, S.with_identity(), "sum")
+    assert sp.isospectral(th.spectrum_of(z4, S, "sum", S.with_identity()),
+                          sp.spectrum_dense_symmetric(mirror))
+    s3 = alg.symmetric(3)
+    transpositions = alg.subset(s3, [g for g in s3.elements() if s3.element_order(g) == 2])
+    assert sp.isospectral(th.spectrum_of(s3, transpositions, "difference"),
+                          sp.spectrum_dense_symmetric(gr.cayley(s3, transpositions, "difference")))
+    # a directed Cayley graph of a non-abelian group has no route
+    three_cycle = alg.subset(s3, [g for g in s3.elements() if s3.element_order(g) == 3][:1])
+    assert th.spectrum_of(s3, three_cycle, "difference") is None
+    assert th.spectrum_of(s3, three_cycle, "difference", three_cycle) is None
+
+
+def test_product_with_z2_is_cached_on_the_group():
+    z4, _ = z4_s13()
+    Gp = th.product_group_with_z2(z4)
+    assert Gp is th.product_group_with_z2(z4)
+    assert Gp == alg.direct_product(alg.cyclic(4), alg.cyclic(2))
+    assert th.product_group_with_z2(alg.cyclic(4)) is not Gp
