@@ -3,8 +3,8 @@ the subset predicates used by the graph constructions, and the
 trial-division number theory the ring and spectrum code shares.
 
 Groups are immutable after construction.  Elements are integers
-0..order-1; the table fixes the operation, and every constructor
-validates the axioms exhaustively for orders up to 512 (sampled above).
+0..order-1; the table fixes the operation.  Raw tables are checked exactly
+(associativity by Light's test); direct products of groups are not checked again.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from itertools import permutations as _permutations
 import numpy as np
 
 MAX_GROUP_ORDER = 10_000
-EXHAUSTIVE_ASSOC_BOUND = 512
 ORTHOGONALITY_TOL = 1e-9
 
 
@@ -153,19 +152,25 @@ def _validate_table(op: np.ndarray, label: str) -> tuple[np.ndarray, int]:
             raise GroupError(f"{label}: element {g} lacks a two-sided inverse")
         inv[g] = hits[0]
 
-    if n <= EXHAUSTIVE_ASSOC_BOUND:
-        chunk = max(1, (1 << 22) // (n * n))
-        for a0 in range(0, n, chunk):
-            blk = np.arange(a0, min(a0 + chunk, n))
-            left = op[op[blk], :]
-            right = op[blk][:, op]
-            if not np.array_equal(left, right):
+    # Light's test: the a with (x.a).y == x.(a.y) for all x, y are closed under
+    # the operation, so a generating set suffices.  In a group each new generator
+    # lies outside the subgroup reached, so it at least doubles it: <= log2(n) gens.
+    reached = np.zeros(n, dtype=bool)
+    reached[identity] = True
+    gens: list[int] = []
+    chunk = max(1, (1 << 20) // n)
+    while not reached.all():
+        a = int(np.argmin(reached))
+        for x0 in range(0, n, chunk):
+            rows = op[x0:x0 + chunk]
+            if not np.array_equal(op[rows[:, a]], rows[:, op[a]]):
                 raise GroupError(f"{label}: operation is not associative")
-    else:
-        rng = np.random.default_rng(0)
-        a, b, c = (rng.integers(0, n, 20_000) for _ in range(3))
-        if not np.array_equal(op[op[a, b], c], op[a, op[b, c]]):
-            raise GroupError(f"{label}: operation is not associative (sampled)")
+        gens.append(a)
+        frontier = np.nonzero(reached)[0]
+        while len(frontier):          # closure of the reached set under x -> x.g
+            nxt = np.unique(op[np.ix_(frontier, gens)])
+            frontier = nxt[~reached[nxt]]
+            reached[frontier] = True
     return inv, identity
 
 
@@ -286,17 +291,6 @@ def _canonical_chain(op: np.ndarray, identity: int) -> tuple[tuple[int, ...], np
     return dims, coords
 
 
-def compose_tables(tables) -> np.ndarray:
-    """Operation table of a product of tables, mixed-radix with the first
-    factor most significant: new[(a1,a2),(b1,b2)] = op1[a1,b1]*m + op2[a2,b2]."""
-    op = np.zeros((1, 1), dtype=np.int64)
-    for tbl in tables:
-        m = tbl.shape[0]
-        size = op.shape[0] * m
-        op = (op[:, None, :, None] * m + tbl[None, :, None, :]).reshape(size, size)
-    return op
-
-
 def factorize(n: int) -> dict[int, int]:
     """{p: e} with n = prod p^e, by trial division; empty for n < 2."""
     out: dict[int, int] = {}
@@ -331,13 +325,17 @@ def group_from_table(op: np.ndarray, label: str) -> FiniteGroup:
     if n > MAX_GROUP_ORDER:
         raise GroupError(f"group order {n} exceeds cap {MAX_GROUP_ORDER}")
     inv, identity = _validate_table(op, label)
-    decomposition = None
-    coords = None
-    if np.array_equal(op, op.T):
+    return _group(op, inv, identity, label, np.array_equal(op, op.T))
+
+
+def _group(op, inv, identity: int, label: str, abelian: bool) -> FiniteGroup:
+    """The group on a valid table, with its invariant factors when abelian."""
+    decomposition = coords = None
+    if abelian:
         decomposition, coords = _canonical_chain(op, identity)
-        if math.prod(decomposition) != n:
+        if math.prod(decomposition) != op.shape[0]:
             raise GroupError(f"{label}: invariant factor product != order")
-    return FiniteGroup(n, op, inv, identity, label, decomposition, coords)
+    return FiniteGroup(op.shape[0], op, inv, identity, label, decomposition, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +351,8 @@ def cyclic(n: int) -> FiniteGroup:
 
 
 def direct_product(*groups: FiniteGroup) -> FiniteGroup:
-    """Direct product; mixed-radix order with the first factor most significant."""
+    """Direct product, mixed-radix with the first factor most significant:
+    new[(a1,a2),(b1,b2)] = op1[a1,b1]*m + op2[a2,b2]; a group, so not validated again."""
     if not groups:
         raise GroupError("direct product needs at least one factor")
     if len(groups) == 1:
@@ -361,8 +360,14 @@ def direct_product(*groups: FiniteGroup) -> FiniteGroup:
     n = math.prod(g.order for g in groups)
     if n > MAX_GROUP_ORDER:
         raise GroupError(f"group order {n} exceeds cap {MAX_GROUP_ORDER}")
-    op = compose_tables([g.op_table for g in groups])
-    return group_from_table(op, "x".join(g.label for g in groups))
+    op, inv, identity = np.zeros((1, 1), dtype=np.int64), np.zeros(1, dtype=np.int64), 0
+    for g in groups:
+        m, size = g.order, op.shape[0] * g.order
+        op = (op[:, None, :, None] * m + g.op_table[None, :, None, :]).reshape(size, size)
+        inv = (inv[:, None] * m + g.inv_table[None, :]).reshape(size)
+        identity = identity * m + g.identity
+    label = "x".join(g.label for g in groups)
+    return _group(op, inv, identity, label, all(g.is_abelian for g in groups))
 
 
 def dihedral(n: int) -> FiniteGroup:

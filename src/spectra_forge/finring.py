@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import FiniteGroup, GroupSubset, compose_tables, group_from_table, prime_power
+from .algebra import FiniteGroup, GroupSubset, direct_product, group_from_table, prime_power
 
 MAX_LOCAL_SIZE = 4096
 MAX_RING_SIZE = 10_000
@@ -143,9 +143,8 @@ def _validate_local(ring: LocalRing) -> None:
     add, mul = ring.add, ring.mul
     if not np.array_equal(add, add.T):
         raise RingError(f"{ring.label}: addition not commutative")
-    if r <= 256:
-        if not np.array_equal(mul, mul.T):
-            raise RingError(f"{ring.label}: multiplication not commutative")
+    if not np.array_equal(mul, mul.T):
+        raise RingError(f"{ring.label}: multiplication not commutative")
     idx = np.arange(r)
     if not np.array_equal(mul[ring.one], idx):
         raise RingError(f"{ring.label}: 1 is not a multiplicative identity")
@@ -317,7 +316,6 @@ class FiniteRing:
         if self.size > MAX_RING_SIZE:
             raise RingError(f"ring size {self.size} exceeds cap {MAX_RING_SIZE}")
         self.label = "x".join(f.label for f in factors)
-        self._add = None
         self._additive_group = None
 
         strides = []
@@ -335,12 +333,6 @@ class FiniteRing:
         for f, s in zip(self.factors, self._strides):
             out.append((v // s) % f.size)
         return tuple(out)
-
-    @property
-    def add_table(self) -> np.ndarray:
-        if self._add is None:
-            self._add = compose_tables([f.add for f in self.factors])
-        return self._add
 
     @property
     def one(self) -> int:
@@ -369,9 +361,12 @@ def artin_product(factors: list[LocalRing]) -> FiniteRing:
 
 
 def additive_group(ring: FiniteRing | LocalRing) -> FiniteGroup:
+    """(R, +), once per ring: a validated table, or the product of the factors' groups."""
     ring = _as_ring(ring)
-    if ring._additive_group is None:
-        ring._additive_group = group_from_table(ring.add_table, ring.label)
+    if ring._additive_group is None and len(ring.factors) == 1:
+        ring._additive_group = group_from_table(ring.factors[0].add, ring.label)
+    elif ring._additive_group is None:
+        ring._additive_group = direct_product(*(additive_group(f) for f in ring.factors))
     return ring._additive_group
 
 

@@ -632,6 +632,7 @@ _GROUP_POOL = (
     "prod:(cyclic:2,cyclic:2,cyclic:3)", "prod:(cyclic:6,cyclic:2)",
     "dihedral:4", "dihedral:5", "dicyclic:2", "dicyclic:3", "sym:3",
 )
+_POOL_GROUPS: dict[str, FiniteGroup] = {}     # descriptor -> group, built once per process
 
 
 def random_instance(
@@ -644,7 +645,10 @@ def random_instance(
     """A random (G, S) drawn from a fixed small pool of groups."""
     pool = _GROUP_POOL
     while True:
-        G = algebra.make_group(pool[int(rng.integers(0, len(pool)))])
+        desc = pool[int(rng.integers(0, len(pool)))]
+        if desc not in _POOL_GROUPS:
+            _POOL_GROUPS[desc] = algebra.make_group(desc)
+        G = _POOL_GROUPS[desc]
         if require_abelian and not G.is_abelian:
             continue
         candidates = [g for g in G.elements() if g != G.identity or not exclude_identity]

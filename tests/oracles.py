@@ -4,6 +4,8 @@
 dense route; it now checks the LAPACK route on small matrices.
 ``isospectral_expanded`` is the greedy nearest pairing over expanded
 values that the merged-entry ``spectra.isospectral`` replaces.
+``associative_exhaustive`` is the O(n^3) associativity check that group
+construction ran up to order 512 before Light's test replaced it.
 """
 
 import math
@@ -80,3 +82,15 @@ def isospectral_expanded(s1: Spectrum, s2: Spectrum, tol: float = MERGE_TOL) -> 
 
 def _expand(spec: Spectrum) -> list[complex]:
     return [v for v, m in spec.entries for _ in range(m)]
+
+
+def associative_exhaustive(op: np.ndarray) -> bool:
+    """Whether (a.b).c == a.(b.c) for every triple, checked block by block."""
+    op = np.asarray(op)
+    n = op.shape[0]
+    chunk = max(1, (1 << 22) // (n * n))
+    for a0 in range(0, n, chunk):
+        blk = np.arange(a0, min(a0 + chunk, n))
+        if not np.array_equal(op[op[blk], :], op[blk][:, op]):
+            return False
+    return True

@@ -111,6 +111,59 @@ def test_broken_table_rejected():
         alg.group_from_table(op, "broken")
 
 
+@pytest.mark.parametrize("n", [200, 600, 1000])
+def test_large_nonassociative_table_rejected(n):
+    a = np.arange(n)
+    op = (a[:, None] + a[None, :]) % n
+    op[5, [7, 11]] = op[5, [11, 7]]    # identity and inverses stay intact
+    with pytest.raises(alg.GroupError, match="not associative"):
+        alg.group_from_table(op, "broken")
+
+
+def _mixed_radix(*tables):
+    """Product table, first factor most significant, entry by entry."""
+    op = np.zeros((1, 1), dtype=np.int64)
+    for t in tables:
+        m, size = len(t), len(op) * len(t)
+        op = np.array([[op[i // m, j // m] * m + t[i % m, j % m] for j in range(size)]
+                       for i in range(size)])
+    return op
+
+
+def test_light_test_checks_every_generator():
+    # L x Z2 with L a Z5 table broken in row 1: element 1 = (0, 1) associates
+    # with everything, so only the second generator, 2 = (1, 0), fails
+    a = np.arange(5)
+    loop = (a[:, None] + a[None, :]) % 5
+    loop[1, [2, 3]] = loop[1, [3, 2]]
+    op = _mixed_radix(loop, alg.cyclic(2).op_table)
+    assert np.array_equal(op[op[:, 1]], op[:, op[1]])
+    with pytest.raises(alg.GroupError, match="not associative"):
+        alg.group_from_table(op, "broken")
+
+
+def _product_cases():
+    from spectra_forge import finring as fr
+    from spectra_forge import theorems as th
+
+    d3, z2 = alg.dihedral(3), alg.cyclic(2)
+    yield alg.direct_product(d3, z2), _mixed_radix(d3.op_table, z2.op_table)
+    R = fr.parse_ring("zpk:2^2*gf:3")
+    yield fr.additive_group(R), _mixed_radix(*(f.add for f in R.factors))
+    G = fr.additive_group(R)
+    yield th.product_group_with_z2(G), _mixed_radix(G.op_table, z2.op_table)
+
+
+def test_products_match_validated_tables():
+    for G, op in _product_cases():
+        H = alg.group_from_table(op, G.label)
+        assert np.array_equal(G.op_table, op)
+        assert np.array_equal(G.inv_table, H.inv_table)
+        assert (G.identity, G.label) == (H.identity, H.label)
+        assert G.abelian_decomposition == H.abelian_decomposition
+        assert (G.coords is None and H.coords is None) or np.array_equal(G.coords, H.coords)
+
+
 def _character_row(group, exponents):
     """Row of character_exponents(group) equal to the given exponent vector."""
     exps = alg.character_exponents(group)

@@ -50,6 +50,16 @@ def test_nonunits_form_ideal():
                 assert int(ring.mul[a, b]) in nu_set
 
 
+def test_noncommutative_multiplication_rejected_at_every_size():
+    import dataclasses
+
+    ring = fr.zpk(2, 9)                      # 512 elements
+    mul = ring.mul.copy()
+    mul[3, 5] = 0                            # mul[5, 3] stays 15
+    with pytest.raises(fr.RingError, match="not commutative"):
+        fr._validate_local(dataclasses.replace(ring, mul=mul))
+
+
 def _poly_eval(coeffs, x, p):
     acc = 0
     for c in reversed(coeffs):

@@ -1,6 +1,6 @@
 """Property tests: the merged-entry comparison against the expanded-value
-greedy, and the LAPACK dense route against the Jacobi oracle and the
-character route."""
+greedy, the LAPACK dense route against the Jacobi oracle and the
+character route, and Light's associativity test against the exhaustive one."""
 
 import math
 
@@ -12,7 +12,7 @@ from spectra_forge import algebra as alg
 from spectra_forge import graphs as gr
 from spectra_forge import spectra as sp
 
-from oracles import isospectral_expanded, jacobi_eigenvalues
+from oracles import associative_exhaustive, isospectral_expanded, jacobi_eigenvalues
 
 TOL = sp.MERGE_TOL
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -99,3 +99,46 @@ def test_dense_route_matches_character_route(instance, kind):
     dense = sp.spectrum_dense_symmetric(gr.cayley(G, S, kind))
     chars = sp.spectrum_exact_abelian(G, S, kind)
     assert sp.isospectral(dense, chars, 1e-7)
+
+
+SMALL = ("cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "cyclic:7",
+         "cyclic:8", "prod:(cyclic:2,cyclic:2)", "prod:(cyclic:2,cyclic:4)",
+         "prod:(cyclic:2,cyclic:2,cyclic:2)", "dihedral:3", "dihedral:4", "dicyclic:2")
+
+
+@st.composite
+def loop_tables(draw):
+    """A relabelled group table of order <= 8, and maybe one swap in a row
+    that keeps the identity and every two-sided inverse."""
+    G = alg.make_group(draw(st.sampled_from(SMALL)))
+    n, e = G.order, G.identity
+    perm = np.array(draw(st.permutations(range(n))))
+    op = np.empty((n, n), dtype=np.int64)
+    op[np.ix_(perm, perm)] = perm[G.op_table]
+    if n > 2 and draw(st.booleans()):
+        g = draw(st.sampled_from([g for g in range(n) if g != e]))
+        free = [c for c in range(n) if c not in (e, G.invert(g))]
+        if len(free) >= 2:
+            c1, c2 = draw(st.lists(st.sampled_from(free), min_size=2, max_size=2, unique=True))
+            r = perm[g]
+            op[r, [perm[c1], perm[c2]]] = op[r, [perm[c2], perm[c1]]]
+    return op
+
+
+def _has_identity_and_inverses(op) -> bool:
+    idx = np.arange(len(op))
+    e = next((e for e in idx if (op[e] == idx).all() and (op[:, e] == idx).all()), None)
+    return e is not None and all(
+        (op[g] == e).sum() == 1 and op[np.argmax(op[g] == e), g] == e for g in idx)
+
+
+@PROPERTY
+@given(loop_tables())
+def test_light_test_matches_exhaustive_oracle(op):
+    assert _has_identity_and_inverses(op)
+    try:
+        alg.group_from_table(op, "drawn")
+        rejected = False
+    except alg.GroupError:
+        rejected = True
+    assert rejected == (not associative_exhaustive(op))
