@@ -124,6 +124,14 @@ def subset(group: FiniteGroup, members) -> GroupSubset:
     return GroupSubset(group, tuple(int(m) for m in members))
 
 
+def _once(obj, name: str, build):
+    """build(), computed on first use and kept as attribute ``name`` of the
+    frozen object it describes, so the value lives exactly as long as obj."""
+    if name not in obj.__dict__:
+        object.__setattr__(obj, name, build())
+    return obj.__dict__[name]
+
+
 # ---------------------------------------------------------------------------
 # table validation and abelian structure
 
@@ -482,9 +490,14 @@ def _split_top_level(s: str) -> list[str]:
 
 
 def character_exponents(group: FiniteGroup) -> np.ndarray:
-    """Exponent vectors of all characters in lexicographic order, one row each."""
+    """Exponent vectors of all characters in lexicographic order, one row each;
+    built once per group, read-only."""
     if not group.is_abelian:
         raise GroupError("character table requires an abelian group")
+    return _once(group, "_character_exponents", lambda: _character_exponents(group))
+
+
+def _character_exponents(group: FiniteGroup) -> np.ndarray:
     dims = group.abelian_decomposition
     n = group.order
     exps = np.zeros((n, len(dims)), dtype=np.int64)
@@ -492,6 +505,7 @@ def character_exponents(group: FiniteGroup) -> np.ndarray:
     for j, d in enumerate(dims):
         rep //= d
         exps[:, j] = (np.arange(n) // rep) % d
+    exps.flags.writeable = False
     return exps
 
 

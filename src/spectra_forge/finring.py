@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import FiniteGroup, GroupSubset, direct_product, group_from_table, prime_power
+from .algebra import (FiniteGroup, GroupSubset, _once, direct_product, group_from_table,
+                      prime_power)
 
 MAX_LOCAL_SIZE = 4096
 MAX_RING_SIZE = 10_000
@@ -378,11 +379,7 @@ def units(ring: FiniteRing | LocalRing) -> GroupSubset:
 
 def _as_ring(ring) -> FiniteRing:
     if isinstance(ring, LocalRing):
-        wrapped = getattr(ring, "_wrapped", None)
-        if wrapped is None:
-            wrapped = FiniteRing([ring])
-            object.__setattr__(ring, "_wrapped", wrapped)
-        return wrapped
+        return _once(ring, "_wrapped", lambda: FiniteRing([ring]))
     return ring
 
 

@@ -299,20 +299,25 @@ def moment_check(spec: Spectrum, trace_moments: list[float], max_degree: int, n:
 
 
 def _character_reality_and_pairs(group: FiniteGroup):
-    """Classify characters as real or into conjugate pairs (i < j)."""
+    """Classify characters as real (a read-only mask) or into a tuple of
+    conjugate pairs (i < j); built once per group."""
+    return algebra._once(group, "_character_reality_and_pairs",
+                         lambda: _reality_and_pairs(group))
+
+
+def _reality_and_pairs(group: FiniteGroup):
     dims = np.asarray(group.abelian_decomposition, dtype=np.int64)
     exps = algebra.character_exponents(group)
     n = group.order
-    if len(dims) == 0:
-        return np.array([True]), []
-    real = ((2 * exps) % dims == 0).all(axis=1)
+    real = ((2 * exps) % dims == 0).all(axis=1)     # [True] for the trivial group
     rep = np.ones(len(dims), dtype=np.int64)
     acc = 1
     for j in range(len(dims) - 1, -1, -1):
         rep[j] = acc
         acc *= dims[j]
     conj_idx = ((-exps) % dims) @ rep
-    pairs = [(i, int(conj_idx[i])) for i in range(n) if i < conj_idx[i]]
+    pairs = tuple((i, int(conj_idx[i])) for i in range(n) if i < conj_idx[i])
+    real.flags.writeable = False
     return real, pairs
 
 

@@ -102,11 +102,7 @@ def _transpose_to_mirror(prod: Graph, n: int) -> Graph:
 
 def product_group_with_z2(G: FiniteGroup) -> FiniteGroup:
     """G x Z2, built once per group and cached on it."""
-    Gp = G.__dict__.get("_times_z2")
-    if Gp is None:
-        Gp = algebra.direct_product(G, algebra.cyclic(2))
-        object.__setattr__(G, "_times_z2", Gp)
-    return Gp
+    return algebra._once(G, "_times_z2", lambda: algebra.direct_product(G, algebra.cyclic(2)))
 
 
 def mdcg_connection_subset(
@@ -142,8 +138,22 @@ def spectrum_of(
 
     Characters over G (over G x Z2 for the mirror graph) when G is
     abelian; otherwise LAPACK eigvalsh on the built graph when it is
-    undirected; None when neither route applies.
+    undirected; None when neither route applies.  Memoized on S by kind
+    and the members of T when G and T's group are S's own group; other
+    calls are computed afresh, and an error is never stored.
     """
+    if G is not S.parent or (T is not None and T.parent is not G):
+        return _spectrum_route(G, S, kind, T)
+    memo = algebra._once(S, "_spectra", dict)
+    key = (kind, None if T is None else T.members)
+    if key not in memo:
+        memo[key] = _spectrum_route(G, S, kind, T)
+    return memo[key]
+
+
+def _spectrum_route(
+    G: FiniteGroup, S: GroupSubset, kind: str, T: GroupSubset | None
+) -> spectra.Spectrum | None:
     if G.is_abelian:
         if T is None:
             return spectra.spectrum_exact_abelian(G, S, kind, validate=False)
@@ -309,8 +319,9 @@ def check_crossed_nonisospectrality(
     reports = []
     for a, b in (("identity", "S"), ("identity", "S_and_identity"), ("S", "S_and_identity")):
         iso = spectra.isospectral(specs[a], specs[b])
+        witness = f"unexpected isospectrality: {specs[a]}" if iso else None
         reports.append(_report("prop-isospec-TT", _inst(G, S, f"{a} vs {b}, kind={kind}"),
-                               not iso, f"unexpected isospectrality: {specs[a]}"))
+                               not iso, witness))
     return reports
 
 
@@ -618,7 +629,7 @@ def iterated_pairs(R: FiniteRing, n_max: int, vertex_cap: int = 4000) -> list[Ve
             and cls.parity == "even"
         )
         reports.append(_report("cor-iterated", f"(R={Rn.label}, vertices={2 * Rn.size})",
-                               ok, f"{d} vs {s} ({cls})"))
+                               ok, None if ok else f"{d} vs {s} ({cls})"))
     return reports
 
 

@@ -363,3 +363,59 @@ def test_product_with_z2_is_cached_on_the_group():
     assert Gp is th.product_group_with_z2(z4)
     assert Gp == alg.direct_product(alg.cyclic(4), alg.cyclic(2))
     assert th.product_group_with_z2(alg.cyclic(4)) is not Gp
+
+
+def test_spectrum_of_is_memoized_on_the_connection_set():
+    z4, S = z4_s13()
+    fresh = alg.subset(z4, S.members)     # same instance, empty memo
+    cases = [(kind, T) for kind in th.KINDS
+             for T in (None, th.t_subset(z4, S, "identity"), S, S.with_identity())]
+    specs = [th.spectrum_of(z4, S, kind, T) for kind, T in cases]
+    for (kind, T), spec in zip(cases, specs):
+        # a repeat is the same object, also through a new T with equal members
+        T_again = None if T is None else alg.subset(z4, T.members)
+        assert th.spectrum_of(z4, S, kind, T_again) is spec
+        # each (kind, T) has its own entry
+        assert spec == th.spectrum_of(z4, fresh, kind, T)
+    assert all(a is not b for i, a in enumerate(specs) for b in specs[i + 1:])
+    # a call over another group or with a bad kind still raises, every time
+    for _ in range(2):
+        with pytest.raises(alg.GroupError):
+            th.spectrum_of(alg.cyclic(6), S, "difference")
+        with pytest.raises(sp.SpectrumError):
+            th.spectrum_of(z4, S, "product")
+    # the no-route answer of a directed non-abelian instance is kept too
+    s3 = alg.symmetric(3)
+    three_cycle = alg.subset(s3, [g for g in s3.elements() if s3.element_order(g) == 3][:1])
+    assert th.spectrum_of(s3, three_cycle, "difference") is None
+    assert th.spectrum_of(s3, three_cycle, "difference") is None
+
+
+def test_character_data_is_cached_read_only_on_the_group():
+    z4, _ = z4_s13()
+    exps = alg.character_exponents(z4)
+    assert alg.character_exponents(z4) is exps
+    with pytest.raises(ValueError):
+        exps[0, 0] = 1
+    real, pairs = sp._character_reality_and_pairs(z4)
+    assert sp._character_reality_and_pairs(z4)[1] is pairs
+    assert pairs == ((1, 3),)
+    with pytest.raises(ValueError):
+        real[0] = False
+    real1, pairs1 = sp._character_reality_and_pairs(alg.cyclic(1))
+    assert real1.tolist() == [True] and pairs1 == ()
+    # G x Z2 keeps its own exponents
+    Gp = th.product_group_with_z2(z4)
+    exps_p = alg.character_exponents(Gp)
+    assert alg.character_exponents(Gp) is exps_p
+    assert exps_p.shape == (8, 2) and exps.shape == (4, 1)
+    assert not exps_p.flags.writeable
+    # a non-abelian group raises on every call
+    for _ in range(2):
+        with pytest.raises(alg.GroupError):
+            alg.character_exponents(alg.dihedral(3))
+
+
+def test_warm_caches_do_not_change_the_suite():
+    # the second run reuses the pool groups and their filled caches
+    assert th.run_suite(seed=7, trials=30) == th.run_suite(seed=7, trials=30)
