@@ -4,7 +4,8 @@ trial-division number theory the ring and spectrum code shares.
 
 Groups are immutable after construction.  Elements are integers
 0..order-1; the table fixes the operation.  Raw tables are checked exactly
-(associativity by Light's test); direct products of groups are not checked again.
+(associativity by Light's test).  A direct product is not checked again: its
+invariant factors are composed from its factors', and its table on first read.
 """
 
 from __future__ import annotations
@@ -31,15 +32,24 @@ class FiniteGroup:
     (empty for the trivial group) and is present exactly when the table
     is commutative.  ``coords`` maps each element to its exponent tuple
     with respect to that chain; both are None for non-abelian groups.
+    A direct product holds its factors in place of its table until
+    ``op_table`` is first read.
     """
 
     order: int
-    op_table: np.ndarray
     inv_table: np.ndarray
     identity: int
     label: str
+    _table: np.ndarray | tuple[FiniteGroup, ...] = field(repr=False)
     abelian_decomposition: tuple[int, ...] | None = None
     coords: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def op_table(self) -> np.ndarray:
+        if isinstance(self._table, tuple):
+            # compose once and drop the factors: G caches G x Z2, which holds G
+            object.__setattr__(self, "_table", _product_table(self._table))
+        return self._table
 
     @property
     def is_abelian(self) -> bool:
@@ -249,54 +259,57 @@ def _abelian_basis(op: np.ndarray, identity: int) -> list[tuple[int, int]]:
 
 def _canonical_chain(op: np.ndarray, identity: int) -> tuple[tuple[int, ...], np.ndarray]:
     """Invariant factors d1 | d2 | ... (ascending) plus per-element coordinates."""
-    n = op.shape[0]
-    if n == 1:
-        return (), np.zeros((1, 0), dtype=np.int64)
     basis = _abelian_basis(op, identity)
+    orders = [d for _, d in basis]
+    elts = np.array([identity])
+    for g, _ in basis:            # elts[i] = prod of g_j^(digit j of i)
+        elts = op[elts[:, None], np.array(_powers(op, identity, g))].reshape(-1)
+    cols = np.zeros((op.shape[0], len(basis)), dtype=np.int64)
+    cols[elts] = _digits(orders)
+    return _invariant_chain(cols, orders)
 
-    # refine each basis element into prime-power generators
-    pp: list[tuple[int, int, int]] = []   # (generator, prime, p^e)
-    for g, d in basis:
-        cycle = _powers(op, identity, g)
-        for p, e in factorize(d).items():
-            q = p**e
-            pp.append((cycle[d // q], p, q))
 
-    # canonical chain: repeatedly take the largest remaining power of each prime
-    pools: dict[int, list[tuple[int, int]]] = {}
-    for g, p, q in pp:
-        pools.setdefault(p, []).append((q, g))
-    for p in pools:
-        pools[p].sort()
-    chain: list[tuple[int, int]] = []     # (d_j, generator) built largest-first
-    while any(pools.values()):
-        d, gen = 1, identity
-        for p in sorted(pools):
-            if pools[p]:
-                q, g = pools[p].pop()
-                gen = int(op[gen, g])
-                d *= q
-        chain.append((d, gen))
-    chain.reverse()                       # ascending so d1 | d2 | ...
-
-    dims = tuple(d for d, _ in chain)
-    cycles = [_powers(op, identity, g) for _, g in chain]
-    coords = np.zeros((n, len(dims)), dtype=np.int64)
-    coords_map: dict[int, tuple[int, ...]] = {}
-
-    def rec(j: int, elt: int, vec: list[int]):
-        if j == len(dims):
-            coords_map[elt] = tuple(vec)
-            return
-        for a, ga in enumerate(cycles[j]):
-            rec(j + 1, int(op[elt, ga]), vec + [a])
-
-    rec(0, identity, [])
-    if len(coords_map) != n:
+def _invariant_chain(cols: np.ndarray, mods) -> tuple[tuple[int, ...], np.ndarray]:
+    """Invariant factors and coordinates from coordinate columns over
+    Z_m1 + ... + Z_mk: split each column into its prime-power parts by the
+    CRT, then combine the largest remaining power of each prime into one
+    cyclic factor until every power is used."""
+    n = cols.shape[0]
+    by_prime: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for col, m in zip(cols.T, mods):
+        for p, e in factorize(m).items():
+            by_prime.setdefault(p, []).append((p**e, col % p**e))
+    for stack in by_prime.values():
+        stack.sort(key=lambda part: part[0])
+    dims, out = [], []                    # built largest-first
+    while any(by_prime.values()):
+        parts = [stack.pop() for stack in by_prime.values() if stack]
+        d = math.prod(q for q, _ in parts)
+        dims.append(d)
+        out.append(sum(c * (d // q * pow(d // q, -1, q)) for q, c in parts) % d)
+    dims.reverse()                        # ascending so d1 | d2 | ...
+    coords = np.stack(out[::-1], axis=1) if out else np.zeros((n, 0), dtype=np.int64)
+    if math.prod(dims) != n:
+        raise GroupError("invariant factor product != order")
+    flat = np.zeros(n, dtype=np.int64)
+    for j, d in enumerate(dims):
+        flat = flat * d + coords[:, j]
+    if len(np.unique(flat)) != n:
         raise GroupError("abelian coordinates do not cover the group")
-    for e, vec in coords_map.items():
-        coords[e] = vec
-    return dims, coords
+    return tuple(dims), coords
+
+
+def _digits(radices) -> np.ndarray:
+    """Mixed-radix digits of 0 .. prod(radices)-1, one row each, first radix
+    most significant; read-only."""
+    n = math.prod(radices)
+    out = np.zeros((n, len(radices)), dtype=np.int64)
+    rep = n
+    for j, d in enumerate(radices):
+        rep //= d
+        out[:, j] = (np.arange(n) // rep) % d
+    out.flags.writeable = False
+    return out
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -326,24 +339,18 @@ def _totient(n: int) -> int:
     return out
 
 
+def _check_order(n: int) -> None:
+    if n > MAX_GROUP_ORDER:
+        raise GroupError(f"group order {n} exceeds cap {MAX_GROUP_ORDER}")
+
+
 def group_from_table(op: np.ndarray, label: str) -> FiniteGroup:
     """Validate a raw table and build the group, detecting abelian structure."""
     op = np.asarray(op, dtype=np.int64)
-    n = op.shape[0]
-    if n > MAX_GROUP_ORDER:
-        raise GroupError(f"group order {n} exceeds cap {MAX_GROUP_ORDER}")
+    _check_order(op.shape[0])
     inv, identity = _validate_table(op, label)
-    return _group(op, inv, identity, label, np.array_equal(op, op.T))
-
-
-def _group(op, inv, identity: int, label: str, abelian: bool) -> FiniteGroup:
-    """The group on a valid table, with its invariant factors when abelian."""
-    decomposition = coords = None
-    if abelian:
-        decomposition, coords = _canonical_chain(op, identity)
-        if math.prod(decomposition) != op.shape[0]:
-            raise GroupError(f"{label}: invariant factor product != order")
-    return FiniteGroup(op.shape[0], op, inv, identity, label, decomposition, coords)
+    chain = _canonical_chain(op, identity) if np.array_equal(op, op.T) else (None, None)
+    return FiniteGroup(len(inv), inv, identity, label, op, *chain)
 
 
 # ---------------------------------------------------------------------------
@@ -353,29 +360,43 @@ def _group(op, inv, identity: int, label: str, abelian: bool) -> FiniteGroup:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupError("cyclic group needs n >= 1")
+    _check_order(n)
     a = np.arange(n)
     op = (a[:, None] + a[None, :]) % n
-    return group_from_table(op, f"Z{n}")
+    inv, identity = _validate_table(op, f"Z{n}")
+    return FiniteGroup(n, inv, identity, f"Z{n}", op, *_invariant_chain(a[:, None], (n,)))
 
 
 def direct_product(*groups: FiniteGroup) -> FiniteGroup:
     """Direct product, mixed-radix with the first factor most significant:
-    new[(a1,a2),(b1,b2)] = op1[a1,b1]*m + op2[a2,b2]; a group, so not validated again."""
+    new[(a1,a2),(b1,b2)] = op1[a1,b1]*m + op2[a2,b2].  A group, so not
+    validated again; its invariant factors and coordinates are composed
+    from the factors', and its table on the first read of op_table."""
     if not groups:
         raise GroupError("direct product needs at least one factor")
     if len(groups) == 1:
         return groups[0]
     n = math.prod(g.order for g in groups)
-    if n > MAX_GROUP_ORDER:
-        raise GroupError(f"group order {n} exceeds cap {MAX_GROUP_ORDER}")
-    op, inv, identity = np.zeros((1, 1), dtype=np.int64), np.zeros(1, dtype=np.int64), 0
+    _check_order(n)
+    inv, identity = np.zeros(1, dtype=np.int64), 0
+    for g in groups:
+        inv = (inv[:, None] * g.order + g.inv_table[None, :]).reshape(-1)
+        identity = identity * g.order + g.identity
+    chain = None, None
+    if all(g.is_abelian for g in groups):
+        idx = _digits([g.order for g in groups])
+        cols = np.hstack([g.coords[idx[:, i]] for i, g in enumerate(groups)])
+        chain = _invariant_chain(cols, [d for g in groups for d in g.abelian_decomposition])
+    label = "x".join(g.label for g in groups)
+    return FiniteGroup(n, inv, identity, label, tuple(groups), *chain)
+
+
+def _product_table(groups: tuple[FiniteGroup, ...]) -> np.ndarray:
+    op = np.zeros((1, 1), dtype=np.int64)
     for g in groups:
         m, size = g.order, op.shape[0] * g.order
         op = (op[:, None, :, None] * m + g.op_table[None, :, None, :]).reshape(size, size)
-        inv = (inv[:, None] * m + g.inv_table[None, :]).reshape(size)
-        identity = identity * m + g.identity
-    label = "x".join(g.label for g in groups)
-    return _group(op, inv, identity, label, all(g.is_abelian for g in groups))
+    return op
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -383,6 +404,7 @@ def dihedral(n: int) -> FiniteGroup:
     if n < 2:
         raise GroupError("dihedral group needs n >= 2")
     order = 2 * n
+    _check_order(order)
 
     def idx(k, j):
         return 2 * (k % n) + j
@@ -405,6 +427,7 @@ def dicyclic(n: int) -> FiniteGroup:
         raise GroupError("dicyclic group needs n >= 2")
     two_n = 2 * n
     order = 4 * n
+    _check_order(order)
 
     def idx(k, j):
         return 2 * (k % two_n) + j
@@ -494,19 +517,7 @@ def character_exponents(group: FiniteGroup) -> np.ndarray:
     built once per group, read-only."""
     if not group.is_abelian:
         raise GroupError("character table requires an abelian group")
-    return _once(group, "_character_exponents", lambda: _character_exponents(group))
-
-
-def _character_exponents(group: FiniteGroup) -> np.ndarray:
-    dims = group.abelian_decomposition
-    n = group.order
-    exps = np.zeros((n, len(dims)), dtype=np.int64)
-    rep = n
-    for j, d in enumerate(dims):
-        rep //= d
-        exps[:, j] = (np.arange(n) // rep) % d
-    exps.flags.writeable = False
-    return exps
+    return _once(group, "_character_exponents", lambda: _digits(group.abelian_decomposition))
 
 
 def character_value_table(group: FiniteGroup) -> np.ndarray:

@@ -154,6 +154,9 @@ def spectrum_of(
 def _spectrum_route(
     G: FiniteGroup, S: GroupSubset, kind: str, T: GroupSubset | None
 ) -> spectra.Spectrum | None:
+    for X in (S, T):      # the mirror route reads only the members of S and T
+        if X is not None and X.parent is not G and X.parent != G:
+            raise algebra.GroupError("subset over a different group")
     if G.is_abelian:
         if T is None:
             return spectra.spectrum_exact_abelian(G, S, kind, validate=False)

@@ -1,11 +1,16 @@
 """Groups, characters, subset predicates and arithmetic helpers."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spectra_forge import algebra as alg
+
+from test_properties import PROPERTY
 
 
 def test_cyclic_basic():
@@ -65,6 +70,20 @@ def test_make_group_descriptors():
 def test_order_cap():
     with pytest.raises(alg.GroupError):
         alg.direct_product(alg.cyclic(200), alg.cyclic(200))
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used before the order cap was checked")
+
+
+@pytest.mark.parametrize("build, n", [(alg.cyclic, 10_001), (alg.dihedral, 5_001),
+                                      (alg.dicyclic, 2_501)])
+def test_order_cap_checked_before_any_work(build, n, monkeypatch):
+    # the first order over the cap; any table or loop work would touch numpy first
+    monkeypatch.setattr(alg, "np", _NoNumpy())
+    with pytest.raises(alg.GroupError, match="exceeds cap"):
+        build(n)
 
 
 def test_equal_groups_hash_equal():
@@ -162,6 +181,66 @@ def test_products_match_validated_tables():
         assert (G.identity, G.label) == (H.identity, H.label)
         assert G.abelian_decomposition == H.abelian_decomposition
         assert (G.coords is None and H.coords is None) or np.array_equal(G.coords, H.coords)
+
+
+@functools.cache
+def _factor(desc):
+    from spectra_forge import finring as fr
+
+    if desc.startswith(("zpk:", "gf:")):
+        return fr.additive_group(fr.parse_ring(desc))
+    return alg.make_group(desc)
+
+
+FACTORS = ([f"cyclic:{k}" for k in range(1, 13)] + ["dihedral:2"]
+           + ["zpk:2^2", "zpk:2^3", "zpk:3^2", "gf:2^2", "gf:3", "gf:3^2", "gf:5"])
+
+
+@st.composite
+def abelian_products(draw):
+    """2 to 4 abelian factors whose product has order <= 240."""
+    factors, order = [], 1
+    for _ in range(draw(st.integers(2, 4))):
+        fits = [d for d in FACTORS if order * _factor(d).order <= 240]
+        factors.append(_factor(draw(st.sampled_from(fits))))
+        order *= factors[-1].order
+    return factors
+
+
+@PROPERTY
+@given(abelian_products())
+def test_composed_structure_matches_the_table(factors):
+    G = alg.direct_product(*factors)
+    dims, coords = G.abelian_decomposition, G.coords
+    # the composed table is the mixed-radix one, and it names the same group
+    op = _mixed_radix(*(f.op_table for f in factors))
+    assert np.array_equal(G.op_table, op)
+    H = alg.group_from_table(op, G.label)
+    assert dims == H.abelian_decomposition
+    assert np.array_equal(G.inv_table, H.inv_table) and G.identity == H.identity
+    # coords is a bijective homomorphism onto Z_d1 + ... + Z_dk
+    assert all(b % a == 0 for a, b in zip(dims, dims[1:]))
+    assert coords.shape == (G.order, len(dims)) and (0 <= coords).all()
+    assert (coords < np.array(dims, dtype=np.int64)).all()
+    assert len(np.unique(coords, axis=0)) == G.order
+    summed = (coords[:, None, :] + coords[None, :, :]) % np.array(dims, dtype=np.int64)
+    assert np.array_equal(coords[op], summed)
+
+
+def test_product_table_is_composed_on_first_read():
+    from spectra_forge import finring as fr
+    from spectra_forge import theorems as th
+
+    R = fr.artin_product(list(fr.parse_ring("zpk:2^2*gf:3").factors) + [fr.zpk(2, 1)] * 7)
+    G, U = fr.additive_group(R), fr.units(R)
+    assert G.order == 1536
+    th.spectrum_of(G, U, "difference", U)
+    Gp = th.product_group_with_z2(G)
+    assert not isinstance(G._table, np.ndarray) and not isinstance(Gp._table, np.ndarray)
+    table = G.op_table
+    assert G.op_table is table and table.shape == (1536, 1536)
+    # once composed, a product no longer holds its factors; G x Z2 is still unread
+    assert isinstance(G._table, np.ndarray) and not isinstance(Gp._table, np.ndarray)
 
 
 def _character_row(group, exponents):

@@ -357,6 +357,19 @@ def test_spectrum_of_routes():
     assert th.spectrum_of(s3, three_cycle, "difference", three_cycle) is None
 
 
+def test_spectrum_of_rejects_subsets_of_another_group():
+    z8, z4 = alg.cyclic(8), alg.cyclic(4)
+    cases = [(alg.subset(z4, [1, 3]), alg.subset(z4, [1])),    # S and T over Z4
+             (alg.subset(z8, [1, 3]), alg.subset(z4, [1]))]    # only T over Z4
+    for S, T in cases:
+        for kind in th.KINDS:
+            with pytest.raises(alg.GroupError, match="different group"):
+                th.spectrum_of(z8, S, kind, T)
+    # an equal group built apart is still the same group
+    S = alg.subset(alg.cyclic(8), [1, 7])
+    assert th.spectrum_of(z8, S, "difference", S) == th.spectrum_of(S.parent, S, "difference", S)
+
+
 def test_product_with_z2_is_cached_on_the_group():
     z4, _ = z4_s13()
     Gp = th.product_group_with_z2(z4)
