@@ -9,7 +9,6 @@ from .algebra import (
     boolean_algebra_member,
     character_exponents,
     character_sums_over,
-    character_value_table,
     cyclic,
     dicyclic,
     dihedral,
@@ -17,7 +16,6 @@ from .algebra import (
     gcd_class,
     is_union_of_gcd_classes,
     make_group,
-    ramanujan_sum,
     subset,
     subset_predicates,
     symmetric,
@@ -31,11 +29,8 @@ from .finring import (
     field_quotient,
     galois_ring,
     gf,
-    gp_integrality,
-    hamming_gp_parameters,
     parse_ring,
     power_residues,
-    semiprimitive_check,
     units,
     zpk,
 )
@@ -43,11 +38,8 @@ from .graphs import (
     Graph,
     GraphError,
     cayley,
-    disjoint_union,
     mirror_dicayley,
-    small_isomorphic,
     structure_report,
-    with_loops,
 )
 from .products import NepsBasis, named_product, neps, path2
 from .spectra import (
@@ -55,17 +47,12 @@ from .spectra import (
     SpectrumClass,
     SpectrumError,
     classify,
-    gcd_graph_spectrum,
-    hamming_spectrum,
     isospectral,
     local_ring_unitary_spectrum,
-    looped_spectrum,
     mdcg_local_ring_spectrum,
     mdcg_spectrum_formula,
     moment_check,
     moments,
-    product_spectrum_formula,
-    semiprimitive_gp_spectrum,
     spectrum_dense_symmetric,
     spectrum_exact_abelian,
 )

@@ -17,7 +17,6 @@ from itertools import permutations as _permutations
 import numpy as np
 
 MAX_GROUP_ORDER = 10_000
-ORTHOGONALITY_TOL = 1e-9
 
 
 class GroupError(ValueError):
@@ -41,8 +40,8 @@ class FiniteGroup:
     identity: int
     label: str
     _table: np.ndarray | tuple[FiniteGroup, ...] = field(repr=False)
-    abelian_decomposition: tuple[int, ...] | None = None
-    coords: np.ndarray | None = field(default=None, repr=False)
+    abelian_decomposition: tuple[int, ...] | None
+    coords: np.ndarray | None = field(repr=False)
 
     @property
     def op_table(self) -> np.ndarray:
@@ -70,13 +69,6 @@ class FiniteGroup:
         if not (0 <= g < self.order):      # a negative index would wrap silently
             raise GroupError(f"element index out of range for {self.label}")
         return _powers(self.op_table, self.identity, g)
-
-    def power(self, g: int, k: int) -> int:
-        cycle = self.powers(g)
-        return cycle[k % len(cycle)]
-
-    def element_order(self, g: int) -> int:
-        return len(self.powers(g))
 
     def elements(self) -> range:
         return range(self.order)
@@ -332,13 +324,6 @@ def prime_power(q: int) -> tuple[int, int] | None:
     return next(iter(fac.items())) if len(fac) == 1 else None
 
 
-def _totient(n: int) -> int:
-    out = n
-    for p in factorize(n):
-        out -= out // p
-    return out
-
-
 def _check_order(n: int) -> None:
     if n > MAX_GROUP_ORDER:
         raise GroupError(f"group order {n} exceeds cap {MAX_GROUP_ORDER}")
@@ -520,16 +505,6 @@ def character_exponents(group: FiniteGroup) -> np.ndarray:
     return _once(group, "_character_exponents", lambda: _digits(group.abelian_decomposition))
 
 
-def character_value_table(group: FiniteGroup) -> np.ndarray:
-    """Matrix W[a, g] = chi_a(g) with characters in lexicographic exponent order."""
-    exps = character_exponents(group)
-    dims = group.abelian_decomposition
-    if not dims:
-        return np.ones((1, 1), dtype=complex)
-    coords = group.coords.astype(float) / np.asarray(dims, dtype=float)
-    return np.exp(2j * np.pi * (exps @ coords.T))
-
-
 def character_sums_over(group: FiniteGroup, S: GroupSubset) -> np.ndarray:
     """chi(S) for every character, in the order of character_exponents.
 
@@ -538,13 +513,9 @@ def character_sums_over(group: FiniteGroup, S: GroupSubset) -> np.ndarray:
     """
     if S.parent != group:
         raise GroupError("subset over a different group")
+    exps = character_exponents(group)       # rejects a non-abelian group
     n = group.order
-    if not S.members:
-        return np.zeros(n, dtype=complex)
     dims = group.abelian_decomposition
-    if not dims:
-        return np.full(1, len(S.members), dtype=complex)
-    exps = character_exponents(group)
     coords = group.coords[list(S.members)].astype(float) / np.asarray(dims, dtype=float)
     out = np.empty(n, dtype=complex)
     chunk = max(1, (1 << 21) // max(1, len(S.members)))
@@ -560,48 +531,27 @@ def character_sums_over(group: FiniteGroup, S: GroupSubset) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubsetPredicates:
-    symmetric: bool
-    antisymmetric: bool
     normal: bool
-    antinormal: bool
     eulerian: bool
-    contains_identity: bool
 
 
 def subset_predicates(S: GroupSubset) -> SubsetPredicates:
     G = S.parent
     mem = set(S.members)
-    inv_mem = {G.invert(g) for g in mem}
-    symmetric = mem == inv_mem
-    antisymmetric = not (mem & inv_mem)
-
-    normalizer = set()
-    for g in G.elements():
-        gi = G.invert(g)
-        if {G.combine(G.combine(g, s), gi) for s in mem} == mem:
-            normalizer.add(g)
-    normal = len(normalizer) == G.order
-    antinormal = not (mem & normalizer)
+    normal = all(
+        {G.combine(G.combine(g, s), G.invert(g)) for s in mem} == mem for g in G.elements()
+    )
 
     def generators_inside(x: int) -> bool:
         cycle = G.powers(x)
         d = len(cycle)
         return all(cycle[j] in mem for j in range(1, d) if math.gcd(j, d) == 1)
 
-    eulerian = all(generators_inside(x) for x in mem)
-
-    return SubsetPredicates(
-        symmetric=symmetric,
-        antisymmetric=antisymmetric,
-        normal=normal,
-        antinormal=antinormal,
-        eulerian=eulerian,
-        contains_identity=G.identity in mem,
-    )
+    return SubsetPredicates(normal=normal, eulerian=all(generators_inside(x) for x in mem))
 
 
 # ---------------------------------------------------------------------------
-# gcd classes, Boolean algebra membership, Ramanujan sums
+# gcd classes and Boolean algebra membership
 
 
 def gcd_class_indices(n: int, d: int) -> tuple[int, ...]:
@@ -669,18 +619,3 @@ def boolean_algebra_member(group: FiniteGroup, S: GroupSubset) -> bool:
         if not gens <= mem:
             return False
     return True
-
-
-def ramanujan_sum(r: int, n: int) -> int:
-    """c(r, n) = sum of e^(2 pi i r j / n) over the units j of Z_n, so c(r, 1) = 1.
-
-    Exact by von Sterneck's formula c(r, n) = mu(n/g) phi(n) / phi(n/g)
-    with g = gcd(r, n).
-    """
-    if n < 1:
-        raise GroupError("modulus must be positive")
-    q = n // math.gcd(r, n)
-    fac = factorize(q)
-    if any(e > 1 for e in fac.values()):
-        return 0                      # mu(q) = 0
-    return (-1) ** len(fac) * (_totient(n) // _totient(q))

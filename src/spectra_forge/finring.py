@@ -32,15 +32,6 @@ def _is_prime(p: int) -> bool:
 # polynomial helpers over Z_p
 
 
-def _poly_mod_mul(a: list[int], b: list[int], mod: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % mod
-    return out
-
-
 def _poly_divmod(a: list[int], f: list[int], p: int) -> tuple[list[int], list[int]]:
     # f monic; coefficients ascending
     a = [x % p for x in a]
@@ -101,19 +92,11 @@ def smallest_irreducible(p: int, t: int) -> list[int]:
 class LocalRing:
     """A finite local ring with full addition and multiplication tables."""
 
-    kind: str                 # "zpk" | "gf" | "gr" | "quot"
-    p: int
-    params: tuple[int, ...]   # (k,) | (m,) | (s, t) | (m, t)
     size: int
     add: np.ndarray = field(repr=False)
     mul: np.ndarray = field(repr=False)
     one: int
     label: str
-    modulus: tuple[int, ...] | None = None   # defining polynomial, if any
-
-    @property
-    def zero(self) -> int:
-        return 0
 
     @property
     def units_mask(self) -> np.ndarray:
@@ -124,15 +107,8 @@ class LocalRing:
         return self.size - int(self.units_mask.sum())
 
     @property
-    def residue_field_size(self) -> int:
-        return self.size // self.maximal_ideal_size
-
-    @property
     def is_field(self) -> bool:
         return self.maximal_ideal_size == 1
-
-    def neg(self, a: int) -> int:
-        return int(np.nonzero(self.add[a] == 0)[0][0])
 
 
 def _units_mask(mul: np.ndarray, one: int) -> np.ndarray:
@@ -173,7 +149,7 @@ def zpk(p: int, k: int) -> LocalRing:
         raise RingError(f"local ring size {r} exceeds cap {MAX_LOCAL_SIZE}")
     a = np.arange(r)
     ring = LocalRing(
-        kind="zpk", p=p, params=(k,), size=r,
+        size=r,
         add=(a[:, None] + a[None, :]) % r,
         mul=(a[:, None] * a[None, :]) % r,
         one=1 % r, label=f"Z{r}",
@@ -248,10 +224,7 @@ def galois_ring(p: int, s: int, t: int) -> LocalRing:
         label = f"Z{q}"
     else:
         label = f"GR({q},{t})"
-    ring = LocalRing(
-        kind="gr", p=p, params=(s, t), size=r, add=add, mul=mul,
-        one=1, label=label, modulus=tuple(f),
-    )
+    ring = LocalRing(size=r, add=add, mul=mul, one=1, label=label)
     _validate_local(ring)
     expected_units = p ** ((s - 1) * t) * (p**t - 1)
     if int(ring.units_mask.sum()) != expected_units:
@@ -261,11 +234,7 @@ def galois_ring(p: int, s: int, t: int) -> LocalRing:
 
 def gf(p: int, m: int) -> LocalRing:
     """The finite field F_{p^m} (same construction as GR(p, m))."""
-    ring = galois_ring(p, 1, m)
-    return LocalRing(
-        kind="gf", p=p, params=(m,), size=ring.size, add=ring.add,
-        mul=ring.mul, one=ring.one, label=ring.label, modulus=ring.modulus,
-    )
+    return galois_ring(p, 1, m)
 
 
 def field_quotient(p: int, m: int, t: int) -> LocalRing:
@@ -293,10 +262,7 @@ def field_quotient(p: int, m: int, t: int) -> LocalRing:
     add = _vector_table(vecs, q, combine_add)
     mul = _vector_table(vecs, q, combine_mul)
     label = f"F{q}[x]/(x^{t})" if t > 1 else f"F{q}"
-    ring = LocalRing(
-        kind="quot", p=p, params=(m, t), size=r, add=add, mul=mul,
-        one=1, label=label, modulus=base.modulus,
-    )
+    ring = LocalRing(size=r, add=add, mul=mul, one=1, label=label)
     _validate_local(ring)
     return ring
 
@@ -317,27 +283,6 @@ class FiniteRing:
         if self.size > MAX_RING_SIZE:
             raise RingError(f"ring size {self.size} exceeds cap {MAX_RING_SIZE}")
         self.label = "x".join(f.label for f in factors)
-        self._additive_group = None
-
-        strides = []
-        acc = 1
-        for f in reversed(factors):
-            strides.append(acc)
-            acc *= f.size
-        self._strides = list(reversed(strides))
-
-    def encode(self, tup) -> int:
-        return sum(int(x) * s for x, s in zip(tup, self._strides))
-
-    def decode(self, v: int) -> tuple[int, ...]:
-        out = []
-        for f, s in zip(self.factors, self._strides):
-            out.append((v // s) % f.size)
-        return tuple(out)
-
-    @property
-    def one(self) -> int:
-        return self.encode([f.one for f in self.factors])
 
     @property
     def units_mask(self) -> np.ndarray:
@@ -345,13 +290,6 @@ class FiniteRing:
         for f in self.factors:
             mask = (mask[:, None] & f.units_mask[None, :]).reshape(-1)
         return mask
-
-    def neg(self, a: int) -> int:
-        return self.encode([f.neg(x) for f, x in zip(self.factors, self.decode(a))])
-
-    def mul(self, a: int, b: int) -> int:
-        ta, tb = self.decode(a), self.decode(b)
-        return self.encode([int(f.mul[x, y]) for f, x, y in zip(self.factors, ta, tb)])
 
     def __repr__(self):
         return f"FiniteRing({self.label})"
@@ -364,11 +302,13 @@ def artin_product(factors: list[LocalRing]) -> FiniteRing:
 def additive_group(ring: FiniteRing | LocalRing) -> FiniteGroup:
     """(R, +), once per ring: a validated table, or the product of the factors' groups."""
     ring = _as_ring(ring)
-    if ring._additive_group is None and len(ring.factors) == 1:
-        ring._additive_group = group_from_table(ring.factors[0].add, ring.label)
-    elif ring._additive_group is None:
-        ring._additive_group = direct_product(*(additive_group(f) for f in ring.factors))
-    return ring._additive_group
+
+    def build() -> FiniteGroup:
+        if len(ring.factors) == 1:
+            return group_from_table(ring.factors[0].add, ring.label)
+        return direct_product(*(additive_group(f) for f in ring.factors))
+
+    return _once(ring, "_additive_group", build)
 
 
 def units(ring: FiniteRing | LocalRing) -> GroupSubset:
@@ -402,64 +342,6 @@ def power_residues(field_ring: FiniteRing | LocalRing, k: int) -> GroupSubset:
             e >>= 1
         members.add(acc)
     return GroupSubset(additive_group(ring), tuple(sorted(members)))
-
-
-# ---------------------------------------------------------------------------
-# GP-graph parameter arithmetic
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    pm = prime_power(q)
-    if pm is None:
-        raise RingError(f"{q} is not a prime power")
-    return pm
-
-
-def gp_integrality(k: int, q: int) -> bool:
-    """Whether the k-th power residue Cayley graph on F_q is integral."""
-    p, _ = _prime_power(q)
-    if k < 1 or (q - 1) % k != 0:
-        raise RingError(f"k={k} must divide q-1={q - 1}")
-    return ((q - 1) // (p - 1)) % k == 0
-
-
-def semiprimitive_check(k: int, q: int) -> tuple[bool, int | None]:
-    """Semiprimitivity of the pair (k, q); returns (holds, least t with k | p^t + 1).
-
-    The k = 2 case is the classic q = 1 mod 4 condition; the same least-t
-    rule is used there so the spectrum formula has a parameter to plug in.
-    """
-    p, m = _prime_power(q)
-    if k < 1 or (q - 1) % k != 0:
-        return False, None
-    least_t = None
-    for j in range(1, m + 1):
-        if (p**j + 1) % k == 0:
-            least_t = j
-            break
-    if k == 2:
-        return (q % 4 == 1), least_t
-    if k < 3 or m % 2 != 0:
-        return False, least_t
-    half = m // 2
-    ok = any(
-        half % t == 0 and t != half and (p**t + 1) % k == 0
-        for t in range(1, half)
-    )
-    # t = half excluded by the defining condition; t must divide m/2
-    return ok, least_t
-
-
-def hamming_gp_parameters(b: int, p: int, m: int) -> int | None:
-    """k such that the (k, p^(bm)) power residue graph is the Hamming graph
-    H(b, p^m); None when the divisibility condition fails."""
-    if b < 1:
-        raise RingError("b must be positive")
-    num = p ** (b * m) - 1
-    den = p**m - 1
-    if (num // den) % b != 0:
-        return None
-    return num // (b * den)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +383,11 @@ def _parse_power(text: str) -> tuple[int, int]:
         base, _, exp = text.partition("^")
         p, k = int(base), int(exp)
     else:
-        p, k = _prime_power(int(text))
+        q = int(text)
+        pm = prime_power(q)
+        if pm is None:
+            raise RingError(f"{q} is not a prime power")
+        p, k = pm
     if not _is_prime(p):
         raise RingError(f"{p} is not prime")
     return p, k

@@ -9,13 +9,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
 from .algebra import FiniteGroup, GroupSubset
-
-ISOMORPHISM_SIZE_CAP = 10
 
 
 class GraphError(ValueError):
@@ -48,10 +45,6 @@ class Graph:
     @property
     def undirected(self) -> bool:
         return bool(np.array_equal(self.adjacency, self.adjacency.T))
-
-    @property
-    def has_loops(self) -> bool:
-        return bool(np.any(np.diag(self.adjacency)))
 
     @property
     def out_degrees(self) -> np.ndarray:
@@ -91,23 +84,17 @@ class Graph:
             separators=(",", ":"),
         )
 
-    @staticmethod
-    def from_json(text: str) -> "Graph":
-        data = json.loads(text)
-        adj = np.array([[int(c) for c in row] for row in data["adjacency"]], dtype=np.uint8)
-        return Graph(adj, tuple(data["labels"]))
-
-    def to_dot(self, name: str = "G") -> str:
+    def to_dot(self) -> str:
         """DOT export; mutual edge pairs collapse to a single undirected line."""
         A = self.adjacency
         if self.undirected:
-            lines = [f"graph {name} {{"]
+            lines = ["graph G {"]
             for u in range(self.n):
                 for v in range(u, self.n):
                     if A[u, v]:
                         lines.append(f'  "{self.vertex_labels[u]}" -- "{self.vertex_labels[v]}";')
         else:
-            lines = [f"digraph {name} {{"]
+            lines = ["digraph G {"]
             for u in range(self.n):
                 for v in range(self.n):
                     if not A[u, v]:
@@ -161,26 +148,6 @@ def mirror_dicayley(group: FiniteGroup, S: GroupSubset, T: GroupSubset, kind: st
     return Graph(adj, labels)
 
 
-def with_loops(graph: Graph) -> Graph:
-    adj = graph.adjacency.copy()
-    np.fill_diagonal(adj, 1)
-    return Graph(adj, graph.vertex_labels)
-
-
-def disjoint_union(graphs: list[Graph]) -> Graph:
-    if not graphs:
-        raise GraphError("disjoint union of nothing")
-    n = sum(g.n for g in graphs)
-    adj = np.zeros((n, n), dtype=np.uint8)
-    labels = []
-    at = 0
-    for k, g in enumerate(graphs):
-        adj[at:at + g.n, at:at + g.n] = g.adjacency
-        labels.extend(f"{k}:{lab}" for lab in g.vertex_labels)
-        at += g.n
-    return Graph(adj, tuple(labels))
-
-
 def _check_kind(kind: str) -> None:
     if kind not in ("difference", "sum"):
         raise GraphError(f"kind must be 'difference' or 'sum', got {kind!r}")
@@ -194,16 +161,10 @@ def _check_kind(kind: str) -> None:
 class StructureReport:
     directed: bool
     loop_vertices: tuple[int, ...]
-    out_degrees: tuple[int, ...]
-    in_degrees: tuple[int, ...]
     regular_degree: int | None
     bipartite: bool | None
     components: tuple[tuple[int, ...], ...]
     twin_classes: tuple[tuple[int, ...], ...]
-
-    @property
-    def has_twins(self) -> bool:
-        return any(len(c) > 1 for c in self.twin_classes)
 
 
 def structure_report(graph: Graph) -> StructureReport:
@@ -257,42 +218,8 @@ def structure_report(graph: Graph) -> StructureReport:
     return StructureReport(
         directed=directed,
         loop_vertices=loops,
-        out_degrees=tuple(int(d) for d in graph.out_degrees),
-        in_degrees=tuple(int(d) for d in graph.in_degrees),
         regular_degree=graph.regular_degree,
         bipartite=bipartite,
         components=tuple(components),
         twin_classes=twins,
     )
-
-
-def bipartite_or_raise(graph: Graph) -> bool:
-    if not graph.undirected or graph.has_loops:
-        raise GraphError("bipartite test requires an undirected loopless graph")
-    return bool(structure_report(graph).bipartite)
-
-
-def small_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Brute-force isomorphism for graphs on at most 10 vertices."""
-    if g1.n > ISOMORPHISM_SIZE_CAP or g2.n > ISOMORPHISM_SIZE_CAP:
-        raise GraphError(f"isomorphism test capped at {ISOMORPHISM_SIZE_CAP} vertices")
-    if g1.n != g2.n:
-        return False
-    A, B = g1.adjacency, g2.adjacency
-
-    def profile(M):
-        return sorted(
-            (int(M[v].sum()), int(M[:, v].sum()), int(M[v, v])) for v in range(M.shape[0])
-        )
-
-    if profile(A) != profile(B):
-        return False
-    prof_a = [(int(A[v].sum()), int(A[:, v].sum()), int(A[v, v])) for v in range(g1.n)]
-    prof_b = [(int(B[v].sum()), int(B[:, v].sum()), int(B[v, v])) for v in range(g1.n)]
-    for perm in permutations(range(g1.n)):
-        if any(prof_b[perm[v]] != prof_a[v] for v in range(g1.n)):
-            continue
-        p = np.asarray(perm)
-        if np.array_equal(B[np.ix_(p, p)], A):
-            return True
-    return False

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import FiniteGroup, GroupSubset
-from .graphs import Graph, cayley
+from .graphs import Graph
 
 MERGE_TOL = 1e-8
 SNAP_TOL = 1e-6
@@ -37,22 +37,24 @@ class SpectrumError(ValueError):
 class Spectrum:
     """Multiset of complex eigenvalues, canonically sorted and merged.
 
-    Entries are (value, multiplicity) pairs sorted by real part then
-    imaginary part, both descending.  Each entry is the mean of input
-    values that lie pairwise within the merge tolerance.  A run of values
-    linked by gaps within the tolerance forms one entry when its diameter
-    is within the tolerance too; a wider run is split greedily.
+    Entries are (value, multiplicity) pairs sorted by real part, descending;
+    entries whose real parts agree within the tolerance sort by imaginary
+    part, descending, so rounding noise never decides the order.  Each
+    entry is the mean of input values that lie pairwise within the merge
+    tolerance.  A run of values linked by gaps within the tolerance forms
+    one entry when its diameter is within the tolerance too; a wider run
+    is split greedily.
     """
 
     entries: tuple[tuple[complex, int], ...]
     tolerance: float = MERGE_TOL
 
     @staticmethod
-    def from_values(values, tolerance: float = MERGE_TOL) -> "Spectrum":
+    def from_values(values) -> "Spectrum":
         vals = [complex(v) for v in values]
         if not vals:
             raise SpectrumError("empty spectrum")
-        return Spectrum.from_pairs([(v, 1) for v in vals], tolerance)
+        return Spectrum.from_pairs([(v, 1) for v in vals])
 
     @staticmethod
     def from_pairs(pairs, tolerance: float = MERGE_TOL) -> "Spectrum":
@@ -98,35 +100,12 @@ class Spectrum:
     def size(self) -> int:
         return sum(m for _, m in self.entries)
 
-    def multiplicity_of(self, value: complex, tol: float | None = None) -> int:
-        tol = self.tolerance if tol is None else tol
-        return sum(m for v, m in self.entries if abs(v - value) <= tol)
-
-    def shifted(self, c: complex) -> "Spectrum":
-        """v + c for every entry; an isometry, so the entries are not merged again."""
-        return _canonical([(v + c, m) for v, m in self.entries], self.tolerance)
-
-    def scaled(self, c: complex) -> "Spectrum":
-        """v * c for every entry, merged again (scaling can bring entries within the tolerance)."""
-        return Spectrum.from_pairs([(v * c, m) for v, m in self.entries], self.tolerance)
+    def multiplicity_of(self, value: complex) -> int:
+        return sum(m for v, m in self.entries if abs(v - value) <= self.tolerance)
 
     def negated(self) -> "Spectrum":
         """-v for every entry; an isometry, so the entries are not merged again."""
         return _canonical([(-v, m) for v, m in self.entries], self.tolerance)
-
-    def union(self, other: "Spectrum") -> "Spectrum":
-        """Multiset sum, merged again: entries of the two sides within the tolerance join."""
-        return Spectrum.from_pairs(
-            list(self.entries) + list(other.entries), self.tolerance
-        )
-
-    def snapped(self, tol: float = SNAP_TOL) -> "Spectrum":
-        out = []
-        for v, m in self.entries:
-            re = round(v.real) if abs(v.real - round(v.real)) <= tol else v.real
-            im = round(v.imag) if abs(v.imag - round(v.imag)) <= tol else v.imag
-            out.append((complex(re, im), m))
-        return Spectrum.from_pairs(out, self.tolerance)
 
     def to_string(self) -> str:
         return ", ".join(f"[{_fmt_value(v)}]^{m}" for v, m in self.entries)
@@ -142,13 +121,20 @@ class Spectrum:
 
 
 def _canonical(pairs, tolerance: float) -> Spectrum:
-    """Spectrum of already-merged pairs: sorted by real part then imaginary
-    part, both descending, with parts below 1e-12 set to +0.0 (never -0)."""
-    out = []
-    for v, m in sorted(pairs, key=lambda e: (-e[0].real, -e[0].imag)):
-        re = 0.0 if abs(v.real) < 1e-12 else v.real
-        im = 0.0 if abs(v.imag) < 1e-12 else v.imag
-        out.append((complex(re, im), m))
+    """Spectrum of already-merged pairs, parts below 1e-12 set to +0.0 (never
+    -0), sorted by real part descending.  A run of entries whose neighbouring
+    real parts lie within the tolerance sorts by imaginary part, descending."""
+    out = sorted(
+        ((complex(0.0 if abs(v.real) < 1e-12 else v.real,
+                  0.0 if abs(v.imag) < 1e-12 else v.imag), m) for v, m in pairs),
+        key=lambda e: -e[0].real,
+    )
+    start = 0
+    for k in range(1, len(out) + 1):
+        if k == len(out) or out[k - 1][0].real - out[k][0].real > tolerance:
+            if k - start > 1:
+                out[start:k] = sorted(out[start:k], key=lambda e: (-e[0].imag, -e[0].real))
+            start = k
     return Spectrum(tuple(out), tolerance)
 
 
@@ -215,9 +201,9 @@ class SpectrumClass:
     bipartite_criterion: bool
 
 
-def classify(spec: Spectrum, snap_tol: float = SNAP_TOL) -> SpectrumClass:
+def classify(spec: Spectrum) -> SpectrumClass:
     integral = all(
-        abs(v.imag) <= snap_tol and abs(v.real - round(v.real)) <= snap_tol
+        abs(v.imag) <= SNAP_TOL and abs(v.real - round(v.real)) <= SNAP_TOL
         for v, _ in spec.entries
     )
     if integral:
@@ -321,17 +307,11 @@ def _reality_and_pairs(group: FiniteGroup):
     return real, pairs
 
 
-def spectrum_exact_abelian(
-    group: FiniteGroup,
-    S: GroupSubset,
-    kind: str,
-    validate: bool = True,
-) -> Spectrum:
+def spectrum_exact_abelian(group: FiniteGroup, S: GroupSubset, kind: str) -> Spectrum:
     """Spectrum of X(G,S) (difference) or X^+(G,S) (sum) for abelian G.
 
     Difference: the multiset {chi(S)}.  Sum: real characters contribute
     chi(S) once; each conjugate pair contributes +|chi(S)| and -|chi(S)|.
-    Validated against power traces of the actual adjacency (small n).
     """
     if not group.is_abelian:
         raise SpectrumError("character route requires an abelian group")
@@ -339,27 +319,18 @@ def spectrum_exact_abelian(
         raise SpectrumError(f"bad kind {kind!r}")
     vals = algebra.character_sums_over(group, S)
     if kind == "difference":
-        spec = Spectrum.from_values(vals)
-    else:
-        real, pairs = _character_reality_and_pairs(group)
-        out: list[complex] = []
-        for i in np.nonzero(real)[0]:
-            v = vals[i]
-            if abs(v.imag) > 1e-7:
-                raise SpectrumError("real character produced a complex value")
-            out.append(complex(v.real))
-        for i, j in pairs:
-            r = abs(vals[i])
-            out.extend([complex(r), complex(-r)])
-        spec = Spectrum.from_values(out)
-    if validate and group.order <= 512:
-        graph = cayley(group, S, kind)
-        K = min(12, group.order)
-        if not moment_check(spec, moments(graph, K), max(1, len(S)), group.order):
-            raise SpectrumError(
-                f"character spectrum failed the moment check for {group.label}"
-            )
-    return spec
+        return Spectrum.from_values(vals)
+    real, pairs = _character_reality_and_pairs(group)
+    out: list[complex] = []
+    for i in np.nonzero(real)[0]:
+        v = vals[i]
+        if abs(v.imag) > 1e-7:
+            raise SpectrumError("real character produced a complex value")
+        out.append(complex(v.real))
+    for i, j in pairs:
+        r = abs(vals[i])
+        out.extend([complex(r), complex(-r)])
+    return Spectrum.from_values(out)
 
 
 # ---------------------------------------------------------------------------
@@ -386,28 +357,6 @@ def mdcg_spectrum_formula(base: Spectrum, t_kind: str, group_order: int) -> Spec
     else:
         raise SpectrumError(f"bad T kind {t_kind!r}")
     return Spectrum.from_pairs(out, base.tolerance)
-
-
-def product_spectrum_formula(s1: Spectrum, s2: Spectrum, kind: str) -> Spectrum:
-    rules = {
-        "cartesian": lambda a, b: a + b,
-        "direct": lambda a, b: a * b,
-        "strong": lambda a, b: a + b + a * b,
-        "strong_sum": lambda a, b: a + a * b,
-    }
-    if kind not in rules:
-        raise SpectrumError(f"bad product kind {kind!r}")
-    rule = rules[kind]
-    out = [
-        (rule(v1, v2), m1 * m2)
-        for v1, m1 in s1.entries
-        for v2, m2 in s2.entries
-    ]
-    return Spectrum.from_pairs(out, max(s1.tolerance, s2.tolerance))
-
-
-def looped_spectrum(spec: Spectrum) -> Spectrum:
-    return spec.shifted(1)
 
 
 def local_ring_unitary_spectrum(r: int, m: int, kind: str) -> Spectrum:
@@ -516,54 +465,6 @@ def mdcg_local_ring_spectrum(r: int, m: int, t_kind: str, kind: str) -> Spectrum
     return Spectrum.from_pairs(
         [(2 * r - 1, 1), (1, r), (3, (r - 1) // 2), (-1, (r - 1) // 2)]
     )
-
-
-def semiprimitive_gp_spectrum(k: int, q: int, kind: str = "difference") -> Spectrum:
-    """Three-eigenvalue spectrum of a semiprimitive power-residue graph."""
-    from .finring import semiprimitive_check
-
-    ok, t = semiprimitive_check(k, q)
-    if not ok or t is None:
-        raise SpectrumError(f"(k={k}, q={q}) is not a semiprimitive pair")
-    if kind not in ("difference", "sum"):
-        raise SpectrumError(f"bad kind {kind!r}")
-    p, m = algebra.prime_power(q)
-    n = (q - 1) // k
-    sign = (-1) ** (m // (2 * t) + 1)
-    root = p ** (m // 2)
-    lam1 = (sign * (k - 1) * root - 1) // k
-    lam2 = -(sign * root + 1) // k
-    assert (sign * (k - 1) * root - 1) % k == 0 and (sign * root + 1) % k == 0
-    if kind == "difference" or q % 2 == 0:
-        return Spectrum.from_pairs([(n, 1), (lam1, n), (lam2, (k - 1) * n)])
-    return Spectrum.from_pairs(
-        [
-            (n, 1),
-            (lam1, n // 2), (-lam1, n // 2),
-            (lam2, (k - 1) * n // 2), (-lam2, (k - 1) * n // 2),
-        ]
-    )
-
-
-def hamming_spectrum(b: int, q: int) -> Spectrum:
-    if b < 1 or q < 2:
-        raise SpectrumError("hamming spectrum needs b >= 1 and q >= 2")
-    pairs = [
-        (ell * q - b, math.comb(b, ell) * (q - 1) ** (b - ell)) for ell in range(b + 1)
-    ]
-    return Spectrum.from_pairs(pairs)
-
-
-def gcd_graph_spectrum(n: int, D) -> Spectrum:
-    """Integer eigenvalues of the gcd graph X(Z_n, union of S_n(d), d in D)."""
-    D = sorted(set(int(d) for d in D))
-    for d in D:
-        if d < 1 or d >= n or n % d != 0:
-            raise SpectrumError(f"{d} is not a proper divisor of {n}")
-    vals = [
-        sum(algebra.ramanujan_sum(r, n // d) for d in D) for r in range(n)
-    ]
-    return Spectrum.from_values(vals)
 
 
 def spectrum_to_json(spec: Spectrum) -> str:

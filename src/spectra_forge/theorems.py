@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,6 +125,7 @@ def t_subset(G: FiniteGroup, S: GroupSubset, t_kind: str) -> GroupSubset:
 
 T_KINDS = ("identity", "S", "S_and_identity")
 KINDS = ("difference", "sum")
+VERTEX_CAP = 4000    # mirror-graph vertices allowed at the last step of iterated_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +160,10 @@ def _spectrum_route(
             raise algebra.GroupError("subset over a different group")
     if G.is_abelian:
         if T is None:
-            return spectra.spectrum_exact_abelian(G, S, kind, validate=False)
+            return spectra.spectrum_exact_abelian(G, S, kind)
         Gp = product_group_with_z2(G)
         Sp = mdcg_connection_subset(Gp, S, T)
-        return spectra.spectrum_exact_abelian(Gp, Sp, kind, validate=False)
+        return spectra.spectrum_exact_abelian(Gp, Sp, kind)
     graph = graphs.cayley(G, S, kind) if T is None else graphs.mirror_dicayley(G, S, T, kind)
     return spectra.spectrum_dense_symmetric(graph) if graph.undirected else None
 
@@ -519,13 +520,11 @@ def check_local_ring_closed_forms(local: finring.LocalRing) -> list[Verification
 @dataclass(frozen=True)
 class EvenOddPairResult:
     ring_label: str
-    even_graphs: tuple[Graph, Graph]
     even_spectrum: spectra.Spectrum
-    odd_graphs: tuple[Graph, Graph]
     odd_spectrum_difference: spectra.Spectrum
     odd_spectrum_sum: spectra.Spectrum
     zero_case_spectrum: spectra.Spectrum
-    reports: tuple[VerificationReport, ...] = field(default_factory=tuple)
+    reports: tuple[VerificationReport, ...]
 
     @property
     def certified(self) -> bool:
@@ -592,15 +591,7 @@ def build_even_odd_pair(R: FiniteRing) -> EvenOddPairResult:
 
     return EvenOddPairResult(
         ring_label=R.label,
-        even_graphs=(
-            graphs.mirror_dicayley(G, S, S, "difference"),
-            graphs.mirror_dicayley(G, S, S, "sum"),
-        ),
         even_spectrum=even_d,
-        odd_graphs=(
-            graphs.mirror_dicayley(G, S, T_odd, "difference"),
-            graphs.mirror_dicayley(G, S, T_odd, "sum"),
-        ),
         odd_spectrum_difference=odd_d,
         odd_spectrum_sum=odd_s,
         zero_case_spectrum=zero_d,
@@ -608,13 +599,13 @@ def build_even_odd_pair(R: FiniteRing) -> EvenOddPairResult:
     )
 
 
-def iterated_pairs(R: FiniteRing, n_max: int, vertex_cap: int = 4000) -> list[VerificationReport]:
+def iterated_pairs(R: FiniteRing, n_max: int) -> list[VerificationReport]:
     """Extend R by Z2 factors; each extension keeps an even integral
     isospectral mirror pair with di-connection set the units."""
-    over = next((n for n in range(1, n_max + 1) if 2 * R.size * 2**n > vertex_cap), None)
+    over = next((n for n in range(1, n_max + 1) if 2 * R.size * 2**n > VERTEX_CAP), None)
     if over is not None:
         raise RingError(
-            f"vertex cap {vertex_cap} exceeded at n={over} ({2 * R.size * 2**over} vertices)"
+            f"vertex cap {VERTEX_CAP} exceeded at n={over} ({2 * R.size * 2**over} vertices)"
         )
     base = build_even_odd_pair(R)
     reports = [r for r in base.reports if r.claim_id.endswith("even-pair")]

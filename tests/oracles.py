@@ -6,12 +6,19 @@ dense route; it now checks the LAPACK route on small matrices.
 values that the merged-entry ``spectra.isospectral`` replaces.
 ``associative_exhaustive`` is the O(n^3) associativity check that group
 construction ran up to order 512 before Light's test replaced it.
+``small_isomorphic`` (brute-force isomorphism on at most 10 vertices),
+``disjoint_union`` and ``with_loops`` build and compare the small graphs
+that the product decompositions are checked against.  ``gp_integrality``
+is the closed-form integrality rule for power-residue Cayley graphs on F_q.
 """
 
 import math
+from itertools import permutations
 
 import numpy as np
 
+from spectra_forge.algebra import prime_power
+from spectra_forge.graphs import Graph, GraphError
 from spectra_forge.spectra import MERGE_TOL, Spectrum, SpectrumError
 
 JACOBI_TOL = 1e-12
@@ -94,3 +101,54 @@ def associative_exhaustive(op: np.ndarray) -> bool:
         if not np.array_equal(op[op[blk], :], op[blk][:, op]):
             return False
     return True
+
+
+ISOMORPHISM_SIZE_CAP = 10
+
+
+def small_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Brute-force isomorphism for graphs on at most 10 vertices."""
+    if g1.n > ISOMORPHISM_SIZE_CAP or g2.n > ISOMORPHISM_SIZE_CAP:
+        raise GraphError(f"isomorphism test capped at {ISOMORPHISM_SIZE_CAP} vertices")
+    if g1.n != g2.n:
+        return False
+    A, B = g1.adjacency, g2.adjacency
+
+    def profile(M):
+        return [(int(M[v].sum()), int(M[:, v].sum()), int(M[v, v])) for v in range(M.shape[0])]
+
+    prof_a, prof_b = profile(A), profile(B)
+    if sorted(prof_a) != sorted(prof_b):
+        return False
+    for perm in permutations(range(g1.n)):
+        if any(prof_b[perm[v]] != prof_a[v] for v in range(g1.n)):
+            continue
+        p = np.asarray(perm)
+        if np.array_equal(B[np.ix_(p, p)], A):
+            return True
+    return False
+
+
+def disjoint_union(graphs: list[Graph]) -> Graph:
+    n = sum(g.n for g in graphs)
+    adj = np.zeros((n, n), dtype=np.uint8)
+    labels = []
+    at = 0
+    for k, g in enumerate(graphs):
+        adj[at:at + g.n, at:at + g.n] = g.adjacency
+        labels.extend(f"{k}:{lab}" for lab in g.vertex_labels)
+        at += g.n
+    return Graph(adj, tuple(labels))
+
+
+def with_loops(graph: Graph) -> Graph:
+    adj = graph.adjacency.copy()
+    np.fill_diagonal(adj, 1)
+    return Graph(adj, graph.vertex_labels)
+
+
+def gp_integrality(k: int, q: int) -> bool:
+    """Whether the k-th power residue Cayley graph on F_q is integral:
+    k divides (q - 1) / (p - 1)."""
+    p, _ = prime_power(q)
+    return ((q - 1) // (p - 1)) % k == 0

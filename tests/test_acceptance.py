@@ -22,6 +22,8 @@ from spectra_forge import graphs as gr
 from spectra_forge import spectra as sp
 from spectra_forge import theorems as th
 
+from oracles import gp_integrality
+
 TOL = 1e-8
 
 
@@ -85,8 +87,8 @@ def test_criterion_2_section7_worked_example():
 
     g1 = gr.cayley(z16, S1, "difference")
     g2 = gr.cayley(z44, S2, "difference")
-    assert gr.structure_report(g1).has_twins
-    assert not gr.structure_report(g2).has_twins
+    assert any(len(c) > 1 for c in gr.structure_report(g1).twin_classes)
+    assert not any(len(c) > 1 for c in gr.structure_report(g2).twin_classes)
     twins = {frozenset(c) for c in gr.structure_report(g1).twin_classes if len(c) > 1}
     assert twins == {frozenset({v, (v + 8) % 16}) for v in range(8)}
 
@@ -226,18 +228,16 @@ def _prime_powers_up_to(limit):
 
 def test_criterion_6_gp_graphs():
     t0 = time.perf_counter()
-    # gamma(3, 16) against both the dense route and the closed form
+    # gamma(3, 16) against the semiprimitive three-eigenvalue spectrum
     F16 = fr.artin_product([fr.gf(2, 4)])
     P3 = fr.power_residues(F16, 3)
     dense = sp.spectrum_dense_symmetric(gr.cayley(fr.additive_group(F16), P3, "difference"))
-    formula = sp.semiprimitive_gp_spectrum(3, 16)
-    assert sp.isospectral(dense, formula, TOL)
-    assert sp.isospectral(formula, spec((5, 1), (-3, 5), (1, 10)), TOL)
+    assert sp.isospectral(dense, spec((5, 1), (-3, 5), (1, 10)), TOL)
 
+    # gamma(2, 9) against the spectrum of the Hamming graph H(2, 3)
     F9 = fr.artin_product([fr.gf(3, 2)])
     P2 = fr.power_residues(F9, 2)
     dense9 = sp.spectrum_dense_symmetric(gr.cayley(fr.additive_group(F9), P2, "difference"))
-    assert sp.isospectral(dense9, sp.hamming_spectrum(2, 3), TOL)
     assert sp.isospectral(dense9, spec((4, 1), (1, 4), (-2, 4)), TOL)
 
     checked = 0
@@ -248,8 +248,8 @@ def test_criterion_6_gp_graphs():
             if (q - 1) % k:
                 continue
             Pk = fr.power_residues(field, k)
-            s = sp.spectrum_exact_abelian(G, Pk, "difference", validate=False)
-            assert sp.classify(s).integral == fr.gp_integrality(k, q), (k, q)
+            s = sp.spectrum_exact_abelian(G, Pk, "difference")
+            assert sp.classify(s).integral == gp_integrality(k, q), (k, q)
             checked += 1
     assert checked > 100
 
@@ -308,8 +308,9 @@ def test_criterion_8_even_odd_pair_end_to_end():
     even_cls = sp.classify(result.even_spectrum)
     assert even_cls.integral and even_cls.parity == "even"
     assert even_cls.symmetric and even_cls.bipartite_criterion
-    for g in result.even_graphs:
-        assert gr.structure_report(g).bipartite
+    G, U = fr.additive_group(R), fr.units(R)
+    for kind in th.KINDS:
+        assert gr.structure_report(gr.mirror_dicayley(G, U, U, kind)).bipartite
     d = th.spectrum_of(
         fr.additive_group(R), fr.units(R), "sum", fr.units(R)
     )
@@ -319,8 +320,9 @@ def test_criterion_8_even_odd_pair_end_to_end():
         cls = sp.classify(s)
         assert cls.integral and cls.parity == "odd"
         assert not cls.symmetric and not cls.bipartite_criterion
-    for g in result.odd_graphs:
-        assert not gr.structure_report(g).bipartite if g.undirected and not g.has_loops else True
+    for kind in th.KINDS:
+        rep = gr.structure_report(gr.mirror_dicayley(G, U, U.with_identity(), kind))
+        assert not rep.bipartite if not rep.directed and not rep.loop_vertices else True
 
     by_claim = {r.claim_id: r.outcome for r in result.reports}
     assert by_claim["prop-isosp-R/even-pair"] == "pass"

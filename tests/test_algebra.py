@@ -100,13 +100,13 @@ def test_powers_walk():
     z6 = alg.cyclic(6)
     assert z6.powers(0) == [0]
     assert z6.powers(2) == [0, 2, 4]
-    assert z6.element_order(1) == 6
-    assert z6.power(1, 8) == 2 and z6.power(1, -1) == 5
+    assert len(z6.powers(1)) == 6
+    assert z6.powers(1)[8 % 6] == 2 and z6.powers(1)[-1] == 5
     with pytest.raises(alg.GroupError):
-        z6.element_order(-1)       # must not wrap to element 5
+        z6.powers(-1)       # must not wrap to element 5
     s3 = alg.symmetric(3)
     for g in s3.elements():
-        assert s3.power(g, -1) == s3.invert(g)
+        assert s3.powers(g)[-1] == s3.invert(g)
 
 
 def test_factorize_and_prime_power():
@@ -249,14 +249,20 @@ def _character_row(group, exponents):
     return int(np.nonzero((exps == exponents).all(axis=1))[0][0])
 
 
+def _character_values(group):
+    """W[a, g] = chi_a(g), one column per element from its one-element character sums."""
+    cols = [alg.character_sums_over(group, alg.subset(group, [g])) for g in group.elements()]
+    return np.stack(cols, axis=1)
+
+
 def test_characters_z2_z4():
     z2 = alg.cyclic(2)
-    W = alg.character_value_table(z2)
+    W = _character_values(z2)
     assert W.shape == (2, 2)
     assert sorted(round(v.real) for v in W[:, 1]) == [-1, 1]
 
     z4 = alg.cyclic(4)
-    chi = alg.character_value_table(z4)[_character_row(z4, (1,))]
+    chi = _character_values(z4)[_character_row(z4, (1,))]
     g1 = int(np.nonzero(z4.coords[:, 0] == 1)[0][0])
     assert abs(chi[g1] - 1j) < 1e-12
 
@@ -264,7 +270,7 @@ def test_characters_z2_z4():
 def test_characters_z4xz4_formula():
     g = alg.direct_product(alg.cyclic(4), alg.cyclic(4))
     exps = alg.character_exponents(g)
-    W = alg.character_value_table(g)
+    W = _character_values(g)
     assert exps.shape == (16, 2) and W.shape == (16, 16)
     # chi_{a,b}(x,y) = e^(2 pi i (ax + by)/4) against the coordinate map
     for row in range(6):
@@ -278,8 +284,10 @@ def test_characters_z4xz4_formula():
 def test_characters_require_abelian():
     with pytest.raises(alg.GroupError):
         alg.character_exponents(alg.dihedral(3))
-    with pytest.raises(alg.GroupError):
-        alg.character_value_table(alg.dihedral(3))
+    d3 = alg.dihedral(3)
+    for members in ([1, 2], []):     # no shortcut answers for a non-abelian group
+        with pytest.raises(alg.GroupError):
+            alg.character_sums_over(d3, alg.subset(d3, members))
 
 
 @pytest.mark.parametrize(
@@ -295,7 +303,7 @@ def test_characters_require_abelian():
     ],
 )
 def test_character_orthogonality(group):
-    W = alg.character_value_table(group)
+    W = _character_values(group)
     gram = W @ W.conj().T
     n = group.order
     assert np.max(np.abs(gram - n * np.eye(n))) < 1e-9
@@ -320,30 +328,16 @@ def test_character_sums():
 def test_subset_predicates_examples():
     z4 = alg.cyclic(4)
     p = alg.subset_predicates(alg.subset(z4, [1, 3]))
-    assert p.symmetric and p.normal and p.eulerian and not p.contains_identity
-    assert not p.antisymmetric
+    assert p.normal and p.eulerian
 
     z16 = alg.cyclic(16)
     S1 = alg.subset(z16, [1, 2, 4, 5, 9, 10, 12, 13])
-    p1 = alg.subset_predicates(S1)
-    assert not p1.symmetric and p1.normal
+    assert alg.subset_predicates(S1).normal
 
-    with_id = alg.subset(z4, [0, 1])
-    p2 = alg.subset_predicates(with_id)
-    assert p2.contains_identity and not p2.antisymmetric
-
-    # antisymmetric example: {1} in Z4
-    assert alg.subset_predicates(alg.subset(z4, [1])).antisymmetric
-
-
-def test_antinormal_example():
     # in S3 a single transposition is not fixed by conjugation by everything
     s3 = alg.symmetric(3)
-    non_identity = [g for g in s3.elements() if g != s3.identity]
-    transposition = [g for g in non_identity if s3.element_order(g) == 2][0]
-    p = alg.subset_predicates(alg.subset(s3, [transposition]))
-    assert not p.normal
-    assert not p.antinormal   # the element normalizes its own set
+    transposition = [g for g in s3.elements() if len(s3.powers(g)) == 2][0]
+    assert not alg.subset_predicates(alg.subset(s3, [transposition])).normal
 
 
 def test_gcd_classes():
@@ -374,39 +368,6 @@ def test_boolean_algebra_member():
 
     with pytest.raises(alg.GroupError):
         alg.boolean_algebra_member(alg.dihedral(3), alg.subset(alg.dihedral(3), [1]))
-
-
-def test_ramanujan_sums():
-    assert alg.ramanujan_sum(0, 12) == 4
-    assert alg.ramanujan_sum(1, 4) == 0
-    assert alg.ramanujan_sum(2, 4) == -2
-    assert alg.ramanujan_sum(3, 1) == 1
-
-
-def _mobius(n: int) -> int:
-    out, d = 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
-
-
-def _totient(n: int) -> int:
-    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-
-
-def test_ramanujan_against_mobius_oracle():
-    for n in range(1, 61):
-        for r in range(1, 61):
-            g = math.gcd(r, n)
-            want = _mobius(n // g) * _totient(n) // _totient(n // g)
-            assert alg.ramanujan_sum(r, n) == want, (r, n)
 
 
 def test_eulerian_equals_boolean_algebra_on_abelian():

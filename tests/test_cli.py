@@ -2,6 +2,8 @@
 
 import json
 
+import numpy as np
+
 from spectra_forge import cli
 from spectra_forge.graphs import Graph
 
@@ -43,7 +45,9 @@ def test_build_round_trip(capsys, tmp_path):
     code, out = run(capsys, "build", "--group", "cyclic:4", "--set", "1,3",
                     "--tkind", "e", "--format", "json")
     assert code == 0
-    g = Graph.from_json(out)
+    data = json.loads(out)
+    adj = np.array([[int(c) for c in row] for row in data["adjacency"]], dtype=np.uint8)
+    g = Graph(adj, tuple(data["labels"]))
     assert g.n == 8 and g.to_json() == out.strip()
 
 

@@ -91,8 +91,7 @@ def _is_irreducible_by_factor_search(coeffs, p):
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 4), (2, 6), (3, 2), (3, 3), (5, 2),
                                  (7, 2), (13, 2), (2, 8), (3, 4)])
 def test_field_modulus_is_irreducible(p, m):
-    f = fr.gf(p, m)
-    assert _is_irreducible_by_factor_search(list(f.modulus), p)
+    assert _is_irreducible_by_factor_search(fr.smallest_irreducible(p, m), p)
 
 
 def test_field_quotient():
@@ -120,7 +119,7 @@ def test_artin_units_equal_product_of_factor_units():
     R = fr.artin_product(factors)
     mask = R.units_mask
     for v in range(R.size):
-        parts = R.decode(v)
+        parts = np.unravel_index(v, [f.size for f in factors])   # first factor most significant
         want = all(f.units_mask[x] for f, x in zip(factors, parts))
         assert bool(mask[v]) == want
 
@@ -130,7 +129,7 @@ def test_additive_group_and_units():
     G = fr.additive_group(R)
     assert G.is_abelian and G.abelian_decomposition == (12,)
     U = fr.units(R)
-    assert U.members == tuple(sorted(R.encode(t) for t in [(1, 1), (1, 2), (3, 1), (3, 2)]))
+    assert U.members == tuple(sorted(3 * a + b for a, b in [(1, 1), (1, 2), (3, 1), (3, 2)]))
     # units of Z4 are the connection set {1, 3}
     R4 = fr.artin_product([fr.zpk(2, 2)])
     assert fr.units(R4).members == (1, 3)
@@ -161,45 +160,15 @@ def test_power_residues():
         fr.power_residues(fr.artin_product([fr.zpk(2, 2)]), 1)   # not a field
 
 
-def test_gp_integrality():
-    assert fr.gp_integrality(3, 16)
-    assert fr.gp_integrality(2, 9)
-    assert fr.gp_integrality(5, 16)
-    assert not fr.gp_integrality(3, 7)
-    with pytest.raises(fr.RingError):
-        fr.gp_integrality(5, 9)
-
-
-def test_semiprimitive_check():
-    ok, t = fr.semiprimitive_check(3, 16)
-    assert ok and t == 1
-    ok, t = fr.semiprimitive_check(2, 9)
-    assert ok and t == 1
-    ok, _ = fr.semiprimitive_check(3, 7)
-    assert not ok
-    ok, _ = fr.semiprimitive_check(2, 7)   # 7 = 3 mod 4
-    assert not ok
-    ok, t = fr.semiprimitive_check(5, 16)  # 5 | 2^2+1, t=2 = m/2 excluded
-    assert not ok
-
-
-def test_hamming_gp_parameters():
-    assert fr.hamming_gp_parameters(2, 3, 1) == 2
-    assert fr.hamming_gp_parameters(3, 2, 1) is None
-    assert fr.hamming_gp_parameters(1, 5, 1) == 1
-    with pytest.raises(fr.RingError):
-        fr.hamming_gp_parameters(0, 3, 1)
-
-
 def test_parse_ring():
     R = fr.parse_ring("zpk:2^2*gf:3")
-    assert R.size == 12 and [f.kind for f in R.factors] == ["zpk", "gf"]
+    assert R.size == 12 and [f.label for f in R.factors] == ["Z4", "F3"]
     R2 = fr.parse_ring("gr:2^2:2")
     assert R2.size == 16
     R3 = fr.parse_ring("quot:3^1:2")
     assert R3.size == 9
     R4 = fr.parse_ring("gf:9")
-    assert R4.factors[0].p == 3 and R4.factors[0].params == (2,)
+    assert R4.factors[0].label == "F9" and R4.factors[0].is_field
     with pytest.raises(fr.RingError):
         fr.parse_ring("zpk:6^1")
     with pytest.raises(fr.RingError):

@@ -1,11 +1,15 @@
 """Graph constructors and structural predicates."""
 
+import json
+
 import numpy as np
 import pytest
 
 from spectra_forge import algebra as alg
 from spectra_forge import graphs as gr
 from spectra_forge import theorems as th
+
+from oracles import disjoint_union, small_isomorphic, with_loops
 
 
 def c4_graph():
@@ -19,7 +23,7 @@ def test_cayley_c4():
         [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], dtype=np.uint8
     )
     assert np.array_equal(g.adjacency, want)
-    assert g.undirected and g.regular_degree == 2 and not g.has_loops
+    assert g.undirected and g.regular_degree == 2 and not np.diag(g.adjacency).any()
 
 
 def test_cayley_sum_loops():
@@ -62,37 +66,37 @@ def test_mirror_trivial_cases():
     # MX(G; empty, {e}) is a perfect matching: n disjoint 2-paths
     m = gr.mirror_dicayley(z3, empty, e, "difference")
     p2 = gr.Graph(np.array([[0, 1], [1, 0]], dtype=np.uint8))
-    assert gr.small_isomorphic(m, gr.disjoint_union([p2, p2, p2]))
+    assert small_isomorphic(m, disjoint_union([p2, p2, p2]))
     # the sum version is also a perfect matching (crossing pairs g with -g)
     ms = gr.mirror_dicayley(z3, empty, e, "sum")
-    assert gr.small_isomorphic(ms, gr.disjoint_union([p2, p2, p2]))
+    assert small_isomorphic(ms, disjoint_union([p2, p2, p2]))
 
     # MX(G; {e}, {e}) = n looped 2-paths
     mee = gr.mirror_dicayley(z3, e, e, "difference")
-    p2l = gr.with_loops(p2)
-    assert gr.small_isomorphic(mee, gr.disjoint_union([p2l, p2l, p2l]))
+    p2l = with_loops(p2)
+    assert small_isomorphic(mee, disjoint_union([p2l, p2l, p2l]))
 
     # MX+(G; {e}, {e}): one looped 2-path per self-inverse element and one
     # 4-cycle per inverse pair
     mps = gr.mirror_dicayley(z3, e, e, "sum")
     c4 = c4_graph()
-    assert gr.small_isomorphic(mps, gr.disjoint_union([c4, p2l]))
+    assert small_isomorphic(mps, disjoint_union([c4, p2l]))
 
 
 def test_with_loops():
     p2 = gr.Graph(np.array([[0, 1], [1, 0]], dtype=np.uint8))
-    looped = gr.with_loops(p2)
-    assert looped.has_loops
-    assert gr.with_loops(looped) == looped
+    looped = with_loops(p2)
+    assert np.diag(looped.adjacency).all()
+    assert with_loops(looped) == looped
     empty2 = gr.Graph(np.zeros((2, 2), dtype=np.uint8))
-    assert np.array_equal(gr.with_loops(empty2).adjacency, np.eye(2, dtype=np.uint8))
+    assert np.array_equal(with_loops(empty2).adjacency, np.eye(2, dtype=np.uint8))
 
 
 def test_structure_report_c4():
     rep = gr.structure_report(c4_graph())
     assert not rep.directed and rep.bipartite and rep.regular_degree == 2
     assert len(rep.components) == 1
-    assert not rep.has_twins or all(len(c) <= 2 for c in rep.twin_classes)
+    assert all(len(c) <= 2 for c in rep.twin_classes)
 
 
 def test_twins_z16_vs_z4xz4():
@@ -110,17 +114,16 @@ def test_twins_z16_vs_z4xz4():
               [(0, 1), (0, 2), (1, 0), (1, 2), (2, 1), (2, 2), (3, 1), (3, 3)]]
     )
     rep2 = gr.structure_report(gr.cayley(z44, S2, "difference"))
-    assert not rep2.has_twins
+    assert not any(len(c) > 1 for c in rep2.twin_classes)
 
 
 def test_bipartite_query_requires_undirected_loopless():
     z3 = alg.cyclic(3)
     directed = gr.cayley(z3, alg.subset(z3, [1]), "difference")
-    with pytest.raises(gr.GraphError):
-        gr.bipartite_or_raise(directed)
-    looped = gr.with_loops(c4_graph())
-    with pytest.raises(gr.GraphError):
-        gr.bipartite_or_raise(looped)
+    assert gr.structure_report(directed).bipartite is None
+    looped = with_loops(c4_graph())
+    assert gr.structure_report(looped).bipartite is None
+    assert gr.structure_report(c4_graph()).bipartite
 
 
 def test_directedness_criteria_random():
@@ -128,13 +131,14 @@ def test_directedness_criteria_random():
     for _ in range(40):
         G, S = th.random_instance(rng, exclude_identity=False)
         preds = alg.subset_predicates(S)
+        mem, inv_mem = set(S), {G.invert(s) for s in S}
         g = gr.cayley(G, S, "difference")
-        assert g.undirected == preds.symmetric
+        assert g.undirected == (mem == inv_mem)
         A = g.adjacency
         off = A & A.T & ~np.eye(G.order, dtype=bool)
         no_antiparallel = not off.any()
         loops_ok = not np.diag(A).any()
-        assert (no_antiparallel and loops_ok) == preds.antisymmetric
+        assert (no_antiparallel and loops_ok) == (not mem & inv_mem)
 
         gs = gr.cayley(G, S, "sum")
         assert gs.undirected == preds.normal
@@ -169,7 +173,9 @@ def test_union_identity_random():
 def test_json_round_trip():
     g = gr.mirror_dicayley(alg.cyclic(4), alg.subset(alg.cyclic(4), [1, 3]),
                            alg.subset(alg.cyclic(4), [0]), "difference")
-    again = gr.Graph.from_json(g.to_json())
+    data = json.loads(g.to_json())
+    adj = np.array([[int(c) for c in row] for row in data["adjacency"]], dtype=np.uint8)
+    again = gr.Graph(adj, tuple(data["labels"]))
     assert again == g and again.vertex_labels == g.vertex_labels
 
 
@@ -189,9 +195,9 @@ def test_small_isomorphic():
             [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]], dtype=np.uint8
         )
     )
-    assert not gr.small_isomorphic(c4, path4)
+    assert not small_isomorphic(c4, path4)
     relabeled = c4.permuted([2, 0, 3, 1])
-    assert gr.small_isomorphic(c4, relabeled)
+    assert small_isomorphic(c4, relabeled)
     with pytest.raises(gr.GraphError):
         big = gr.Graph(np.zeros((11, 11), dtype=np.uint8))
-        gr.small_isomorphic(big, big)
+        small_isomorphic(big, big)

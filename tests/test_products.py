@@ -9,6 +9,8 @@ from spectra_forge import products as pr
 from spectra_forge import spectra as sp
 from spectra_forge import theorems as th
 
+from oracles import with_loops
+
 
 def c4():
     z4 = alg.cyclic(4)
@@ -131,37 +133,12 @@ def test_remark_other_products():
             assert direct == mx
             # X box P2-looped adds exactly the loops of X box P2
             lhs = pr.named_product(gamma, pr.path2(True), "cartesian")
-            rhs = gr.with_loops(pr.named_product(gamma, pr.path2(False), "cartesian"))
+            rhs = with_loops(pr.named_product(gamma, pr.path2(False), "cartesian"))
             assert lhs == rhs
         # X strong P2-looped = looped MX(G;S,S u {e}), difference kind
         gamma = gr.cayley(G, S, "difference")
         lhs = pr.named_product(pr.path2(True), gamma, "strong")
-        rhs = gr.with_loops(
+        rhs = with_loops(
             gr.mirror_dicayley(G, S, S.with_identity(), "difference")
         )
         assert lhs == rhs
-
-
-def test_product_spectrum_vs_dense_random():
-    # loopless factors: with loops in both factors the 0/1 union of the
-    # Kronecker terms collides and the eigenvalue rules do not apply
-    rng = np.random.default_rng(8)
-    for _ in range(8):
-        n1, n2 = rng.integers(2, 5, 2)
-        a = rng.integers(0, 2, (n1, n1))
-        a = np.minimum(a + a.T, 1).astype(np.uint8)
-        np.fill_diagonal(a, 0)
-        b = rng.integers(0, 2, (n2, n2))
-        b = np.minimum(b + b.T, 1).astype(np.uint8)
-        np.fill_diagonal(b, 0)
-        g1, g2 = gr.Graph(a), gr.Graph(b)
-        s1 = sp.spectrum_dense_symmetric(g1)
-        s2 = sp.spectrum_dense_symmetric(g2)
-        for kind in ("cartesian", "direct", "strong"):
-            want = sp.product_spectrum_formula(s1, s2, kind)
-            got = sp.spectrum_dense_symmetric(pr.named_product(g1, g2, kind))
-            assert sp.isospectral(want, got, 1e-7), kind
-        # the looped path in the direct product never collides
-        want = sp.product_spectrum_formula(s1, sp.Spectrum.from_values([2, 0]), "direct")
-        got = sp.spectrum_dense_symmetric(pr.named_product(g1, pr.path2(True), "direct"))
-        assert sp.isospectral(want, got, 1e-7)

@@ -1,6 +1,7 @@
 """Property tests: the merged-entry comparison against the expanded-value
 greedy, the LAPACK dense route against the Jacobi oracle and the
-character route, and Light's associativity test against the exhaustive one."""
+character route, the character route against power traces on directed
+instances, and Light's associativity test against the exhaustive one."""
 
 import math
 
@@ -59,7 +60,7 @@ def _spectrum(pairs, merged):
 @given(spectrum_pairs(), st.booleans())
 def test_merged_isospectral_matches_expanded_greedy(pairs, merged):
     s1, s2 = (_spectrum(p, merged) for p in pairs)
-    sym = s1.union(s1.negated())
+    sym = sp.Spectrum.from_pairs(s1.entries + s1.negated().entries)
     for x, y in ((s1, s2), (s2, s1), (s1, s1.negated()), (sym, sym.negated())):
         assert sp.isospectral(x, y) == isospectral_expanded(x, y)
 
@@ -99,6 +100,26 @@ def test_dense_route_matches_character_route(instance, kind):
     dense = sp.spectrum_dense_symmetric(gr.cayley(G, S, kind))
     chars = sp.spectrum_exact_abelian(G, S, kind)
     assert sp.isospectral(dense, chars, 1e-7)
+
+
+@st.composite
+def directed_abelian_instances(draw):
+    """An abelian group and a set that is not inverse-closed: it holds some
+    g with g != g^-1 but not g^-1."""
+    G = alg.make_group(draw(st.sampled_from(ABELIAN)))
+    g = draw(st.sampled_from([g for g in G.elements() if G.invert(g) != g]))
+    picks = draw(st.lists(st.sampled_from(list(G.elements())), max_size=5))
+    return G, alg.subset(G, sorted((set(picks) | {g}) - {G.invert(g)}))
+
+
+@PROPERTY
+@given(directed_abelian_instances(), st.sampled_from(["difference", "sum"]))
+def test_character_route_matches_power_traces(instance, kind):
+    G, S = instance
+    n = G.order
+    spec = sp.spectrum_exact_abelian(G, S, kind)
+    traces = sp.moments(gr.cayley(G, S, kind), min(12, n))
+    assert sp.moment_check(spec, traces, max(1, len(S)), n)
 
 
 SMALL = ("cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "cyclic:7",
