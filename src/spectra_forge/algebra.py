@@ -538,9 +538,10 @@ class SubsetPredicates:
 def subset_predicates(S: GroupSubset) -> SubsetPredicates:
     G = S.parent
     mem = set(S.members)
-    normal = all(
-        {G.combine(G.combine(g, s), G.invert(g)) for s in mem} == mem for g in G.elements()
-    )
+    op = G.op_table
+    # g s g^-1 for every g (rows) and s in S (columns); conjugation is a
+    # bijection, so g S g^-1 inside S already means g S g^-1 = S
+    normal = bool(S.mask()[op[op[:, list(S.members)], G.inv_table[:, None]]].all())
 
     def generators_inside(x: int) -> bool:
         cycle = G.powers(x)

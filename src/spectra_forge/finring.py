@@ -98,6 +98,18 @@ class LocalRing:
     one: int
     label: str
 
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            isinstance(other, LocalRing)
+            and self.size == other.size
+            and self.one == other.one
+            and np.array_equal(self.add, other.add)
+            and np.array_equal(self.mul, other.mul)
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.size)
+
     @property
     def units_mask(self) -> np.ndarray:
         return _units_mask(self.mul, self.one)

@@ -27,10 +27,15 @@ class Graph:
     vertex_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=np.uint8)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raw = np.asarray(self.adjacency)
+        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
             raise GraphError("adjacency must be square")
-        if adj.size and adj.max() > 1:
+        adj = raw.astype(np.uint8, copy=False)
+        # bool needs no check, uint8 only its maximum; any other dtype must
+        # also survive the cast unchanged (0.5, 256 and -1 do not)
+        if raw.dtype != bool and adj.size and (
+            adj.max() > 1 or (adj is not raw and (adj != raw).any())
+        ):
             raise GraphError("adjacency entries must be 0/1")
         object.__setattr__(self, "adjacency", adj)
         labels = self.vertex_labels or tuple(str(i) for i in range(adj.shape[0]))
@@ -69,7 +74,7 @@ class Graph:
     def __hash__(self):
         return hash((self.n, int(self.adjacency.sum())))
 
-    def permuted(self, perm: list[int]) -> "Graph":
+    def permuted(self, perm: np.ndarray | list[int]) -> "Graph":
         """Relabel vertices: new vertex i is old vertex perm[i]."""
         p = np.asarray(perm)
         return Graph(self.adjacency[np.ix_(p, p)], tuple(self.vertex_labels[i] for i in p))
@@ -121,16 +126,7 @@ def cayley(group: FiniteGroup, S: GroupSubset, kind: str) -> Graph:
     _check_kind(kind)
     if S.parent != group:
         raise GraphError("connection set over a different group")
-    n = group.order
-    mask = S.mask()
-    op = group.op_table
-    if kind == "difference":
-        prod = op[:, group.inv_table]        # prod[g, h] = g * h^-1
-    else:
-        prod = op                            # prod[g, h] = g * h
-    adj = mask[prod].T.astype(np.uint8)      # adj[h, g] = 1 iff rule holds
-    labels = tuple(str(g) for g in range(n))
-    return Graph(adj, labels)
+    return Graph(_rule_adjacency(group, S, kind), tuple(str(g) for g in range(group.order)))
 
 
 def mirror_dicayley(group: FiniteGroup, S: GroupSubset, T: GroupSubset, kind: str) -> Graph:
@@ -141,11 +137,19 @@ def mirror_dicayley(group: FiniteGroup, S: GroupSubset, T: GroupSubset, kind: st
     _check_kind(kind)
     if S.parent != group or T.parent != group:
         raise GraphError("connection sets over a different group")
-    B = cayley(group, S, kind).adjacency
-    C = cayley(group, T, kind).adjacency
-    adj = np.block([[B, C], [C, B]])
-    labels = tuple(f"({g},{i})" for i in (0, 1) for g in range(group.order))
+    n = group.order
+    adj = np.empty((2 * n, 2 * n), dtype=np.uint8)
+    adj[:n, :n] = adj[n:, n:] = _rule_adjacency(group, S, kind)
+    adj[:n, n:] = adj[n:, :n] = _rule_adjacency(group, T, kind)
+    labels = tuple(f"({g},{i})" for i in (0, 1) for g in range(n))
     return Graph(adj, labels)
+
+
+def _rule_adjacency(group: FiniteGroup, S: GroupSubset, kind: str) -> np.ndarray:
+    """Boolean adj[h, g] = 1 iff g h^-1 (difference) or g h (sum) is in S."""
+    op = group.op_table
+    prod = op[:, group.inv_table] if kind == "difference" else op
+    return S.mask()[prod].T
 
 
 def _check_kind(kind: str) -> None:

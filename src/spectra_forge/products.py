@@ -43,10 +43,10 @@ STRONG = "strong"
 STRONG_SUM = "strong_sum"
 
 _NAMED_BASES = {
-    CARTESIAN: {(1, 0), (0, 1)},
-    DIRECT: {(1, 1)},
-    STRONG: {(1, 0), (0, 1), (1, 1)},
-    STRONG_SUM: {(1, 0), (1, 1)},
+    CARTESIAN: NepsBasis(2, frozenset({(1, 0), (0, 1)})),
+    DIRECT: NepsBasis(2, frozenset({(1, 1)})),
+    STRONG: NepsBasis(2, frozenset({(1, 0), (0, 1), (1, 1)})),
+    STRONG_SUM: NepsBasis(2, frozenset({(1, 0), (1, 1)})),
 }
 
 
@@ -55,14 +55,14 @@ def neps(factors: list[Graph], basis: NepsBasis) -> Graph:
         raise GraphError(
             f"basis arity {basis.arity} != number of factors {len(factors)}"
         )
-    terms = []
-    for beta in sorted(basis.tuples):
-        mats = [
-            f.adjacency.astype(np.int64) if b else np.eye(f.n, dtype=np.int64)
+    terms = (
+        reduce(_kron, [
+            f.adjacency.view(bool) if b else np.eye(f.n, dtype=bool)
             for f, b in zip(factors, beta)
-        ]
-        terms.append(reduce(np.kron, mats))
-    adj = (sum(terms) > 0).astype(np.uint8)
+        ])
+        for beta in basis.tuples
+    )
+    adj = reduce(np.logical_or, terms)
     labels = reduce(
         lambda acc, f: tuple(f"{a},{b}" for a in acc for b in f.vertex_labels),
         factors[1:],
@@ -72,10 +72,16 @@ def neps(factors: list[Graph], basis: NepsBasis) -> Graph:
     return Graph(adj, labels)
 
 
+def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Kronecker product of two boolean matrices as a broadcast outer AND."""
+    (p, q), (r, s) = A.shape, B.shape
+    return (A[:, None, :, None] & B[None, :, None, :]).reshape(p * r, q * s)
+
+
 def named_product(g1: Graph, g2: Graph, kind: str) -> Graph:
     if kind not in _NAMED_BASES:
         raise GraphError(f"unknown product kind {kind!r}")
-    return neps([g1, g2], NepsBasis(2, frozenset(_NAMED_BASES[kind])))
+    return neps([g1, g2], _NAMED_BASES[kind])
 
 
 def path2(looped: bool = False) -> Graph:

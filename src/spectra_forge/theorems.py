@@ -96,8 +96,7 @@ def _identity_subset(G: FiniteGroup) -> GroupSubset:
 def _transpose_to_mirror(prod: Graph, n: int) -> Graph:
     """Canonical transposition (g, i) -> (i, g) from a (graph, P2) product
     in factor-major order to the mirror-major MDCG order."""
-    perm = [2 * g + i for i in (0, 1) for g in range(n)]
-    return prod.permuted(perm)
+    return prod.permuted(np.arange(2 * n).reshape(n, 2).T.ravel())
 
 
 def product_group_with_z2(G: FiniteGroup) -> FiniteGroup:

@@ -10,10 +10,15 @@ construction ran up to order 512 before Light's test replaced it.
 ``disjoint_union`` and ``with_loops`` build and compare the small graphs
 that the product decompositions are checked against.  ``gp_integrality``
 is the closed-form integrality rule for power-residue Cayley graphs on F_q.
+``neps_kron`` is the NEPS kernel as a sum of integer Kronecker products,
+``cayley_by_definition`` tests the Cayley rule element by element, and
+``mirror_block`` lays two such Cayley graphs out with ``np.block``; the
+library builds all three by boolean gathers instead.
 """
 
 import math
-from itertools import permutations
+from functools import reduce
+from itertools import permutations, product
 
 import numpy as np
 
@@ -152,3 +157,36 @@ def gp_integrality(k: int, q: int) -> bool:
     k divides (q - 1) / (p - 1)."""
     p, _ = prime_power(q)
     return ((q - 1) // (p - 1)) % k == 0
+
+
+def neps_kron(factors: list[Graph], basis) -> Graph:
+    """NEPS as the thresholded sum over the basis of integer Kronecker
+    products, one factor's adjacency or identity per coordinate."""
+    terms = [
+        reduce(np.kron, [
+            f.adjacency.astype(np.int64) if b else np.eye(f.n, dtype=np.int64)
+            for f, b in zip(factors, beta)
+        ])
+        for beta in sorted(basis.tuples)
+    ]
+    labels = tuple("(" + ",".join(p) + ")" for p in product(*(f.vertex_labels for f in factors)))
+    return Graph((sum(terms) > 0).astype(np.uint8), labels)
+
+
+def cayley_by_definition(group, S, kind: str) -> Graph:
+    """Edge h -> g iff g h^-1 (difference) or g h (sum) lies in S."""
+    n, mem = group.order, set(S.members)
+    adj = np.zeros((n, n), dtype=np.uint8)
+    for h in range(n):
+        right = group.invert(h) if kind == "difference" else h
+        for g in range(n):
+            adj[h, g] = group.combine(g, right) in mem
+    return Graph(adj, tuple(str(g) for g in range(n)))
+
+
+def mirror_block(group, S, T, kind: str) -> Graph:
+    """MX*(G; S, T) as the block matrix [[B, C], [C, B]] of two Cayley graphs."""
+    B = cayley_by_definition(group, S, kind).adjacency
+    C = cayley_by_definition(group, T, kind).adjacency
+    labels = tuple(f"({g},{i})" for i in (0, 1) for g in range(group.order))
+    return Graph(np.block([[B, C], [C, B]]), labels)

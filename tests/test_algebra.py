@@ -340,6 +340,27 @@ def test_subset_predicates_examples():
     assert not alg.subset_predicates(alg.subset(s3, [transposition])).normal
 
 
+def _normal_by_definition(S) -> bool:
+    G = S.parent
+    return all(G.combine(G.combine(g, s), G.invert(g)) in S for g in G.elements() for s in S)
+
+
+def test_normal_matches_definition_on_the_pool():
+    from spectra_forge.theorems import _GROUP_POOL
+
+    rng = np.random.default_rng(5)
+    for desc in _GROUP_POOL:
+        G = alg.make_group(desc)
+        n = G.order
+        g = int(rng.integers(n))
+        conjugacy_class = {G.combine(G.combine(x, g), G.invert(x)) for x in G.elements()}
+        sets = [[], list(G.elements()), sorted(conjugacy_class)]
+        sets += [rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False) for _ in range(8)]
+        for members in sets:
+            S = alg.subset(G, members)
+            assert alg.subset_predicates(S).normal == _normal_by_definition(S), (desc, S.members)
+
+
 def test_gcd_classes():
     assert alg.gcd_class_indices(4, 1) == (1, 3)
     assert alg.gcd_class_indices(12, 4) == (4, 8)

@@ -1,8 +1,10 @@
 """End-to-end command line coverage."""
 
+import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from spectra_forge import cli
 from spectra_forge.graphs import Graph
@@ -49,6 +51,27 @@ def test_build_round_trip(capsys, tmp_path):
     adj = np.array([[int(c) for c in row] for row in data["adjacency"]], dtype=np.uint8)
     g = Graph(adj, tuple(data["labels"]))
     assert g.n == 8 and g.to_json() == out.strip()
+
+
+# sha256 of the build output, recorded before the graph kernels were
+# rewritten as boolean gathers; the rewrite must not move a single byte
+BUILD_SHA256 = [
+    (("cyclic:4", "--set", "1,3", "--tkind", "e"), "json",
+     "526a61fb7471abc6769826009ace52a38f2a966c51b3e17af58f11992c2a1c70"),
+    (("cyclic:4", "--set", "1,3", "--tkind", "e"), "dot",
+     "4d9828c5b43808d5f83fe33c7e2a9394682a22df99a7adf34b34c12b7043ac56"),
+    (("dihedral:4", "--set", "1,3", "--tkind", "Se", "--kind", "sum"), "json",
+     "b5319e180c760332a01f06bd2c1cd45846f47fe54f4e2a62447fd178fdd4a4ef"),
+    (("dihedral:4", "--set", "1,3", "--tkind", "Se", "--kind", "sum"), "dot",
+     "05ae7c887a9029293e2606c570b271cca86acfb731177779010fc078e32d6cbc"),
+]
+
+
+@pytest.mark.parametrize("argv, fmt, digest", BUILD_SHA256)
+def test_build_output_pinned(capsys, argv, fmt, digest):
+    code, out = run(capsys, "build", "--group", *argv, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_build_dot(capsys):

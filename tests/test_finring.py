@@ -18,6 +18,13 @@ def test_zpk_basic():
         fr.zpk(2, 13)   # over the size cap
 
 
+def test_local_ring_equality_and_hash():
+    a, b = fr.zpk(2, 2), fr.zpk(2, 2)
+    assert a == b and hash(a) == hash(b)
+    assert fr.zpk(2, 2) != fr.gf(2, 2)     # Z4 and F4: same size, other tables
+    assert len({a, b, fr.gf(2, 2)}) == 2
+
+
 def test_galois_ring_units():
     gr = fr.galois_ring(2, 2, 2)
     assert gr.size == 16 and gr.maximal_ideal_size == 4

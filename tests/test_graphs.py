@@ -17,6 +17,24 @@ def c4_graph():
     return gr.cayley(z4, alg.subset(z4, [1, 3]), "difference")
 
 
+@pytest.mark.parametrize("bad", [
+    np.array([[0, 0.5], [0.5, 0]]),
+    np.array([[0, 256], [256, 0]]),
+    np.array([[0, -1], [-1, 0]]),
+    np.array([[0, 2], [2, 0]], dtype=np.uint8),
+])
+def test_graph_rejects_entries_other_than_0_1(bad):
+    with pytest.raises(gr.GraphError):
+        gr.Graph(bad)
+
+
+def test_graph_accepts_0_1_of_any_dtype():
+    want = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+    for dtype in (bool, np.uint8, np.int64, float):
+        g = gr.Graph(want.astype(dtype))
+        assert g.adjacency.dtype == np.uint8 and np.array_equal(g.adjacency, want)
+
+
 def test_cayley_c4():
     g = c4_graph()
     want = np.array(

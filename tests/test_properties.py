@@ -1,8 +1,11 @@
 """Property tests: the merged-entry comparison against the expanded-value
 greedy, the LAPACK dense route against the Jacobi oracle and the
 character route, the character route against power traces on directed
-instances, and Light's associativity test against the exhaustive one."""
+instances, Light's associativity test against the exhaustive one, and the
+boolean-gather graph kernels (NEPS, Cayley, mirror) against their
+Kronecker, element-by-element and block-matrix oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,9 +14,18 @@ from hypothesis import strategies as st
 
 from spectra_forge import algebra as alg
 from spectra_forge import graphs as gr
+from spectra_forge import products as pr
 from spectra_forge import spectra as sp
+from spectra_forge import theorems as th
 
-from oracles import associative_exhaustive, isospectral_expanded, jacobi_eigenvalues
+from oracles import (
+    associative_exhaustive,
+    cayley_by_definition,
+    isospectral_expanded,
+    jacobi_eigenvalues,
+    mirror_block,
+    neps_kron,
+)
 
 TOL = sp.MERGE_TOL
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -163,3 +175,56 @@ def test_light_test_matches_exhaustive_oracle(op):
     except alg.GroupError:
         rejected = True
     assert rejected == (not associative_exhaustive(op))
+
+
+@st.composite
+def neps_instances(draw):
+    """2 or 3 random 0/1 factors (directed, loops allowed) on 1-4 vertices
+    with distinct labels, and a valid NEPS basis of that arity."""
+    arity = draw(st.sampled_from([2, 3]))
+    factors = []
+    for k in range(arity):
+        n = draw(st.integers(1, 4))
+        cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        labels = tuple(f"{'abc'[k]}{i}" for i in range(n))
+        factors.append(gr.Graph(np.array(cells, dtype=np.uint8).reshape(n, n), labels))
+    nonzero = [t for t in itertools.product((0, 1), repeat=arity) if any(t)]
+    tuples = draw(st.sets(st.sampled_from(nonzero), min_size=1).filter(
+        lambda ts: all(any(t[i] for t in ts) for i in range(arity))))
+    return factors, pr.NepsBasis(arity, frozenset(tuples))
+
+
+@PROPERTY
+@given(neps_instances())
+def test_neps_matches_kronecker_oracle(instance):
+    factors, basis = instance
+    got, want = pr.neps(factors, basis), neps_kron(factors, basis)
+    assert np.array_equal(got.adjacency, want.adjacency)
+    assert got.adjacency.dtype == want.adjacency.dtype
+    assert got.vertex_labels == want.vertex_labels
+
+
+@st.composite
+def pool_subset(draw, G):
+    """The empty set, a set holding the identity, or an arbitrary set."""
+    shape = draw(st.sampled_from(["empty", "identity", "arbitrary"]))
+    members = set() if shape == "empty" else draw(st.sets(st.integers(0, G.order - 1)))
+    if shape == "identity":
+        members.add(G.identity)
+    return alg.subset(G, sorted(members))
+
+
+@st.composite
+def pool_connection_sets(draw):
+    G = alg.make_group(draw(st.sampled_from(th._GROUP_POOL)))
+    return G, draw(pool_subset(G)), draw(pool_subset(G))
+
+
+@PROPERTY
+@given(pool_connection_sets(), st.sampled_from(["difference", "sum"]))
+def test_cayley_and_mirror_match_oracles(instance, kind):
+    G, S, T = instance
+    for got, want in ((gr.cayley(G, S, kind), cayley_by_definition(G, S, kind)),
+                      (gr.mirror_dicayley(G, S, T, kind), mirror_block(G, S, T, kind))):
+        assert np.array_equal(got.adjacency, want.adjacency)
+        assert got.vertex_labels == want.vertex_labels
