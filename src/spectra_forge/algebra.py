@@ -3,9 +3,11 @@ the subset predicates used by the graph constructions, and the
 trial-division number theory the ring and spectrum code shares.
 
 Groups are immutable after construction.  Elements are integers
-0..order-1; the table fixes the operation.  Raw tables are checked exactly
-(associativity by Light's test).  A direct product is not checked again: its
-invariant factors are composed from its factors', and its table on first read.
+0..order-1; the table fixes the operation.  Raw tables, among them the D_n,
+Dic_n and S_n tables built by index arithmetic, are checked exactly
+(associativity by Light's test).  Z_n and direct products are groups by
+construction and are not checked: a product's invariant factors are composed
+from its factors', and its table on first read.
 """
 
 from __future__ import annotations
@@ -347,9 +349,8 @@ def cyclic(n: int) -> FiniteGroup:
         raise GroupError("cyclic group needs n >= 1")
     _check_order(n)
     a = np.arange(n)
-    op = (a[:, None] + a[None, :]) % n
-    inv, identity = _validate_table(op, f"Z{n}")
-    return FiniteGroup(n, inv, identity, f"Z{n}", op, *_invariant_chain(a[:, None], (n,)))
+    return FiniteGroup(n, -a % n, 0, f"Z{n}", (a[:, None] + a[None, :]) % n,
+                       *_invariant_chain(a[:, None], (n,)))
 
 
 def direct_product(*groups: FiniteGroup) -> FiniteGroup:
@@ -385,64 +386,40 @@ def _product_table(groups: tuple[FiniteGroup, ...]) -> np.ndarray:
 
 
 def dihedral(n: int) -> FiniteGroup:
-    """D_n of order 2n; element (k, j) is a^k b^j, stored at index 2k + j."""
+    """D_n of order 2n; element (k, j) is a^k b^j, stored at index 2k + j:
+    (k, j)(l, m) = (k + (-1)^j l, j xor m)."""
     if n < 2:
         raise GroupError("dihedral group needs n >= 2")
-    order = 2 * n
-    _check_order(order)
-
-    def idx(k, j):
-        return 2 * (k % n) + j
-
-    op = np.zeros((order, order), dtype=np.int64)
-    for k in range(n):
-        for j in (0, 1):
-            for l in range(n):
-                for m in (0, 1):
-                    if j == 0:
-                        op[idx(k, j), idx(l, m)] = idx(k + l, m)
-                    else:
-                        op[idx(k, j), idx(l, m)] = idx(k - l, 1 - m)
+    _check_order(2 * n)
+    l, m = np.divmod(np.arange(2 * n), 2)
+    k, j = l[:, None], m[:, None]
+    op = 2 * ((k + (1 - 2 * j) * l) % n) + (j ^ m)
     return group_from_table(op, f"D{n}")
 
 
 def dicyclic(n: int) -> FiniteGroup:
-    """Dic_n of order 4n: a^(2n)=1, b^2=a^n, b a b^-1 = a^-1; index 2k + j."""
+    """Dic_n of order 4n: a^(2n)=1, b^2=a^n, b a b^-1 = a^-1; index 2k + j:
+    (k, j)(l, m) = (k + (-1)^j l + n j m, j xor m)."""
     if n < 2:
         raise GroupError("dicyclic group needs n >= 2")
-    two_n = 2 * n
-    order = 4 * n
-    _check_order(order)
-
-    def idx(k, j):
-        return 2 * (k % two_n) + j
-
-    op = np.zeros((order, order), dtype=np.int64)
-    for k in range(two_n):
-        for j in (0, 1):
-            for l in range(two_n):
-                for m in (0, 1):
-                    if j == 0:
-                        op[idx(k, j), idx(l, m)] = idx(k + l, m)
-                    elif m == 0:
-                        op[idx(k, j), idx(l, m)] = idx(k - l, 1)
-                    else:
-                        op[idx(k, j), idx(l, m)] = idx(k - l + n, 0)
+    _check_order(4 * n)
+    l, m = np.divmod(np.arange(4 * n), 2)
+    k, j = l[:, None], m[:, None]
+    op = 2 * ((k + (1 - 2 * j) * l + n * j * m) % (2 * n)) + (j ^ m)
     return group_from_table(op, f"Dic{n}")
 
 
 def symmetric(n: int) -> FiniteGroup:
-    """S_n for n <= 6, elements enumerated in lexicographic permutation order."""
+    """S_n for n <= 6, elements enumerated in lexicographic permutation order
+    (which is the order of the permutations read as base-n numbers)."""
     if not (1 <= n <= 6):
         raise GroupError("symmetric group supported for 1 <= n <= 6")
-    perms = list(_permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    order = len(perms)
-    op = np.zeros((order, order), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            op[i, j] = index[tuple(p[q[k]] for k in range(n))]
-    return group_from_table(op, f"S{n}")
+    perms = np.array(list(_permutations(range(n))))
+    code = n ** np.arange(n - 1, -1, -1)
+    index = np.zeros(n**n, dtype=np.int64)
+    index[perms @ code] = np.arange(len(perms))
+    # (p q)(k) = p(q(k)): perms[i, perms[j]] composes element i after element j
+    return group_from_table(index[perms[:, perms] @ code], f"S{n}")
 
 
 def make_group(descriptor: str) -> FiniteGroup:

@@ -2,19 +2,21 @@
 local rings.
 
 Supported local kinds: Z_{p^k}, F_{p^m}, GR(p^s, t) and F_{p^m}[x]/(x^t).
-Elements are canonical integers; all arithmetic goes through per-factor
-tables precomputed at construction.
+Each is a free Z_q-algebra given by structure constants on a basis
+e_0 = 1, ..., e_(D-1): its additive group is (Z_q)^D by construction, and
+its multiplication table is filled by linearity at construction.  Elements
+are canonical integers; all arithmetic goes through per-factor tables.
+Size caps are checked from the parameters before any table is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import (FiniteGroup, GroupSubset, _once, direct_product, group_from_table,
-                      prime_power)
+from .algebra import FiniteGroup, GroupSubset, _once, cyclic, direct_product, prime_power
 
 MAX_LOCAL_SIZE = 4096
 MAX_RING_SIZE = 10_000
@@ -90,13 +92,17 @@ def smallest_irreducible(p: int, t: int) -> list[int]:
 
 @dataclass(frozen=True)
 class LocalRing:
-    """A finite local ring with full addition and multiplication tables."""
+    """A finite local ring: its additive group and full multiplication table."""
 
     size: int
-    add: np.ndarray = field(repr=False)
+    group: FiniteGroup = field(repr=False)
     mul: np.ndarray = field(repr=False)
     one: int
     label: str
+
+    @property
+    def add(self) -> np.ndarray:
+        return self.group.op_table
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
@@ -145,50 +151,62 @@ def _validate_local(ring: LocalRing) -> None:
     if not np.array_equal(mul[a, add[b, c]], add[mul[a, b], mul[a, c]]):
         raise RingError(f"{ring.label}: distributivity fails")
     # non-units must form an ideal (the maximal ideal of a local ring)
-    nu = np.nonzero(~ring.units_mask)[0]
+    nonunit = ~ring.units_mask
+    nu = np.nonzero(nonunit)[0]
     if len(nu):
-        if not set(add[np.ix_(nu, nu)].ravel()) <= set(nu):
+        if not nonunit[add[np.ix_(nu, nu)]].all():
             raise RingError(f"{ring.label}: non-units not closed under addition")
-        if not set(mul[:, nu].ravel()) <= set(nu):
+        if not nonunit[mul[:, nu]].all():
             raise RingError(f"{ring.label}: non-units do not absorb products")
+
+
+def _check_local_size(r: int) -> None:
+    if r > MAX_LOCAL_SIZE:
+        raise RingError(f"local ring size {r} exceeds cap {MAX_LOCAL_SIZE}")
+
+
+def _local_ring(q: int, consts: np.ndarray, label: str) -> LocalRing:
+    """The free Z_q-algebra with basis e_0 = 1, ..., e_(D-1) and products
+    e_i e_j = sum_k consts[i, j, k] e_k; the element sum d_i e_i is index
+    sum d_i q^i.  Its additive group is (Z_q)^D by construction, and the
+    multiplication table is filled by linearity from the rows of the e_i."""
+    D = consts.shape[0]
+    r = q**D
+    group = replace(direct_product(*[cyclic(q)] * D), label=label)
+    add = group.op_table
+    powers = q ** np.arange(D, dtype=np.int64)
+    digits = np.arange(r)[:, None] // powers % q
+    mul = np.zeros((r, r), dtype=np.int64)
+    for i, step in enumerate(powers):
+        row = digits @ consts[i] % q @ powers          # e_i * b for every b
+        # a = d q^i + a' with a' < q^i: a * b = ((d-1) q^i + a') * b + e_i * b
+        for d in range(1, q):
+            mul[d * step:(d + 1) * step] = add[mul[(d - 1) * step:d * step], row]
+    ring = LocalRing(size=r, group=group, mul=mul, one=1, label=label)
+    _validate_local(ring)
+    return ring
+
+
+def _polynomial_consts(f: list[int], q: int) -> np.ndarray:
+    """Structure constants of Z_q[x]/(f) in the basis 1, x, ..., x^(t-1), f
+    monic of degree t: consts[i, j] holds x^(i+j) reduced mod f and q."""
+    t = len(f) - 1
+    xpow = np.zeros((2 * t - 1, t), dtype=np.int64)
+    xpow[0, 0] = 1
+    for n in range(1, 2 * t - 1):          # x^n = x * x^(n-1), and x^t = -(f - x^t)
+        top = xpow[n - 1, -1]
+        xpow[n, 1:] = xpow[n - 1, :-1]
+        xpow[n] = (xpow[n] - top * np.array(f[:t])) % q
+    i = np.arange(t)
+    return xpow[i[:, None] + i[None, :]]
 
 
 def zpk(p: int, k: int) -> LocalRing:
     if not _is_prime(p) or k < 1:
         raise RingError(f"Z_(p^k) needs prime p, got p={p}, k={k}")
     r = p**k
-    if r > MAX_LOCAL_SIZE:
-        raise RingError(f"local ring size {r} exceeds cap {MAX_LOCAL_SIZE}")
-    a = np.arange(r)
-    ring = LocalRing(
-        size=r,
-        add=(a[:, None] + a[None, :]) % r,
-        mul=(a[:, None] * a[None, :]) % r,
-        one=1 % r, label=f"Z{r}",
-    )
-    _validate_local(ring)
-    return ring
-
-
-def _vector_table(vecs: np.ndarray, base: int, combine) -> np.ndarray:
-    """Pairwise table from an (r, t) matrix of base-`base` digit vectors."""
-    r, t = vecs.shape
-    powers = base ** np.arange(t, dtype=np.int64)
-    out = np.zeros((r, r), dtype=np.int64)
-    chunk = max(1, (1 << 18) // max(1, r))
-    for a0 in range(0, r, chunk):
-        block = combine(vecs[a0:a0 + chunk], vecs)   # (blk, r, t) digit vectors
-        out[a0:a0 + chunk] = block @ powers
-    return out
-
-
-def _coeff_vectors(r: int, base: int, t: int) -> np.ndarray:
-    vecs = np.zeros((r, t), dtype=np.int64)
-    v = np.arange(r)
-    for i in range(t):
-        vecs[:, i] = v % base
-        v //= base
-    return vecs
+    _check_local_size(r)
+    return _local_ring(r, np.ones((1, 1, 1), dtype=np.int64), f"Z{r}")
 
 
 def galois_ring(p: int, s: int, t: int) -> LocalRing:
@@ -197,47 +215,14 @@ def galois_ring(p: int, s: int, t: int) -> LocalRing:
         raise RingError(f"GR needs prime p and s,t >= 1; got {p},{s},{t}")
     q = p**s
     r = q**t
-    if r > MAX_LOCAL_SIZE:
-        raise RingError(f"local ring size {r} exceeds cap {MAX_LOCAL_SIZE}")
-    f = smallest_irreducible(p, t)
-    vecs = _coeff_vectors(r, q, t)
-
-    # reduction map for x^(t+i) mod f, coefficients mod q
-    red = np.zeros((t - 1 if t > 1 else 0, t), dtype=np.int64)
-    if t > 1:
-        cur = [(-c) % q for c in f[:t]]          # x^t = -(f - x^t)
-        red[0] = cur
-        for i in range(1, t - 1):
-            nxt = [0] + cur[:-1]
-            nxt = [(nxt[j] + cur[-1] * red[0][j]) % q for j in range(t)]
-            red[i] = nxt
-            cur = nxt
-
-    def combine_mul(A, B):
-        conv = np.zeros((A.shape[0], B.shape[0], 2 * t - 1), dtype=np.int64)
-        for i in range(t):
-            for j in range(t):
-                conv[:, :, i + j] += A[:, None, i] * B[None, :, j]
-        conv %= q
-        low = conv[:, :, :t]
-        if t > 1:
-            high = conv[:, :, t:]
-            low = (low + np.tensordot(high, red, axes=(2, 0))) % q
-        return low % q
-
-    def combine_add(A, B):
-        return (A[:, None, :] + B[None, :, :]) % q
-
-    add = _vector_table(vecs, q, combine_add)
-    mul = _vector_table(vecs, q, combine_mul)
+    _check_local_size(r)
     if s == 1:
         label = f"F{r}"
     elif t == 1:
         label = f"Z{q}"
     else:
         label = f"GR({q},{t})"
-    ring = LocalRing(size=r, add=add, mul=mul, one=1, label=label)
-    _validate_local(ring)
+    ring = _local_ring(q, _polynomial_consts(smallest_irreducible(p, t), q), label)
     expected_units = p ** ((s - 1) * t) * (p**t - 1)
     if int(ring.units_mask.sum()) != expected_units:
         raise RingError(f"{label}: unit count mismatch")
@@ -250,33 +235,15 @@ def gf(p: int, m: int) -> LocalRing:
 
 
 def field_quotient(p: int, m: int, t: int) -> LocalRing:
-    """F_{p^m}[x]/(x^t): truncated polynomials with field coefficients."""
-    if t < 1:
-        raise RingError("quotient needs t >= 1")
-    base = gf(p, m)
-    q = base.size
-    r = q**t
-    if r > MAX_LOCAL_SIZE:
-        raise RingError(f"local ring size {r} exceeds cap {MAX_LOCAL_SIZE}")
-    vecs = _coeff_vectors(r, q, t)
-    fadd, fmul = base.add, base.mul
-
-    def combine_add(A, B):
-        return fadd[A[:, None, :], B[None, :, :]]
-
-    def combine_mul(A, B):
-        out = np.zeros((A.shape[0], B.shape[0], t), dtype=np.int64)
-        for i in range(t):
-            for j in range(t - i):
-                out[:, :, i + j] = fadd[out[:, :, i + j], fmul[A[:, None, i], B[None, :, j]]]
-        return out
-
-    add = _vector_table(vecs, q, combine_add)
-    mul = _vector_table(vecs, q, combine_mul)
-    label = f"F{q}[x]/(x^{t})" if t > 1 else f"F{q}"
-    ring = LocalRing(size=r, add=add, mul=mul, one=1, label=label)
-    _validate_local(ring)
-    return ring
+    """F_{p^m}[x]/(x^t): truncated polynomials with field coefficients, as an
+    F_p-algebra with y^i x^j (y generating F_{p^m}) at digit m j + i."""
+    if not _is_prime(p) or m < 1 or t < 1:
+        raise RingError(f"quotient needs prime p and m,t >= 1; got {p},{m},{t}")
+    _check_local_size(p ** (m * t))
+    field_consts = _polynomial_consts(smallest_irreducible(p, m), p)
+    shift = _polynomial_consts([0] * t + [1], p)         # x^j x^j' = x^(j+j'), 0 past x^(t-1)
+    label = f"F{p**m}[x]/(x^{t})" if t > 1 else f"F{p**m}"
+    return _local_ring(p, np.kron(shift, field_consts), label)
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +279,9 @@ def artin_product(factors: list[LocalRing]) -> FiniteRing:
 
 
 def additive_group(ring: FiniteRing | LocalRing) -> FiniteGroup:
-    """(R, +), once per ring: a validated table, or the product of the factors' groups."""
+    """(R, +), once per ring: the product of the factors' additive groups."""
     ring = _as_ring(ring)
-
-    def build() -> FiniteGroup:
-        if len(ring.factors) == 1:
-            return group_from_table(ring.factors[0].add, ring.label)
-        return direct_product(*(additive_group(f) for f in ring.factors))
-
-    return _once(ring, "_additive_group", build)
+    return _once(ring, "_additive_group", lambda: direct_product(*(f.group for f in ring.factors)))
 
 
 def units(ring: FiniteRing | LocalRing) -> GroupSubset:
@@ -360,31 +321,34 @@ def power_residues(field_ring: FiniteRing | LocalRing, k: int) -> GroupSubset:
 # descriptor parsing
 
 
+# kind -> (builder, number of ':'-separated fields)
+_RING_KINDS = {"zpk": (zpk, 2), "gf": (gf, 2), "gr": (galois_ring, 3), "quot": (field_quotient, 3)}
+
+
 def parse_ring(descriptor: str) -> FiniteRing:
     """Ring descriptor grammar: ``zpk:p^k``, ``gf:p^m`` (or ``gf:q``),
     ``gr:p^s:t``, ``quot:p^m:t``, factors joined by ``*``."""
     parts = [p.strip() for p in descriptor.strip().split("*") if p.strip()]
     if not parts:
         raise RingError(f"empty ring descriptor: {descriptor!r}")
-    factors = []
+    specs = []
     for part in parts:
         fields = part.split(":")
-        kind = fields[0]
+        build, arity = _RING_KINDS.get(fields[0], (None, 0))
+        if len(fields) != arity:
+            raise RingError(f"bad ring factor: {part!r}")
         try:
-            if kind == "zpk" and len(fields) == 2:
-                p, k = _parse_power(fields[1])
-                factors.append(zpk(p, k))
-            elif kind == "gf" and len(fields) == 2:
-                p, m = _parse_power(fields[1])
-                factors.append(gf(p, m))
-            elif kind == "gr" and len(fields) == 3:
-                p, s = _parse_power(fields[1])
-                factors.append(galois_ring(p, s, int(fields[2])))
-            elif kind == "quot" and len(fields) == 3:
-                p, m = _parse_power(fields[1])
-                factors.append(field_quotient(p, m, int(fields[2])))
-            else:
-                raise RingError(f"bad ring factor: {part!r}")
+            specs.append((part, build, (*_parse_power(fields[1]), *map(int, fields[2:]))))
+        except ValueError as exc:
+            raise RingError(f"bad ring factor {part!r}: {exc}") from None
+    # a factor has p^(product of the other parameters) elements: check before building
+    size = math.prod(args[0] ** math.prod(args[1:]) for _, _, args in specs)
+    if size > MAX_RING_SIZE:
+        raise RingError(f"ring size {size} exceeds cap {MAX_RING_SIZE}")
+    factors = []
+    for part, build, args in specs:
+        try:
+            factors.append(build(*args))
         except ValueError as exc:
             raise RingError(f"bad ring factor {part!r}: {exc}") from None
     return artin_product(factors)

@@ -14,6 +14,12 @@ is the closed-form integrality rule for power-residue Cayley graphs on F_q.
 ``cayley_by_definition`` tests the Cayley rule element by element, and
 ``mirror_block`` lays two such Cayley graphs out with ``np.block``; the
 library builds all three by boolean gathers instead.
+``dihedral_table``, ``dicyclic_table`` and ``symmetric_table`` fill the group
+tables element by element, and ``galois_ring_tables`` and
+``field_quotient_tables`` build ring tables by coefficient convolution; the
+library builds both by index arithmetic and structure constants instead.
+``assert_abelian_structure`` checks a composed abelian group against the
+validated table it should equal.
 """
 
 import math
@@ -22,7 +28,9 @@ from itertools import permutations, product
 
 import numpy as np
 
+from spectra_forge import algebra
 from spectra_forge.algebra import prime_power
+from spectra_forge.finring import smallest_irreducible
 from spectra_forge.graphs import Graph, GraphError
 from spectra_forge.spectra import MERGE_TOL, Spectrum, SpectrumError
 
@@ -190,3 +198,143 @@ def mirror_block(group, S, T, kind: str) -> Graph:
     C = cayley_by_definition(group, T, kind).adjacency
     labels = tuple(f"({g},{i})" for i in (0, 1) for g in range(group.order))
     return Graph(np.block([[B, C], [C, B]]), labels)
+
+
+def dihedral_table(n: int) -> np.ndarray:
+    """D_n with a^k b^j at index 2k + j, one entry at a time."""
+    def idx(k, j):
+        return 2 * (k % n) + j
+
+    op = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    for k in range(n):
+        for j in (0, 1):
+            for l in range(n):
+                for m in (0, 1):
+                    if j == 0:
+                        op[idx(k, j), idx(l, m)] = idx(k + l, m)
+                    else:
+                        op[idx(k, j), idx(l, m)] = idx(k - l, 1 - m)
+    return op
+
+
+def dicyclic_table(n: int) -> np.ndarray:
+    """Dic_n with a^k b^j at index 2k + j, one entry at a time."""
+    two_n = 2 * n
+
+    def idx(k, j):
+        return 2 * (k % two_n) + j
+
+    op = np.zeros((4 * n, 4 * n), dtype=np.int64)
+    for k in range(two_n):
+        for j in (0, 1):
+            for l in range(two_n):
+                for m in (0, 1):
+                    if j == 0:
+                        op[idx(k, j), idx(l, m)] = idx(k + l, m)
+                    elif m == 0:
+                        op[idx(k, j), idx(l, m)] = idx(k - l, 1)
+                    else:
+                        op[idx(k, j), idx(l, m)] = idx(k - l + n, 0)
+    return op
+
+
+def symmetric_table(n: int) -> np.ndarray:
+    """S_n in lexicographic order, composing permutation tuples pair by pair."""
+    perms = list(permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    op = np.zeros((len(perms), len(perms)), dtype=np.int64)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            op[i, j] = index[tuple(p[q[k]] for k in range(n))]
+    return op
+
+
+def _vector_table(vecs: np.ndarray, base: int, combine) -> np.ndarray:
+    """Pairwise table from an (r, t) matrix of base-`base` digit vectors."""
+    r, t = vecs.shape
+    powers = base ** np.arange(t, dtype=np.int64)
+    out = np.zeros((r, r), dtype=np.int64)
+    chunk = max(1, (1 << 18) // max(1, r))
+    for a0 in range(0, r, chunk):
+        block = combine(vecs[a0:a0 + chunk], vecs)   # (blk, r, t) digit vectors
+        out[a0:a0 + chunk] = block @ powers
+    return out
+
+
+def _coeff_vectors(r: int, base: int, t: int) -> np.ndarray:
+    vecs = np.zeros((r, t), dtype=np.int64)
+    v = np.arange(r)
+    for i in range(t):
+        vecs[:, i] = v % base
+        v //= base
+    return vecs
+
+
+def galois_ring_tables(p: int, s: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(add, mul) of GR(p^s, t) by convolving coefficient vectors and
+    reducing x^(t+i) through a precomputed reduction map."""
+    q = p**s
+    r = q**t
+    f = smallest_irreducible(p, t)
+    vecs = _coeff_vectors(r, q, t)
+    red = np.zeros((t - 1 if t > 1 else 0, t), dtype=np.int64)
+    if t > 1:
+        cur = [(-c) % q for c in f[:t]]          # x^t = -(f - x^t)
+        red[0] = cur
+        for i in range(1, t - 1):
+            nxt = [0] + cur[:-1]
+            nxt = [(nxt[j] + cur[-1] * red[0][j]) % q for j in range(t)]
+            red[i] = nxt
+            cur = nxt
+
+    def combine_mul(A, B):
+        conv = np.zeros((A.shape[0], B.shape[0], 2 * t - 1), dtype=np.int64)
+        for i in range(t):
+            for j in range(t):
+                conv[:, :, i + j] += A[:, None, i] * B[None, :, j]
+        conv %= q
+        low = conv[:, :, :t]
+        if t > 1:
+            low = (low + np.tensordot(conv[:, :, t:], red, axes=(2, 0))) % q
+        return low % q
+
+    def combine_add(A, B):
+        return (A[:, None, :] + B[None, :, :]) % q
+
+    return _vector_table(vecs, q, combine_add), _vector_table(vecs, q, combine_mul)
+
+
+def field_quotient_tables(p: int, m: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(add, mul) of F_(p^m)[x]/(x^t) from the tables of F_(p^m), one
+    truncated convolution of field elements at a time."""
+    fadd, fmul = galois_ring_tables(p, 1, m)
+    q = p**m
+    vecs = _coeff_vectors(q**t, q, t)
+
+    def combine_add(A, B):
+        return fadd[A[:, None, :], B[None, :, :]]
+
+    def combine_mul(A, B):
+        out = np.zeros((A.shape[0], B.shape[0], t), dtype=np.int64)
+        for i in range(t):
+            for j in range(t - i):
+                out[:, :, i + j] = fadd[out[:, :, i + j], fmul[A[:, None, i], B[None, :, j]]]
+        return out
+
+    return _vector_table(vecs, q, combine_add), _vector_table(vecs, q, combine_mul)
+
+
+def assert_abelian_structure(G, op: np.ndarray) -> None:
+    """G has table op and the structure group_from_table finds in it, and its
+    coords are a bijective homomorphism onto Z_d1 + ... + Z_dk."""
+    dims, coords = G.abelian_decomposition, G.coords
+    assert np.array_equal(G.op_table, op)
+    H = algebra.group_from_table(op, G.label)
+    assert dims == H.abelian_decomposition
+    assert np.array_equal(G.inv_table, H.inv_table) and G.identity == H.identity
+    assert all(b % a == 0 for a, b in zip(dims, dims[1:]))
+    assert coords.shape == (G.order, len(dims)) and (0 <= coords).all()
+    assert (coords < np.array(dims, dtype=np.int64)).all()
+    assert len(np.unique(coords, axis=0)) == G.order
+    summed = (coords[:, None, :] + coords[None, :, :]) % np.array(dims, dtype=np.int64)
+    assert np.array_equal(coords[op], summed)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from spectra_forge import algebra as alg
 
+from oracles import assert_abelian_structure, dicyclic_table, dihedral_table, symmetric_table
 from test_properties import PROPERTY
 
 
@@ -45,6 +46,17 @@ def test_dihedral_dicyclic():
         alg.dihedral(1)
     with pytest.raises(alg.GroupError):
         alg.dicyclic(1)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_dihedral_dicyclic_match_entrywise_tables(n):
+    assert np.array_equal(alg.dihedral(n).op_table, dihedral_table(n))
+    assert np.array_equal(alg.dicyclic(n).op_table, dicyclic_table(n))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetric_matches_entrywise_table(n):
+    assert np.array_equal(alg.symmetric(n).op_table, symmetric_table(n))
 
 
 def test_symmetric_group():
@@ -210,21 +222,9 @@ def abelian_products(draw):
 @PROPERTY
 @given(abelian_products())
 def test_composed_structure_matches_the_table(factors):
-    G = alg.direct_product(*factors)
-    dims, coords = G.abelian_decomposition, G.coords
     # the composed table is the mixed-radix one, and it names the same group
-    op = _mixed_radix(*(f.op_table for f in factors))
-    assert np.array_equal(G.op_table, op)
-    H = alg.group_from_table(op, G.label)
-    assert dims == H.abelian_decomposition
-    assert np.array_equal(G.inv_table, H.inv_table) and G.identity == H.identity
-    # coords is a bijective homomorphism onto Z_d1 + ... + Z_dk
-    assert all(b % a == 0 for a, b in zip(dims, dims[1:]))
-    assert coords.shape == (G.order, len(dims)) and (0 <= coords).all()
-    assert (coords < np.array(dims, dtype=np.int64)).all()
-    assert len(np.unique(coords, axis=0)) == G.order
-    summed = (coords[:, None, :] + coords[None, :, :]) % np.array(dims, dtype=np.int64)
-    assert np.array_equal(coords[op], summed)
+    assert_abelian_structure(alg.direct_product(*factors),
+                             _mixed_radix(*(f.op_table for f in factors)))
 
 
 def test_product_table_is_composed_on_first_read():

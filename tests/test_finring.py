@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from spectra_forge import algebra as alg
 from spectra_forge import finring as fr
+
+from oracles import assert_abelian_structure, field_quotient_tables, galois_ring_tables
 
 
 def test_zpk_basic():
@@ -188,3 +191,83 @@ def test_additive_group_of_galois_ring():
     assert G.abelian_decomposition == (4, 4)
     R2 = fr.artin_product([fr.field_quotient(3, 1, 2)])
     assert fr.additive_group(R2).abelian_decomposition == (3, 3)
+
+
+def _local_rings_up_to(size):
+    """(descriptor, label, oracle tables) for every zpk, gf, gr and quot ring
+    with at most `size` elements."""
+    def zpk_tables(r):
+        a = np.arange(r)
+        return (a[:, None] + a) % r, a[:, None] * a % r
+
+    out = []
+    for p in (p for p in range(2, size + 1) if fr._is_prime(p)):
+        for e in (e for e in range(1, size) if p**e <= size):
+            out.append((f"zpk:{p}^{e}", f"Z{p**e}", lambda r=p**e: zpk_tables(r)))
+            out.append((f"gf:{p}^{e}", f"F{p**e}", lambda p=p, e=e: galois_ring_tables(p, 1, e)))
+            for s in (s for s in range(1, e + 1) if e % s == 0):
+                t, q = e // s, p**s
+                label = f"F{q**t}" if s == 1 else f"Z{q}" if t == 1 else f"GR({q},{t})"
+                out.append((f"gr:{p}^{s}:{t}", label,
+                            lambda p=p, s=s, t=t: galois_ring_tables(p, s, t)))
+                label = f"F{q}[x]/(x^{t})" if t > 1 else f"F{q}"
+                out.append((f"quot:{p}^{s}:{t}", label,
+                            lambda p=p, s=s, t=t: field_quotient_tables(p, s, t)))
+    return out
+
+
+SMALL_LOCAL_RINGS = _local_rings_up_to(256)
+
+
+@pytest.mark.parametrize("descriptor, label, tables", SMALL_LOCAL_RINGS,
+                         ids=[d for d, _, _ in SMALL_LOCAL_RINGS])
+def test_structure_constants_match_convolution_tables(descriptor, label, tables):
+    ring = fr.parse_ring(descriptor).factors[0]
+    add, mul = tables()
+    assert np.array_equal(ring.add, add) and np.array_equal(ring.mul, mul)
+    assert (ring.one, ring.label) == (1, label)
+    assert np.array_equal(ring.units_mask, (mul == 1).any(axis=1))
+
+
+@pytest.mark.parametrize("descriptor", [d for d, _, _ in SMALL_LOCAL_RINGS])
+def test_additive_group_is_the_validated_table_group(descriptor):
+    ring = fr.parse_ring(descriptor)
+    G = fr.additive_group(ring)
+    assert G.label == ring.label
+    assert_abelian_structure(G, ring.factors[0].add)
+
+
+def test_additive_groups_are_built_not_searched(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("an additive group was validated or searched")
+
+    for name in ("group_from_table", "_validate_table", "_abelian_basis"):
+        monkeypatch.setattr(alg, name, no_search)
+    for descriptor in ("zpk:2^2*gf:3", "gr:2^2:2", "quot:2:3*gf:9"):
+        R = fr.parse_ring(descriptor)
+        G = fr.additive_group(R)
+        assert G.order == R.size and G.is_abelian and G.label == R.label
+
+
+def _no_tables(*args):
+    raise AssertionError("ring work started before the size cap was checked")
+
+
+def test_ring_caps_checked_before_any_table(monkeypatch):
+    monkeypatch.setattr(fr, "_local_ring", _no_tables)
+    monkeypatch.setattr(fr, "smallest_irreducible", _no_tables)
+    for descriptor in ("gf:2^10*gf:2^10", "gf:2^10*zpk:2^4", "quot:2^10:2"):
+        with pytest.raises(fr.RingError, match="exceeds cap"):
+            fr.parse_ring(descriptor)
+    for build, args in ((fr.zpk, (2, 13)), (fr.gf, (3, 8)), (fr.galois_ring, (2, 4, 4)),
+                        (fr.field_quotient, (2, 10, 2))):
+        with pytest.raises(fr.RingError, match="exceeds cap"):
+            build(*args)
+
+
+def test_nonunits_not_closed_under_addition_rejected():
+    # Z6 is a commutative ring but not local: 2 and 3 are non-units, 2 + 3 = 5 is a unit
+    a = np.arange(6)
+    z6 = fr.LocalRing(size=6, group=alg.cyclic(6), mul=a[:, None] * a % 6, one=1, label="Z6")
+    with pytest.raises(fr.RingError, match="Z6: non-units not closed under addition"):
+        fr._validate_local(z6)
