@@ -8,6 +8,7 @@ from .algebra import (
     GroupSubset,
     boolean_algebra_member,
     character_exponents,
+    conjugate_characters,
     character_sums_over,
     cyclic,
     dicyclic,
@@ -51,8 +52,6 @@ from .spectra import (
     local_ring_unitary_spectrum,
     mdcg_local_ring_spectrum,
     mdcg_spectrum_formula,
-    moment_check,
-    moments,
     spectrum_dense_symmetric,
     spectrum_exact_abelian,
 )

@@ -136,6 +136,11 @@ def _once(obj, name: str, build):
     return obj.__dict__[name]
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 # ---------------------------------------------------------------------------
 # table validation and abelian structure
 
@@ -302,8 +307,7 @@ def _digits(radices) -> np.ndarray:
     for j, d in enumerate(radices):
         rep //= d
         out[:, j] = (np.arange(n) // rep) % d
-    out.flags.writeable = False
-    return out
+    return _frozen(out)
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -480,6 +484,16 @@ def character_exponents(group: FiniteGroup) -> np.ndarray:
     if not group.is_abelian:
         raise GroupError("character table requires an abelian group")
     return _once(group, "_character_exponents", lambda: _digits(group.abelian_decomposition))
+
+
+def conjugate_characters(group: FiniteGroup) -> np.ndarray:
+    """conj[i] is the index of the complex conjugate of character i, so
+    character i is real exactly when conj[i] == i; built once per group,
+    read-only."""
+    exps = character_exponents(group)       # rejects a non-abelian group
+    dims = group.abelian_decomposition
+    return _once(group, "_conjugate_characters", lambda: _frozen(
+        np.atleast_1d(np.ravel_multi_index(tuple((-exps % dims).T), dims))))
 
 
 def character_sums_over(group: FiniteGroup, S: GroupSubset) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Spectra: exact character formulas, a dense LAPACK route (``eigvalsh``)
-as the independent numeric route, power-trace moment checks for directed
-graphs, the closed-form spectrum families, and classification.
+as the independent numeric route for undirected graphs, the closed-form
+spectrum families, and classification.
 
 Numeric policy: complex eigenvalues merge within 1e-8, and the members of
 one merged entry lie pairwise within that tolerance (clusters never
@@ -22,7 +22,6 @@ from .graphs import Graph
 
 MERGE_TOL = 1e-8
 SNAP_TOL = 1e-6
-MOMENT_REL_TOL = 1e-6
 
 
 class SpectrumError(ValueError):
@@ -253,58 +252,7 @@ def spectrum_dense_symmetric(graph: Graph) -> Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# power-trace moments, the oracle for directed spectra
-
-
-def moments(graph: Graph, K: int) -> list[float]:
-    """tr(A^k) for k = 1..K."""
-    if K > graph.n:
-        raise SpectrumError("K must not exceed the vertex count")
-    A = graph.adjacency.astype(float)
-    out = []
-    P = A
-    for _ in range(K):
-        out.append(float(np.trace(P)))
-        P = P @ A
-    return out
-
-
-def moment_check(spec: Spectrum, trace_moments: list[float], max_degree: int, n: int) -> bool:
-    d = max(1, max_degree)
-    for k, tr in enumerate(trace_moments, start=1):
-        total = sum(m * v**k for v, m in spec.entries)
-        if abs(total.imag) > MOMENT_REL_TOL * n * d**k:
-            return False
-        if abs(total.real - tr) > MOMENT_REL_TOL * n * d**k:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # exact spectra via abelian characters
-
-
-def _character_reality_and_pairs(group: FiniteGroup):
-    """Classify characters as real (a read-only mask) or into a tuple of
-    conjugate pairs (i < j); built once per group."""
-    return algebra._once(group, "_character_reality_and_pairs",
-                         lambda: _reality_and_pairs(group))
-
-
-def _reality_and_pairs(group: FiniteGroup):
-    dims = np.asarray(group.abelian_decomposition, dtype=np.int64)
-    exps = algebra.character_exponents(group)
-    n = group.order
-    real = ((2 * exps) % dims == 0).all(axis=1)     # [True] for the trivial group
-    rep = np.ones(len(dims), dtype=np.int64)
-    acc = 1
-    for j in range(len(dims) - 1, -1, -1):
-        rep[j] = acc
-        acc *= dims[j]
-    conj_idx = ((-exps) % dims) @ rep
-    pairs = tuple((i, int(conj_idx[i])) for i in range(n) if i < conj_idx[i])
-    real.flags.writeable = False
-    return real, pairs
 
 
 def spectrum_exact_abelian(group: FiniteGroup, S: GroupSubset, kind: str) -> Spectrum:
@@ -320,17 +268,14 @@ def spectrum_exact_abelian(group: FiniteGroup, S: GroupSubset, kind: str) -> Spe
     vals = algebra.character_sums_over(group, S)
     if kind == "difference":
         return Spectrum.from_values(vals)
-    real, pairs = _character_reality_and_pairs(group)
-    out: list[complex] = []
-    for i in np.nonzero(real)[0]:
-        v = vals[i]
-        if abs(v.imag) > 1e-7:
-            raise SpectrumError("real character produced a complex value")
-        out.append(complex(v.real))
-    for i, j in pairs:
-        r = abs(vals[i])
-        out.extend([complex(r), complex(-r)])
-    return Spectrum.from_values(out)
+    conj = algebra.conjugate_characters(group)
+    idx = np.arange(group.order)
+    real = vals[conj == idx]
+    if (np.abs(real.imag) > 1e-7).any():
+        raise SpectrumError("real character produced a complex value")
+    pair = vals[idx < conj]      # the first character of each conjugate pair
+    r = np.hypot(pair.real, pair.imag)      # bit-identical to abs(); np.abs on arrays is not
+    return Spectrum.from_values(np.concatenate([real.real, np.stack([r, -r], axis=1).ravel()]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@
 dense route; it now checks the LAPACK route on small matrices.
 ``isospectral_expanded`` is the greedy nearest pairing over expanded
 values that the merged-entry ``spectra.isospectral`` replaces.
+``moments`` and ``moment_check`` compare a spectrum with the power traces
+tr(A^k); the library once fell back on them for directed mirror graphs,
+a case that cannot arise when the base graph has a route.
 ``associative_exhaustive`` is the O(n^3) associativity check that group
 construction ran up to order 512 before Light's test replaced it.
 ``small_isomorphic`` (brute-force isomorphism on at most 10 vertices),
@@ -102,6 +105,33 @@ def isospectral_expanded(s1: Spectrum, s2: Spectrum, tol: float = MERGE_TOL) -> 
 
 def _expand(spec: Spectrum) -> list[complex]:
     return [v for v, m in spec.entries for _ in range(m)]
+
+
+MOMENT_REL_TOL = 1e-6
+
+
+def moments(graph: Graph, K: int) -> list[float]:
+    """tr(A^k) for k = 1..K."""
+    if K > graph.n:
+        raise SpectrumError("K must not exceed the vertex count")
+    A = graph.adjacency.astype(float)
+    out = []
+    P = A
+    for _ in range(K):
+        out.append(float(np.trace(P)))
+        P = P @ A
+    return out
+
+
+def moment_check(spec: Spectrum, trace_moments: list[float], max_degree: int, n: int) -> bool:
+    d = max(1, max_degree)
+    for k, tr in enumerate(trace_moments, start=1):
+        total = sum(m * v**k for v, m in spec.entries)
+        if abs(total.imag) > MOMENT_REL_TOL * n * d**k:
+            return False
+        if abs(total.real - tr) > MOMENT_REL_TOL * n * d**k:
+            return False
+    return True
 
 
 def associative_exhaustive(op: np.ndarray) -> bool:

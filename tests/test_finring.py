@@ -60,14 +60,80 @@ def test_nonunits_form_ideal():
                 assert int(ring.mul[a, b]) in nu_set
 
 
-def test_noncommutative_multiplication_rejected_at_every_size():
-    import dataclasses
+def _gr_4_3_consts():
+    return fr._polynomial_consts(fr.smallest_irreducible(2, 3), 4)
 
-    ring = fr.zpk(2, 9)                      # 512 elements
-    mul = ring.mul.copy()
-    mul[3, 5] = 0                            # mul[5, 3] stays 15
-    with pytest.raises(fr.RingError, match="not commutative"):
-        fr._validate_local(dataclasses.replace(ring, mul=mul))
+
+def _noncommutative_consts():
+    consts = _gr_4_3_consts()                # GR(4, 3), 4096 elements
+    consts[1, 2, 0] = (consts[1, 2, 0] + 1) % 4
+    return 4, consts
+
+
+def _nonassociative_consts():
+    # basis 1, x, y over Z2 with x^2 = 1, xy = x, y^2 = 1 + x + y:
+    # (x x) y = y but x (x y) = x x = 1
+    consts = np.zeros((3, 3, 3), dtype=np.int64)
+    consts[0] = consts[:, 0] = np.eye(3, dtype=np.int64)
+    consts[1, 1] = [1, 0, 0]
+    consts[1, 2] = consts[2, 1] = [0, 1, 0]
+    consts[2, 2] = [1, 1, 1]
+    return 2, consts
+
+
+def _no_identity_consts():
+    # F2 x F2 on the orthogonal idempotents e_0 = (1, 0), e_1 = (0, 1)
+    consts = np.zeros((2, 2, 2), dtype=np.int64)
+    consts[0, 0, 0] = consts[1, 1, 1] = 1
+    return 2, consts
+
+
+BAD_CONSTS = [(_noncommutative_consts, "multiplication not commutative"),
+              (_nonassociative_consts, "multiplication not associative"),
+              (_no_identity_consts, "1 is not a multiplicative identity")]
+
+
+def test_noncommutative_multiplication_rejected_at_every_size():
+    q, consts = _noncommutative_consts()
+    assert not np.array_equal(consts[1, 2], consts[2, 1])
+    with pytest.raises(fr.RingError, match="bad: multiplication not commutative"):
+        fr._local_ring(q, consts, "bad")
+    assert fr._local_ring(4, _gr_4_3_consts(), "GR(4,3)") == fr.galois_ring(2, 2, 3)
+
+
+def test_nonassociative_multiplication_rejected():
+    q, consts = _nonassociative_consts()
+    assert np.array_equal(consts, consts.transpose(1, 0, 2))
+    with pytest.raises(fr.RingError, match="bad: multiplication not associative"):
+        fr._local_ring(q, consts, "bad")
+
+
+def test_missing_identity_rejected():
+    q, consts = _no_identity_consts()
+    with pytest.raises(fr.RingError, match="bad: 1 is not a multiplicative identity"):
+        fr._local_ring(q, consts, "bad")
+
+
+def test_constants_checked_before_any_table(monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("a table was built before the constants were checked")
+
+    monkeypatch.setattr(fr, "direct_product", no_tables)
+    monkeypatch.setattr(fr, "cyclic", no_tables)
+    for make, message in BAD_CONSTS:
+        with pytest.raises(fr.RingError, match=message):
+            fr._local_ring(*make(), "bad")
+
+
+def test_units_mask_is_cached_read_only():
+    for ring, ideal, is_field in ((fr.zpk(2, 3), 4, False), (fr.gf(2, 3), 1, True),
+                                  (fr.galois_ring(2, 2, 2), 4, False)):
+        mask = ring.units_mask
+        assert ring.units_mask is mask and not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0] = True
+        assert np.array_equal(mask, (ring.mul == ring.one).any(axis=1))
+        assert (ring.maximal_ideal_size, ring.is_field) == (ideal, is_field)
 
 
 def _poly_eval(coeffs, x, p):

@@ -1,9 +1,10 @@
 """Property tests: the merged-entry comparison against the expanded-value
 greedy, the LAPACK dense route against the Jacobi oracle and the
 character route, the character route against power traces on directed
-instances, Light's associativity test against the exhaustive one, and the
+instances, Light's associativity test against the exhaustive one, the
 boolean-gather graph kernels (NEPS, Cayley, mirror) against their
-Kronecker, element-by-element and block-matrix oracles."""
+Kronecker, element-by-element and block-matrix oracles, and the mirror
+route existing exactly when the base route does."""
 
 import itertools
 import math
@@ -24,6 +25,8 @@ from oracles import (
     isospectral_expanded,
     jacobi_eigenvalues,
     mirror_block,
+    moment_check,
+    moments,
     neps_kron,
 )
 
@@ -130,8 +133,8 @@ def test_character_route_matches_power_traces(instance, kind):
     G, S = instance
     n = G.order
     spec = sp.spectrum_exact_abelian(G, S, kind)
-    traces = sp.moments(gr.cayley(G, S, kind), min(12, n))
-    assert sp.moment_check(spec, traces, max(1, len(S)), n)
+    traces = moments(gr.cayley(G, S, kind), min(12, n))
+    assert moment_check(spec, traces, max(1, len(S)), n)
 
 
 SMALL = ("cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "cyclic:7",
@@ -228,3 +231,14 @@ def test_cayley_and_mirror_match_oracles(instance, kind):
                       (gr.mirror_dicayley(G, S, T, kind), mirror_block(G, S, T, kind))):
         assert np.array_equal(got.adjacency, want.adjacency)
         assert got.vertex_labels == want.vertex_labels
+
+
+@PROPERTY
+@given(pool_connection_sets(), st.sampled_from(["difference", "sum"]))
+def test_mirror_route_exists_exactly_when_base_route_does(instance, kind):
+    # A_T is symmetric whenever A_S is, for T = {e}, S and S with e, so the
+    # mirror graph is undirected exactly when the base graph is
+    G, S, _ = instance
+    base_none = th.spectrum_of(G, S, kind) is None
+    for t_kind in th.T_KINDS:
+        assert (th.spectrum_of(G, S, kind, th.t_subset(G, S, t_kind)) is None) == base_none

@@ -412,13 +412,12 @@ def test_character_data_is_cached_read_only_on_the_group():
     assert alg.character_exponents(z4) is exps
     with pytest.raises(ValueError):
         exps[0, 0] = 1
-    real, pairs = sp._character_reality_and_pairs(z4)
-    assert sp._character_reality_and_pairs(z4)[1] is pairs
-    assert pairs == ((1, 3),)
+    conj = alg.conjugate_characters(z4)
+    assert conj.tolist() == [0, 3, 2, 1]
+    assert alg.conjugate_characters(z4) is conj
     with pytest.raises(ValueError):
-        real[0] = False
-    real1, pairs1 = sp._character_reality_and_pairs(alg.cyclic(1))
-    assert real1.tolist() == [True] and pairs1 == ()
+        conj[0] = 1
+    assert alg.conjugate_characters(alg.cyclic(1)).tolist() == [0]
     # G x Z2 keeps its own exponents
     Gp = th.product_group_with_z2(z4)
     exps_p = alg.character_exponents(Gp)
