@@ -499,21 +499,18 @@ def conjugate_characters(group: FiniteGroup) -> np.ndarray:
 def character_sums_over(group: FiniteGroup, S: GroupSubset) -> np.ndarray:
     """chi(S) for every character, in the order of character_exponents.
 
-    Chunked over characters so large groups never materialize the full
-    n x n character table.
+    chi_a(S) = sum over x in S of e^(2 pi i a.x / d) is the unnormalised
+    inverse DFT of S's indicator on the d1 x ... x dk coordinate grid, read
+    row-major: O(n log n) by the FFT, with no n x |S| block.
     """
     if S.parent != group:
         raise GroupError("subset over a different group")
-    exps = character_exponents(group)       # rejects a non-abelian group
-    n = group.order
-    dims = group.abelian_decomposition
-    coords = group.coords[list(S.members)].astype(float) / np.asarray(dims, dtype=float)
-    out = np.empty(n, dtype=complex)
-    chunk = max(1, (1 << 21) // max(1, len(S.members)))
-    for a0 in range(0, n, chunk):
-        blk = exps[a0:a0 + chunk]
-        out[a0:a0 + chunk] = np.exp(2j * np.pi * (blk @ coords.T)).sum(axis=1)
-    return out
+    if not group.is_abelian:
+        raise GroupError("character sums require an abelian group")
+    grid = np.zeros(group.abelian_decomposition or (1,))   # the trivial group: one cell, not 0-d
+    if S.members:               # on one cell the empty index tuple below addresses that cell
+        grid[tuple(group.coords[list(S.members)].T)] = 1
+    return np.fft.ifftn(grid, norm="forward").ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ tolerance; integer snapping uses 1e-6.  The dense route calls
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +51,10 @@ class Spectrum:
 
     @staticmethod
     def from_values(values) -> "Spectrum":
-        vals = [complex(v) for v in values]
-        if not vals:
+        exact = Counter(np.asarray(values, dtype=complex).ravel().tolist())
+        if not exact:
             raise SpectrumError("empty spectrum")
-        return Spectrum.from_pairs([(v, 1) for v in vals])
+        return _merge(exact, MERGE_TOL)
 
     @staticmethod
     def from_pairs(pairs, tolerance: float = MERGE_TOL) -> "Spectrum":
@@ -62,38 +63,10 @@ class Spectrum:
             raise SpectrumError("empty spectrum")
         if any(m < 0 for _, m in items):
             raise SpectrumError("negative multiplicity")
-        # exact pre-merge, then greedy clustering in (real, imag) order: a
-        # value joins the first open cluster whose members all lie within
-        # the tolerance of it, so clusters never chain
-        exact: dict[complex, int] = {}
+        exact: Counter[complex] = Counter()
         for v, m in items:
-            exact[v] = exact.get(v, 0) + m
-        groups: list[list] = []      # [lo_im, hi_im, members]; members[0] has the least real part
-        label: dict[complex, int] = {}
-        start = 0
-        for v in sorted(exact, key=lambda z: (z.real, z.imag)):
-            while start < len(groups) and groups[start][2][0].real < v.real - tolerance:
-                start += 1
-            for k in range(start, len(groups)):
-                g = groups[k]
-                lo_im, hi_im = min(g[0], v.imag), max(g[1], v.imag)
-                # the bounding box diagonal bounds every pairwise distance
-                if math.hypot(v.real - g[2][0].real, hi_im - lo_im) <= tolerance or all(
-                    abs(v - u) <= tolerance for u in g[2]
-                ):
-                    g[0], g[1] = lo_im, hi_im
-                    g[2].append(v)
-                    label[v] = k
-                    break
-            else:
-                label[v] = len(groups)
-                groups.append([v.imag, v.imag, [v]])
-        clusters: dict[int, list] = {}
-        for v, m in exact.items():      # input order, so the sums do not depend on the sort
-            acc = clusters.setdefault(label[v], [0j, 0])
-            acc[0] += v * m
-            acc[1] += m
-        return _canonical([(acc / m, m) for acc, m in clusters.values()], tolerance)
+            exact[v] += m
+        return _merge(exact, tolerance)
 
     @property
     def size(self) -> int:
@@ -117,6 +90,41 @@ class Spectrum:
 
     def __str__(self) -> str:
         return "{" + self.to_string() + "}"
+
+
+def _merge(exact: dict[complex, int], tolerance: float) -> Spectrum:
+    """Spectrum of exactly pre-merged {value: multiplicity} counts.
+
+    Greedy clustering in (real, imag) order: a value joins the first open
+    cluster whose members all lie within the tolerance of it, so clusters
+    never chain.
+    """
+    groups: list[list] = []      # [lo_im, hi_im, members]; members[0] has the least real part
+    label: dict[complex, int] = {}
+    start = 0
+    for v in sorted(exact, key=lambda z: (z.real, z.imag)):
+        while start < len(groups) and groups[start][2][0].real < v.real - tolerance:
+            start += 1
+        for k in range(start, len(groups)):
+            g = groups[k]
+            lo_im, hi_im = min(g[0], v.imag), max(g[1], v.imag)
+            # the bounding box diagonal bounds every pairwise distance
+            if math.hypot(v.real - g[2][0].real, hi_im - lo_im) <= tolerance or all(
+                abs(v - u) <= tolerance for u in g[2]
+            ):
+                g[0], g[1] = lo_im, hi_im
+                g[2].append(v)
+                label[v] = k
+                break
+        else:
+            label[v] = len(groups)
+            groups.append([v.imag, v.imag, [v]])
+    clusters: dict[int, list] = {}
+    for v, m in exact.items():      # input order, so the sums do not depend on the sort
+        acc = clusters.setdefault(label[v], [0j, 0])
+        acc[0] += v * m
+        acc[1] += m
+    return _canonical([(acc / m, m) for acc, m in clusters.values()], tolerance)
 
 
 def _canonical(pairs, tolerance: float) -> Spectrum:

@@ -22,7 +22,9 @@ tables element by element, and ``galois_ring_tables`` and
 ``field_quotient_tables`` build ring tables by coefficient convolution; the
 library builds both by index arithmetic and structure constants instead.
 ``assert_abelian_structure`` checks a composed abelian group against the
-validated table it should equal.
+validated table it should equal.  ``character_sums_direct`` sums the
+character exponentials e^(2 pi i a.x / d) over S for every character a,
+n |S| of them; the library takes the inverse FFT of S's indicator instead.
 """
 
 import math
@@ -368,3 +370,12 @@ def assert_abelian_structure(G, op: np.ndarray) -> None:
     assert len(np.unique(coords, axis=0)) == G.order
     summed = (coords[:, None, :] + coords[None, :, :]) % np.array(dims, dtype=np.int64)
     assert np.array_equal(coords[op], summed)
+
+
+def character_sums_direct(G, S) -> np.ndarray:
+    """chi_a(S) for every row a of character_exponents(G), by summing
+    e^(2 pi i a.x / d) over the coordinates x of the members of S."""
+    exps = algebra.character_exponents(G)
+    dims = np.asarray(G.abelian_decomposition, dtype=float)
+    coords = G.coords[list(S.members)] / dims
+    return np.exp(2j * np.pi * (exps @ coords.T)).sum(axis=1)

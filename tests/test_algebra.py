@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spectra_forge import algebra as alg
+from spectra_forge import finring as fr
 
 from oracles import assert_abelian_structure, dicyclic_table, dihedral_table, symmetric_table
 from test_properties import PROPERTY
@@ -323,6 +324,15 @@ def test_character_sums():
 
     with pytest.raises(alg.GroupError):
         alg.character_sums_over(z4, S1)
+
+
+def test_character_sums_of_integral_spectra_are_exact():
+    # the unit sums of Z_4096 are 2048, -2048 and 0: the FFT gives them
+    # exactly, where summing 2048 exponentials per character drifted by 5e-10
+    ring = fr.parse_ring("zpk:2^12")
+    sums = alg.character_sums_over(fr.additive_group(ring), fr.units(ring))
+    assert np.abs(sums.real - np.round(sums.real)).max() <= 1e-12
+    assert np.abs(sums.imag - np.round(sums.imag)).max() <= 1e-12
 
 
 def test_subset_predicates_examples():

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from spectra_forge import cli
+from spectra_forge import algebra, cli, theorems
 from spectra_forge.graphs import Graph
 
 
@@ -41,6 +41,32 @@ def test_spectrum_mirror_graph(capsys):
     assert code == 0
     assert "[5]^1, [1]^2, [-1]^4, [-3]^1" in out
     assert "parity: odd" in out
+
+
+# spectra on the trivial group, the same for both kinds: X(Z1, S) with S
+# empty or {e}, and MX(Z1; S, T) over Z1 x Z2 for each T
+TRIVIAL_SPECTRA = [
+    ("", None, "{[0]^1}"), ("0", None, "{[1]^1}"),
+    ("", "e", "{[1]^1, [-1]^1}"), ("0", "e", "{[2]^1, [0]^1}"),
+    ("", "S", "{[0]^2}"), ("0", "S", "{[2]^1, [0]^1}"),
+    ("", "Se", "{[1]^1, [-1]^1}"), ("0", "Se", "{[2]^1, [0]^1}"),
+]
+
+
+@pytest.mark.parametrize("kind", ["diff", "sum"])
+@pytest.mark.parametrize("members, tkind, want", TRIVIAL_SPECTRA)
+def test_trivial_group_spectra(capsys, members, tkind, want, kind):
+    code, out = run(capsys, "spectrum", "--group", "cyclic:1", "--set", members,
+                    "--kind", kind, *(("--tkind", tkind) if tkind else ()))
+    assert code == 0 and out.splitlines()[0] == f"spectrum: {want}"
+    G = algebra.cyclic(1)
+    S = algebra.subset(G, [int(members)] if members else [])
+    if tkind:       # the character route of the mirror graph runs over G x Z2
+        T = theorems.t_subset(G, S, cli.TKIND_ALIASES[tkind])
+        G = theorems.product_group_with_z2(G)
+        S = theorems.mdcg_connection_subset(G, S, T)
+    sums = algebra.character_sums_over(G, S)
+    assert sums.dtype == np.complex128 and sums.shape == (G.order,)
 
 
 def test_build_round_trip(capsys, tmp_path):

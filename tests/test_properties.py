@@ -3,8 +3,9 @@ greedy, the LAPACK dense route against the Jacobi oracle and the
 character route, the character route against power traces on directed
 instances, Light's associativity test against the exhaustive one, the
 boolean-gather graph kernels (NEPS, Cayley, mirror) against their
-Kronecker, element-by-element and block-matrix oracles, and the mirror
-route existing exactly when the base route does."""
+Kronecker, element-by-element and block-matrix oracles, the mirror
+route existing exactly when the base route does, and the FFT character
+sums against the direct exponential sums."""
 
 import itertools
 import math
@@ -22,6 +23,7 @@ from spectra_forge import theorems as th
 from oracles import (
     associative_exhaustive,
     cayley_by_definition,
+    character_sums_direct,
     isospectral_expanded,
     jacobi_eigenvalues,
     mirror_block,
@@ -242,3 +244,27 @@ def test_mirror_route_exists_exactly_when_base_route_does(instance, kind):
     base_none = th.spectrum_of(G, S, kind) is None
     for t_kind in th.T_KINDS:
         assert (th.spectrum_of(G, S, kind, th.t_subset(G, S, t_kind)) is None) == base_none
+
+
+@st.composite
+def cyclic_products(draw):
+    """Z_d1 x ... x Z_dk for 1 <= k <= 5 factors of order at most 512 (order
+    1 included), at most 1024 elements in all, and a subset drawn at a
+    density from empty to full."""
+    dims, room = [], 1024
+    for _ in range(draw(st.integers(1, 5))):
+        dims.append(draw(st.integers(1, min(512, room))))
+        room //= dims[-1]
+    G = alg.direct_product(*(alg.cyclic(d) for d in dims))
+    density = draw(st.sampled_from([0.0, 0.02, 0.3, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return G, alg.subset(G, np.nonzero(rng.random(G.order) < density)[0])
+
+
+@PROPERTY
+@given(cyclic_products())
+def test_fft_character_sums_match_direct_sums(instance):
+    G, S = instance
+    got = alg.character_sums_over(G, S)
+    assert got.dtype == np.complex128 and got.shape == (G.order,)
+    assert np.abs(got - character_sums_direct(G, S)).max() <= 1e-9 * max(1, len(S))
