@@ -3,11 +3,13 @@ the subset predicates used by the graph constructions, and the
 trial-division number theory the ring and spectrum code shares.
 
 Groups are immutable after construction.  Elements are integers
-0..order-1; the table fixes the operation.  Raw tables, among them the D_n,
-Dic_n and S_n tables built by index arithmetic, are checked exactly
-(associativity by Light's test).  Z_n and direct products are groups by
-construction and are not checked: a product's invariant factors are composed
-from its factors', and its table on first read.
+0..order-1; the table fixes the operation.  Every group is built with its
+structure and none is validated at run time: Z_n, D_n, Dic_n and S_n come
+from index arithmetic with the identity at index 0, and the abelian ones
+(Z_n, D_2, S_1, S_2) carry their invariant factors by construction; a direct
+product composes its invariant factors from its factors', and its table on
+first read.  The table checks (associativity, identity, inverses, abelian
+coordinates) live in the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ MAX_GROUP_ORDER = 10_000
 
 
 class GroupError(ValueError):
-    """Invalid group parameter or malformed table."""
+    """Invalid group parameter, descriptor or element index."""
 
 
 @dataclass(frozen=True)
@@ -142,53 +144,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# table validation and abelian structure
-
-
-def _validate_table(op: np.ndarray, label: str) -> tuple[np.ndarray, int]:
-    """Check identity/inverse/associativity axioms; return (inv_table, identity)."""
-    n = op.shape[0]
-    if op.shape != (n, n) or n == 0:
-        raise GroupError(f"{label}: table must be square and non-empty")
-    if op.min() < 0 or op.max() >= n:
-        raise GroupError(f"{label}: table entries out of range")
-
-    idx = np.arange(n)
-    identity = None
-    for e in range(n):
-        if np.array_equal(op[e], idx) and np.array_equal(op[:, e], idx):
-            identity = e
-            break
-    if identity is None:
-        raise GroupError(f"{label}: no two-sided identity")
-
-    inv = np.full(n, -1, dtype=np.int64)
-    for g in range(n):
-        hits = np.nonzero(op[g] == identity)[0]
-        if len(hits) != 1 or op[hits[0], g] != identity:
-            raise GroupError(f"{label}: element {g} lacks a two-sided inverse")
-        inv[g] = hits[0]
-
-    # Light's test: the a with (x.a).y == x.(a.y) for all x, y are closed under
-    # the operation, so a generating set suffices.  In a group each new generator
-    # lies outside the subgroup reached, so it at least doubles it: <= log2(n) gens.
-    reached = np.zeros(n, dtype=bool)
-    reached[identity] = True
-    gens: list[int] = []
-    chunk = max(1, (1 << 20) // n)
-    while not reached.all():
-        a = int(np.argmin(reached))
-        for x0 in range(0, n, chunk):
-            rows = op[x0:x0 + chunk]
-            if not np.array_equal(op[rows[:, a]], rows[:, op[a]]):
-                raise GroupError(f"{label}: operation is not associative")
-        gens.append(a)
-        frontier = np.nonzero(reached)[0]
-        while len(frontier):          # closure of the reached set under x -> x.g
-            nxt = np.unique(op[np.ix_(frontier, gens)])
-            frontier = nxt[~reached[nxt]]
-            reached[frontier] = True
-    return inv, identity
+# powers and abelian structure
 
 
 def _powers(op: np.ndarray, identity: int, g: int) -> list[int]:
@@ -199,73 +155,6 @@ def _powers(op: np.ndarray, identity: int, g: int) -> list[int]:
         out.append(acc)
         acc = int(op[acc, g])
     return out
-
-
-def _element_orders(op: np.ndarray, identity: int) -> np.ndarray:
-    n = op.shape[0]
-    orders = np.zeros(n, dtype=np.int64)
-    cur = op[identity].copy()     # cur[g] = g^1
-    k = 1
-    pending = orders == 0
-    while pending.any():
-        done = pending & (cur == identity)
-        orders[done] = k
-        pending &= ~done
-        if not pending.any():
-            break
-        cur[pending] = op[cur[pending], np.nonzero(pending)[0]]
-        k += 1
-        if k > n:
-            raise GroupError("order computation did not terminate")
-    return orders
-
-
-def _abelian_basis(op: np.ndarray, identity: int) -> list[tuple[int, int]]:
-    """Basis [(generator, order), ...] with orders descending, G = direct sum.
-
-    Greedy choice of a maximal-order element extends a partial direct sum
-    (a maximal-order element of an abelian group generates a summand);
-    backtracking covers unlucky picks within an order class.
-    """
-    n = op.shape[0]
-    orders = _element_orders(op, identity)
-    by_order = sorted(range(n), key=lambda g: -orders[g])
-
-    def extend(span: set[int], basis: list[tuple[int, int]]):
-        if len(span) == n:
-            return basis
-        limit = basis[-1][1] if basis else n
-        for g in by_order:
-            d = int(orders[g])
-            if d > limit or g in span:
-                continue
-            pg = _powers(op, identity, g)
-            if any(p in span for p in pg[1:]):
-                continue
-            new_span = {int(op[s, p]) for s in span for p in pg}
-            if len(new_span) != len(span) * d:
-                continue
-            result = extend(new_span, basis + [(g, d)])
-            if result is not None:
-                return result
-        return None
-
-    basis = extend({identity}, [])
-    if basis is None:
-        raise GroupError("abelian basis search failed")
-    return basis
-
-
-def _canonical_chain(op: np.ndarray, identity: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """Invariant factors d1 | d2 | ... (ascending) plus per-element coordinates."""
-    basis = _abelian_basis(op, identity)
-    orders = [d for _, d in basis]
-    elts = np.array([identity])
-    for g, _ in basis:            # elts[i] = prod of g_j^(digit j of i)
-        elts = op[elts[:, None], np.array(_powers(op, identity, g))].reshape(-1)
-    cols = np.zeros((op.shape[0], len(basis)), dtype=np.int64)
-    cols[elts] = _digits(orders)
-    return _invariant_chain(cols, orders)
 
 
 def _invariant_chain(cols: np.ndarray, mods) -> tuple[tuple[int, ...], np.ndarray]:
@@ -335,15 +224,6 @@ def _check_order(n: int) -> None:
         raise GroupError(f"group order {n} exceeds cap {MAX_GROUP_ORDER}")
 
 
-def group_from_table(op: np.ndarray, label: str) -> FiniteGroup:
-    """Validate a raw table and build the group, detecting abelian structure."""
-    op = np.asarray(op, dtype=np.int64)
-    _check_order(op.shape[0])
-    inv, identity = _validate_table(op, label)
-    chain = _canonical_chain(op, identity) if np.array_equal(op, op.T) else (None, None)
-    return FiniteGroup(len(inv), inv, identity, label, op, *chain)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -389,6 +269,12 @@ def _product_table(groups: tuple[FiniteGroup, ...]) -> np.ndarray:
     return op
 
 
+def _indexed_group(op: np.ndarray, label: str, chain=(None, None)) -> FiniteGroup:
+    """A group built by index arithmetic with the identity at index 0, so g's
+    inverse is the h with g.h = 0; ``chain`` is its abelian structure, if any."""
+    return FiniteGroup(len(op), np.argmax(op == 0, axis=1), 0, label, op, *chain)
+
+
 def dihedral(n: int) -> FiniteGroup:
     """D_n of order 2n; element (k, j) is a^k b^j, stored at index 2k + j:
     (k, j)(l, m) = (k + (-1)^j l, j xor m)."""
@@ -398,7 +284,9 @@ def dihedral(n: int) -> FiniteGroup:
     l, m = np.divmod(np.arange(2 * n), 2)
     k, j = l[:, None], m[:, None]
     op = 2 * ((k + (1 - 2 * j) * l) % n) + (j ^ m)
-    return group_from_table(op, f"D{n}")
+    # D_2 is Z2 x Z2 with a^k b^j at coordinates (j, k)
+    chain = _invariant_chain(np.stack([m, l], axis=1), (2, 2)) if n == 2 else (None, None)
+    return _indexed_group(op, f"D{n}", chain)
 
 
 def dicyclic(n: int) -> FiniteGroup:
@@ -410,7 +298,7 @@ def dicyclic(n: int) -> FiniteGroup:
     l, m = np.divmod(np.arange(4 * n), 2)
     k, j = l[:, None], m[:, None]
     op = 2 * ((k + (1 - 2 * j) * l + n * j * m) % (2 * n)) + (j ^ m)
-    return group_from_table(op, f"Dic{n}")
+    return _indexed_group(op, f"Dic{n}")
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -423,7 +311,10 @@ def symmetric(n: int) -> FiniteGroup:
     index = np.zeros(n**n, dtype=np.int64)
     index[perms @ code] = np.arange(len(perms))
     # (p q)(k) = p(q(k)): perms[i, perms[j]] composes element i after element j
-    return group_from_table(index[perms[:, perms] @ code], f"S{n}")
+    op = index[perms[:, perms] @ code]
+    # S_1 and S_2 are Z_1 and Z_2, element i at coordinate i
+    chain = _invariant_chain(np.arange(len(op))[:, None], (len(op),)) if n <= 2 else (None, None)
+    return _indexed_group(op, f"S{n}", chain)
 
 
 def make_group(descriptor: str) -> FiniteGroup:

@@ -100,8 +100,11 @@ def _spectrum(args) -> spectra.Spectrum:
 def _emit(text: str, args) -> None:
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out}: {exc.strerror or exc}", EXIT_PARSE_ERROR) from None
     else:
         sys.stdout.write(text)
 
@@ -165,6 +168,10 @@ def cmd_verify(args) -> int:
     reports = theorems.run_suite(seed=args.seed, trials=args.trials)
     if args.suite != "all":
         wanted = [w.strip() for w in args.suite.split(",")]
+        unmatched = [w for w in wanted if not any(r.claim_id.startswith(w) for r in reports)]
+        if unmatched:
+            raise CliError(f"--suite prefix matches no report: {', '.join(unmatched)}",
+                           EXIT_PARSE_ERROR)
         reports = [r for r in reports if any(r.claim_id.startswith(w) for w in wanted)]
     lines = [r.to_json() for r in reports]
     _emit("\n".join(lines) + "\n", args)
@@ -213,6 +220,20 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _non_negative(convert):
+    """An argparse type: convert(text), which must be finite and >= 0."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = -1
+        if not 0 <= value < float("inf"):        # also rejects nan
+            raise argparse.ArgumentTypeError(
+                f"must be a finite {convert.__name__} >= 0, got {text!r}")
+        return value
+    return parse
+
+
 def _add_selectors(p: argparse.ArgumentParser, suffix: str = "", required: bool = True):
     p.add_argument(f"--group{suffix}", help="group descriptor, e.g. cyclic:4")
     p.add_argument(f"--ring{suffix}", help="ring descriptor, e.g. zpk:2^2*gf:3")
@@ -241,22 +262,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="compute a spectrum")
     _add_selectors(p)
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_non_negative(float), default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("compare", help="compare two spectra")
     _add_selectors(p)
     _add_selectors(p, suffix="2", required=False)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_non_negative(float), default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--suite", default="all",
                    help="'all' or comma-separated claim id prefixes")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--seed", type=_non_negative(int), default=7)
+    p.add_argument("--trials", type=_non_negative(int), default=20)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

@@ -141,9 +141,21 @@ def _validate_local(ring: LocalRing) -> None:
         raise RingError(f"{ring.label}: non-units not closed under addition")
 
 
-def _check_local_size(r: int) -> None:
+def _bounded_power(p: int, e: int, cap: int) -> int:
+    """p^e for p >= 2 while it is at most cap, else the first power of p past
+    cap: at most log2(cap) + 1 products, so a huge e costs nothing."""
+    r = 1
+    while e > 0 and r <= cap:
+        r, e = r * p, e - 1
+    return r
+
+
+def _check_local_size(p: int, e: int) -> int:
+    """p^e, the size of a local ring, once it is known to be within the cap."""
+    r = _bounded_power(p, e, MAX_LOCAL_SIZE)
     if r > MAX_LOCAL_SIZE:
-        raise RingError(f"local ring size {r} exceeds cap {MAX_LOCAL_SIZE}")
+        raise RingError(f"local ring size exceeds cap {MAX_LOCAL_SIZE}")
+    return r
 
 
 def _check_consts(q: int, consts: np.ndarray, label: str) -> None:
@@ -201,8 +213,7 @@ def _polynomial_consts(f: list[int], q: int) -> np.ndarray:
 def zpk(p: int, k: int) -> LocalRing:
     if not _is_prime(p) or k < 1:
         raise RingError(f"Z_(p^k) needs prime p, got p={p}, k={k}")
-    r = p**k
-    _check_local_size(r)
+    r = _check_local_size(p, k)
     return _local_ring(r, np.ones((1, 1, 1), dtype=np.int64), f"Z{r}")
 
 
@@ -210,9 +221,8 @@ def galois_ring(p: int, s: int, t: int) -> LocalRing:
     """GR(p^s, t) = Z_{p^s}[x]/(f) with f a lifted basic irreducible."""
     if not _is_prime(p) or s < 1 or t < 1:
         raise RingError(f"GR needs prime p and s,t >= 1; got {p},{s},{t}")
+    r = _check_local_size(p, s * t)
     q = p**s
-    r = q**t
-    _check_local_size(r)
     if s == 1:
         label = f"F{r}"
     elif t == 1:
@@ -236,7 +246,7 @@ def field_quotient(p: int, m: int, t: int) -> LocalRing:
     F_p-algebra with y^i x^j (y generating F_{p^m}) at digit m j + i."""
     if not _is_prime(p) or m < 1 or t < 1:
         raise RingError(f"quotient needs prime p and m,t >= 1; got {p},{m},{t}")
-    _check_local_size(p ** (m * t))
+    _check_local_size(p, m * t)
     field_consts = _polynomial_consts(smallest_irreducible(p, m), p)
     shift = _polynomial_consts([0] * t + [1], p)         # x^j x^j' = x^(j+j'), 0 past x^(t-1)
     label = f"F{p**m}[x]/(x^{t})" if t > 1 else f"F{p**m}"
@@ -339,9 +349,11 @@ def parse_ring(descriptor: str) -> FiniteRing:
         except ValueError as exc:
             raise RingError(f"bad ring factor {part!r}: {exc}") from None
     # a factor has p^(product of the other parameters) elements: check before building
-    size = math.prod(args[0] ** math.prod(args[1:]) for _, _, args in specs)
-    if size > MAX_RING_SIZE:
-        raise RingError(f"ring size {size} exceeds cap {MAX_RING_SIZE}")
+    size = 1
+    for _, _, (p, *exps) in specs:
+        size *= _bounded_power(p, math.prod(exps), MAX_RING_SIZE)
+        if size > MAX_RING_SIZE:
+            raise RingError(f"ring size exceeds cap {MAX_RING_SIZE}")
     factors = []
     for part, build, args in specs:
         try:

@@ -7,8 +7,8 @@ values that the merged-entry ``spectra.isospectral`` replaces.
 ``moments`` and ``moment_check`` compare a spectrum with the power traces
 tr(A^k); the library once fell back on them for directed mirror graphs,
 a case that cannot arise when the base graph has a route.
-``associative_exhaustive`` is the O(n^3) associativity check that group
-construction ran up to order 512 before Light's test replaced it.
+``associative_exhaustive`` is the O(n^3) associativity check; the library
+builds every group with its structure and checks no table.
 ``small_isomorphic`` (brute-force isomorphism on at most 10 vertices),
 ``disjoint_union`` and ``with_loops`` build and compare the small graphs
 that the product decompositions are checked against.  ``gp_integrality``
@@ -21,10 +21,12 @@ library builds all three by boolean gathers instead.
 tables element by element, and ``galois_ring_tables`` and
 ``field_quotient_tables`` build ring tables by coefficient convolution; the
 library builds both by index arithmetic and structure constants instead.
-``assert_abelian_structure`` checks a composed abelian group against the
-validated table it should equal.  ``character_sums_direct`` sums the
-character exponentials e^(2 pi i a.x / d) over S for every character a,
-n |S| of them; the library takes the inverse FFT of S's indicator instead.
+``assert_identity_and_inverses`` checks a group's identity and inverse table
+against its operation table, and ``assert_abelian_structure`` checks an
+abelian group's invariant factors and coordinates against the table it
+should have.  ``character_sums_direct`` sums the character exponentials
+e^(2 pi i a.x / d) over S for every character a, n |S| of them; the
+library takes the inverse FFT of S's indicator instead.
 """
 
 import math
@@ -356,14 +358,23 @@ def field_quotient_tables(p: int, m: int, t: int) -> tuple[np.ndarray, np.ndarra
     return _vector_table(vecs, q, combine_add), _vector_table(vecs, q, combine_mul)
 
 
+def assert_identity_and_inverses(G) -> None:
+    """G.identity is a two-sided identity of G's table, and inv_table holds
+    two-sided inverses."""
+    op, e, inv = G.op_table, G.identity, G.inv_table
+    idx = np.arange(G.order)
+    assert np.array_equal(op[e], idx) and np.array_equal(op[:, e], idx)
+    assert (op[idx, inv] == e).all() and (op[inv, idx] == e).all()
+
+
 def assert_abelian_structure(G, op: np.ndarray) -> None:
-    """G has table op and the structure group_from_table finds in it, and its
-    coords are a bijective homomorphism onto Z_d1 + ... + Z_dk."""
+    """G has table op, a two-sided identity and inverses, invariant factors
+    1 < d1 | d2 | ... with product |G|, and coords that are a bijective
+    homomorphism onto Z_d1 + ... + Z_dk (so op is an abelian group)."""
     dims, coords = G.abelian_decomposition, G.coords
     assert np.array_equal(G.op_table, op)
-    H = algebra.group_from_table(op, G.label)
-    assert dims == H.abelian_decomposition
-    assert np.array_equal(G.inv_table, H.inv_table) and G.identity == H.identity
+    assert_identity_and_inverses(G)
+    assert math.prod(dims) == G.order and all(d > 1 for d in dims)
     assert all(b % a == 0 for a, b in zip(dims, dims[1:]))
     assert coords.shape == (G.order, len(dims)) and (0 <= coords).all()
     assert (coords < np.array(dims, dtype=np.int64)).all()

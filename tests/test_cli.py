@@ -201,3 +201,50 @@ def test_out_file(tmp_path, capsys):
                      "--format", "csv", "--out", str(target)])
     assert code == 0
     assert target.read_text().startswith("re,im,multiplicity")
+
+
+def _input_error(capsys, *argv):
+    """The exit code and stderr of a run that should fail on its input."""
+    code = cli.main(list(argv))
+    err = capsys.readouterr().err
+    return code, err
+
+
+BAD_INPUTS = [
+    ("spectrum", "--group", "cyclic:4", "--set", "1,3", "--tol", "-1"),
+    ("spectrum", "--group", "cyclic:4", "--set", "1,3", "--tol", "nan"),
+    ("spectrum", "--group", "cyclic:4", "--set", "1,3", "--tol", "inf"),
+    ("compare", "--group", "cyclic:4", "--set", "1,3", "--set2", "1,3", "--tol", "-1"),
+    ("verify", "--seed", "-1", "--trials", "4"),
+    ("verify", "--trials", "-3"),
+    ("spectrum", "--ring", "gf:2^20000", "--set", "units"),
+    ("spectrum", "--ring", "gr:2^1:200000", "--set", "units"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda argv: " ".join(argv))
+def test_bad_inputs_exit_2_with_one_error_line(capsys, argv):
+    code, err = _input_error(capsys, *argv)
+    assert code == cli.EXIT_PARSE_ERROR
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in err
+
+
+def test_zero_tolerance_stays_valid(capsys):
+    code, out = run(capsys, "spectrum", "--group", "cyclic:4", "--set", "1,3", "--tol", "0")
+    assert code == 0 and "{[2]^1, [0]^2, [-2]^1}" in out and "symmetric: True" in out
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "spec.csv"
+    code, err = _input_error(capsys, "spectrum", "--group", "cyclic:4", "--set", "1,3",
+                             "--out", str(target))
+    assert code == cli.EXIT_PARSE_ERROR
+    assert err.startswith("error: cannot write") and str(target) in err
+
+
+@pytest.mark.parametrize("suite", ["bogus", "prop-cayley-structure,bogus", "eq-unions"])
+def test_unknown_suite_prefix_exits_2(capsys, suite):
+    code, err = _input_error(capsys, "verify", "--suite", suite, "--trials", "4")
+    assert code == cli.EXIT_PARSE_ERROR
+    assert err.startswith("error:") and suite.split(",")[-1] in err

@@ -303,18 +303,6 @@ def test_additive_group_is_the_validated_table_group(descriptor):
     assert_abelian_structure(G, ring.factors[0].add)
 
 
-def test_additive_groups_are_built_not_searched(monkeypatch):
-    def no_search(*args):
-        raise AssertionError("an additive group was validated or searched")
-
-    for name in ("group_from_table", "_validate_table", "_abelian_basis"):
-        monkeypatch.setattr(alg, name, no_search)
-    for descriptor in ("zpk:2^2*gf:3", "gr:2^2:2", "quot:2:3*gf:9"):
-        R = fr.parse_ring(descriptor)
-        G = fr.additive_group(R)
-        assert G.order == R.size and G.is_abelian and G.label == R.label
-
-
 def _no_tables(*args):
     raise AssertionError("ring work started before the size cap was checked")
 
@@ -322,11 +310,15 @@ def _no_tables(*args):
 def test_ring_caps_checked_before_any_table(monkeypatch):
     monkeypatch.setattr(fr, "_local_ring", _no_tables)
     monkeypatch.setattr(fr, "smallest_irreducible", _no_tables)
-    for descriptor in ("gf:2^10*gf:2^10", "gf:2^10*zpk:2^4", "quot:2^10:2"):
+    # 2^20000 has more digits than Python formats by default: the caps are
+    # decided, and their messages written, without computing such a power
+    for descriptor in ("gf:2^10*gf:2^10", "gf:2^10*zpk:2^4", "quot:2^10:2",
+                       "gf:2^20000", "gr:2^1:200000"):
         with pytest.raises(fr.RingError, match="exceeds cap"):
             fr.parse_ring(descriptor)
     for build, args in ((fr.zpk, (2, 13)), (fr.gf, (3, 8)), (fr.galois_ring, (2, 4, 4)),
-                        (fr.field_quotient, (2, 10, 2))):
+                        (fr.field_quotient, (2, 10, 2)), (fr.zpk, (2, 20000)),
+                        (fr.galois_ring, (2, 20000, 3)), (fr.field_quotient, (3, 2, 10**6))):
         with pytest.raises(fr.RingError, match="exceeds cap"):
             build(*args)
 

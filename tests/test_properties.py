@@ -1,11 +1,10 @@
 """Property tests: the merged-entry comparison against the expanded-value
 greedy, the LAPACK dense route against the Jacobi oracle and the
 character route, the character route against power traces on directed
-instances, Light's associativity test against the exhaustive one, the
-boolean-gather graph kernels (NEPS, Cayley, mirror) against their
-Kronecker, element-by-element and block-matrix oracles, the mirror
-route existing exactly when the base route does, and the FFT character
-sums against the direct exponential sums."""
+instances, the boolean-gather graph kernels (NEPS, Cayley, mirror)
+against their Kronecker, element-by-element and block-matrix oracles, the
+mirror route existing exactly when the base route does, and the FFT
+character sums against the direct exponential sums."""
 
 import itertools
 import math
@@ -21,7 +20,6 @@ from spectra_forge import spectra as sp
 from spectra_forge import theorems as th
 
 from oracles import (
-    associative_exhaustive,
     cayley_by_definition,
     character_sums_direct,
     isospectral_expanded,
@@ -137,49 +135,6 @@ def test_character_route_matches_power_traces(instance, kind):
     spec = sp.spectrum_exact_abelian(G, S, kind)
     traces = moments(gr.cayley(G, S, kind), min(12, n))
     assert moment_check(spec, traces, max(1, len(S)), n)
-
-
-SMALL = ("cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "cyclic:7",
-         "cyclic:8", "prod:(cyclic:2,cyclic:2)", "prod:(cyclic:2,cyclic:4)",
-         "prod:(cyclic:2,cyclic:2,cyclic:2)", "dihedral:3", "dihedral:4", "dicyclic:2")
-
-
-@st.composite
-def loop_tables(draw):
-    """A relabelled group table of order <= 8, and maybe one swap in a row
-    that keeps the identity and every two-sided inverse."""
-    G = alg.make_group(draw(st.sampled_from(SMALL)))
-    n, e = G.order, G.identity
-    perm = np.array(draw(st.permutations(range(n))))
-    op = np.empty((n, n), dtype=np.int64)
-    op[np.ix_(perm, perm)] = perm[G.op_table]
-    if n > 2 and draw(st.booleans()):
-        g = draw(st.sampled_from([g for g in range(n) if g != e]))
-        free = [c for c in range(n) if c not in (e, G.invert(g))]
-        if len(free) >= 2:
-            c1, c2 = draw(st.lists(st.sampled_from(free), min_size=2, max_size=2, unique=True))
-            r = perm[g]
-            op[r, [perm[c1], perm[c2]]] = op[r, [perm[c2], perm[c1]]]
-    return op
-
-
-def _has_identity_and_inverses(op) -> bool:
-    idx = np.arange(len(op))
-    e = next((e for e in idx if (op[e] == idx).all() and (op[:, e] == idx).all()), None)
-    return e is not None and all(
-        (op[g] == e).sum() == 1 and op[np.argmax(op[g] == e), g] == e for g in idx)
-
-
-@PROPERTY
-@given(loop_tables())
-def test_light_test_matches_exhaustive_oracle(op):
-    assert _has_identity_and_inverses(op)
-    try:
-        alg.group_from_table(op, "drawn")
-        rejected = False
-    except alg.GroupError:
-        rejected = True
-    assert rejected == (not associative_exhaustive(op))
 
 
 @st.composite
