@@ -7,16 +7,18 @@ Groups are immutable after construction.  Elements are integers
 structure and none is validated at run time: Z_n, D_n, Dic_n and S_n come
 from index arithmetic with the identity at index 0, and the abelian ones
 (Z_n, D_2, S_1, S_2) carry their invariant factors by construction; a direct
-product composes its invariant factors from its factors', and its table on
-first read.  The table checks (associativity, identity, inverses, abelian
-coordinates) live in the tests.
+product composes its invariant factors from its factors'; Z_n and direct
+products build their tables on first read.  The table checks (associativity,
+identity, inverses, abelian coordinates) live in the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import permutations as _permutations
+from typing import Callable
 
 import numpy as np
 
@@ -35,23 +37,23 @@ class FiniteGroup:
     (empty for the trivial group) and is present exactly when the table
     is commutative.  ``coords`` maps each element to its exponent tuple
     with respect to that chain; both are None for non-abelian groups.
-    A direct product holds its factors in place of its table until
-    ``op_table`` is first read.
+    ``_table`` holds the table or a builder of it, which the first read of
+    ``op_table`` calls and drops.
     """
 
     order: int
     inv_table: np.ndarray
     identity: int
     label: str
-    _table: np.ndarray | tuple[FiniteGroup, ...] = field(repr=False)
+    _table: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
     abelian_decomposition: tuple[int, ...] | None
     coords: np.ndarray | None = field(repr=False)
 
     @property
     def op_table(self) -> np.ndarray:
-        if isinstance(self._table, tuple):
-            # compose once and drop the factors: G caches G x Z2, which holds G
-            object.__setattr__(self, "_table", _product_table(self._table))
+        if callable(self._table):
+            # drop the builder with the factors it holds: G caches G x Z2
+            object.__setattr__(self, "_table", self._table())
         return self._table
 
     @property
@@ -220,8 +222,9 @@ def prime_power(q: int) -> tuple[int, int] | None:
 
 
 def _check_order(n: int) -> None:
+    # the order stays out of the message: it may have more digits than str() allows
     if n > MAX_GROUP_ORDER:
-        raise GroupError(f"group order {n} exceeds cap {MAX_GROUP_ORDER}")
+        raise GroupError(f"group order exceeds cap {MAX_GROUP_ORDER}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +236,7 @@ def cyclic(n: int) -> FiniteGroup:
         raise GroupError("cyclic group needs n >= 1")
     _check_order(n)
     a = np.arange(n)
-    return FiniteGroup(n, -a % n, 0, f"Z{n}", (a[:, None] + a[None, :]) % n,
+    return FiniteGroup(n, -a % n, 0, f"Z{n}", lambda: (a[:, None] + a) % n,
                        *_invariant_chain(a[:, None], (n,)))
 
 
@@ -258,7 +261,7 @@ def direct_product(*groups: FiniteGroup) -> FiniteGroup:
         cols = np.hstack([g.coords[idx[:, i]] for i, g in enumerate(groups)])
         chain = _invariant_chain(cols, [d for g in groups for d in g.abelian_decomposition])
     label = "x".join(g.label for g in groups)
-    return FiniteGroup(n, inv, identity, label, tuple(groups), *chain)
+    return FiniteGroup(n, inv, identity, label, partial(_product_table, groups), *chain)
 
 
 def _product_table(groups: tuple[FiniteGroup, ...]) -> np.ndarray:

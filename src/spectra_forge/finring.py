@@ -3,12 +3,12 @@ local rings.
 
 Supported local kinds: Z_{p^k}, F_{p^m}, GR(p^s, t) and F_{p^m}[x]/(x^t).
 Each is a free Z_q-algebra given by structure constants on a basis
-e_0 = 1, ..., e_(D-1): its additive group is (Z_q)^D and its multiplication
-table is filled by linearity, so addition and distributivity hold by
-construction; the other ring axioms are checked exactly on the structure
-constants before any table is built.  Elements are canonical integers;
-all arithmetic goes through per-factor tables.  Size caps are checked
-from the parameters before any table is built.
+e_0 = 1, ..., e_(D-1): its additive group is (Z_q)^D and products come
+from the structure constants by linearity, so addition and distributivity
+hold by construction; the other ring axioms are checked exactly on the
+constants.  Units are read off the residue digits, no multiplication table
+is built, and the additive table only on first read.  Size caps are
+checked from the parameters before any work starts.
 """
 
 from __future__ import annotations
@@ -94,25 +94,35 @@ def smallest_irreducible(p: int, t: int) -> list[int]:
 
 @dataclass(frozen=True)
 class LocalRing:
-    """A finite local ring: its additive group and full multiplication table."""
+    """A finite local ring: the free Z_q-algebra with basis e_0 = 1, ...,
+    e_(D-1) and products e_i e_j = sum_k consts[i, j, k] e_k; the element
+    sum d_i e_i is index sum d_i q^i.  Its first ``residue_digits`` digits
+    are its image in the residue field R/M, so it is a unit exactly when one
+    of them is prime to q."""
 
-    size: int
+    q: int
+    consts: np.ndarray = field(repr=False)
+    residue_digits: int
     group: FiniteGroup = field(repr=False)
-    mul: np.ndarray = field(repr=False)
-    one: int
     label: str
 
     @property
-    def add(self) -> np.ndarray:
-        return self.group.op_table
+    def size(self) -> int:
+        return self.group.order
+
+    def _digits(self, a) -> np.ndarray:
+        return np.asarray(a)[..., None] // self.q ** np.arange(len(self.consts)) % self.q
+
+    def multiply(self, a, b) -> np.ndarray:
+        """a * b elementwise for index arrays a and b, with broadcasting."""
+        d = np.einsum("...i,...j,ijk->...k", self._digits(a), self._digits(b), self.consts)
+        return d % self.q @ self.q ** np.arange(len(self.consts))
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
             isinstance(other, LocalRing)
-            and self.size == other.size
-            and self.one == other.one
-            and np.array_equal(self.add, other.add)
-            and np.array_equal(self.mul, other.mul)
+            and self.q == other.q
+            and np.array_equal(self.consts, other.consts)
         )
 
     def __hash__(self) -> int:
@@ -121,7 +131,11 @@ class LocalRing:
     @property
     def units_mask(self) -> np.ndarray:
         """Read-only; computed on first read and kept on the ring."""
-        return _once(self, "_units", lambda: _frozen((self.mul == self.one).any(axis=1)))
+        def build():
+            residue = self._digits(np.arange(self.size))[:, :self.residue_digits]
+            return _frozen((np.gcd(residue, self.q) == 1).any(axis=1))
+
+        return _once(self, "_units", build)
 
     @property
     def maximal_ideal_size(self) -> int:
@@ -130,15 +144,6 @@ class LocalRing:
     @property
     def is_field(self) -> bool:
         return self.maximal_ideal_size == 1
-
-
-def _validate_local(ring: LocalRing) -> None:
-    """A commutative ring is local exactly when its non-units are closed
-    under addition (they are then its maximal ideal)."""
-    nonunit = ~ring.units_mask
-    nu = np.nonzero(nonunit)[0]
-    if not nonunit[ring.add[np.ix_(nu, nu)]].all():
-        raise RingError(f"{ring.label}: non-units not closed under addition")
 
 
 def _bounded_power(p: int, e: int, cap: int) -> int:
@@ -150,11 +155,16 @@ def _bounded_power(p: int, e: int, cap: int) -> int:
     return r
 
 
-def _check_local_size(p: int, e: int) -> int:
-    """p^e, the size of a local ring, once it is known to be within the cap."""
+def _check_local(p: int, e: int, params_ok: bool, message: str) -> int:
+    """p^e, the size of a local ring, checked cheapest first: p >= 2 and the
+    other parameters, then the cap, and only then that p is prime."""
+    if p < 2 or not params_ok:
+        raise RingError(message)
     r = _bounded_power(p, e, MAX_LOCAL_SIZE)
     if r > MAX_LOCAL_SIZE:
         raise RingError(f"local ring size exceeds cap {MAX_LOCAL_SIZE}")
+    if not _is_prime(p):
+        raise RingError(message)
     return r
 
 
@@ -173,27 +183,12 @@ def _check_consts(q: int, consts: np.ndarray, label: str) -> None:
         raise RingError(f"{label}: multiplication not associative")
 
 
-def _local_ring(q: int, consts: np.ndarray, label: str) -> LocalRing:
-    """The free Z_q-algebra with basis e_0 = 1, ..., e_(D-1) and products
-    e_i e_j = sum_k consts[i, j, k] e_k; the element sum d_i e_i is index
-    sum d_i q^i.  Its additive group is (Z_q)^D by construction, and the
-    multiplication table is filled by linearity from the rows of the e_i."""
+def _local_ring(q: int, consts: np.ndarray, residue_digits: int, label: str) -> LocalRing:
+    """The free Z_q-algebra with structure constants ``consts``, once they
+    satisfy the ring axioms; its additive group is (Z_q)^D by construction."""
     _check_consts(q, consts, label)
-    D = consts.shape[0]
-    r = q**D
-    group = replace(direct_product(*[cyclic(q)] * D), label=label)
-    add = group.op_table
-    powers = q ** np.arange(D, dtype=np.int64)
-    digits = np.arange(r)[:, None] // powers % q
-    mul = np.zeros((r, r), dtype=np.int64)
-    for i, step in enumerate(powers):
-        row = digits @ consts[i] % q @ powers          # e_i * b for every b
-        # a = d q^i + a' with a' < q^i: a * b = ((d-1) q^i + a') * b + e_i * b
-        for d in range(1, q):
-            mul[d * step:(d + 1) * step] = add[mul[(d - 1) * step:d * step], row]
-    ring = LocalRing(size=r, group=group, mul=mul, one=1, label=label)
-    _validate_local(ring)
-    return ring
+    group = replace(direct_product(*[cyclic(q)] * len(consts)), label=label)
+    return LocalRing(q, consts, residue_digits, group, label)
 
 
 def _polynomial_consts(f: list[int], q: int) -> np.ndarray:
@@ -211,17 +206,15 @@ def _polynomial_consts(f: list[int], q: int) -> np.ndarray:
 
 
 def zpk(p: int, k: int) -> LocalRing:
-    if not _is_prime(p) or k < 1:
-        raise RingError(f"Z_(p^k) needs prime p, got p={p}, k={k}")
-    r = _check_local_size(p, k)
-    return _local_ring(r, np.ones((1, 1, 1), dtype=np.int64), f"Z{r}")
+    r = _check_local(p, k, k >= 1, f"Z_(p^k) needs prime p, got p={p}, k={k}")
+    return _local_ring(r, np.ones((1, 1, 1), dtype=np.int64), 1, f"Z{r}")
 
 
 def galois_ring(p: int, s: int, t: int) -> LocalRing:
-    """GR(p^s, t) = Z_{p^s}[x]/(f) with f a lifted basic irreducible."""
-    if not _is_prime(p) or s < 1 or t < 1:
-        raise RingError(f"GR needs prime p and s,t >= 1; got {p},{s},{t}")
-    r = _check_local_size(p, s * t)
+    """GR(p^s, t) = Z_{p^s}[x]/(f) with f a lifted basic irreducible; its
+    residue field F_{p^t} is read off the t coefficients mod p."""
+    r = _check_local(p, s * t, s >= 1 and t >= 1,
+                     f"GR needs prime p and s,t >= 1; got {p},{s},{t}")
     q = p**s
     if s == 1:
         label = f"F{r}"
@@ -229,11 +222,7 @@ def galois_ring(p: int, s: int, t: int) -> LocalRing:
         label = f"Z{q}"
     else:
         label = f"GR({q},{t})"
-    ring = _local_ring(q, _polynomial_consts(smallest_irreducible(p, t), q), label)
-    expected_units = p ** ((s - 1) * t) * (p**t - 1)
-    if int(ring.units_mask.sum()) != expected_units:
-        raise RingError(f"{label}: unit count mismatch")
-    return ring
+    return _local_ring(q, _polynomial_consts(smallest_irreducible(p, t), q), t, label)
 
 
 def gf(p: int, m: int) -> LocalRing:
@@ -243,14 +232,14 @@ def gf(p: int, m: int) -> LocalRing:
 
 def field_quotient(p: int, m: int, t: int) -> LocalRing:
     """F_{p^m}[x]/(x^t): truncated polynomials with field coefficients, as an
-    F_p-algebra with y^i x^j (y generating F_{p^m}) at digit m j + i."""
-    if not _is_prime(p) or m < 1 or t < 1:
-        raise RingError(f"quotient needs prime p and m,t >= 1; got {p},{m},{t}")
-    _check_local_size(p, m * t)
+    F_p-algebra with y^i x^j (y generating F_{p^m}) at digit m j + i; its
+    residue field F_{p^m} is read off the m digits of x^0."""
+    _check_local(p, m * t, m >= 1 and t >= 1,
+                 f"quotient needs prime p and m,t >= 1; got {p},{m},{t}")
     field_consts = _polynomial_consts(smallest_irreducible(p, m), p)
     shift = _polynomial_consts([0] * t + [1], p)         # x^j x^j' = x^(j+j'), 0 past x^(t-1)
     label = f"F{p**m}[x]/(x^{t})" if t > 1 else f"F{p**m}"
-    return _local_ring(p, np.kron(shift, field_consts), label)
+    return _local_ring(p, np.kron(shift, field_consts), m, label)
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +301,14 @@ def power_residues(field_ring: FiniteRing | LocalRing, k: int) -> GroupSubset:
     q = F.size
     if k < 1 or (q - 1) % k != 0:
         raise RingError(f"k={k} must divide q-1={q - 1}")
-    members = set()
-    for x in range(1, q):
-        acc, base_el, e = F.one, x, k
-        while e:
-            if e & 1:
-                acc = int(F.mul[acc, base_el])
-            base_el = int(F.mul[base_el, base_el])
-            e >>= 1
-        members.add(acc)
-    return GroupSubset(additive_group(ring), tuple(sorted(members)))
+    base = np.arange(1, q)                  # square-and-multiply on all of F_q^* at once
+    acc = np.ones_like(base)                # 1 = e_0 is index 1
+    while k:
+        if k & 1:
+            acc = F.multiply(acc, base)
+        base = F.multiply(base, base)
+        k >>= 1
+    return GroupSubset(additive_group(ring), tuple(np.unique(acc).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +335,8 @@ def parse_ring(descriptor: str) -> FiniteRing:
             specs.append((part, build, (*_parse_power(fields[1]), *map(int, fields[2:]))))
         except ValueError as exc:
             raise RingError(f"bad ring factor {part!r}: {exc}") from None
-    # a factor has p^(product of the other parameters) elements: check before building
+    # a factor has p^(product of the other parameters) elements: check before
+    # building, where p is tested for primality
     size = 1
     for _, _, (p, *exps) in specs:
         size *= _bounded_power(p, math.prod(exps), MAX_RING_SIZE)
@@ -369,10 +357,12 @@ def _parse_power(text: str) -> tuple[int, int]:
         p, k = int(base), int(exp)
     else:
         q = int(text)
+        if q > MAX_RING_SIZE:
+            raise RingError(f"ring size exceeds cap {MAX_RING_SIZE}")
         pm = prime_power(q)
         if pm is None:
             raise RingError(f"{q} is not a prime power")
         p, k = pm
-    if not _is_prime(p):
+    if p < 2:       # the cap check would take e steps on p = 1
         raise RingError(f"{p} is not prime")
     return p, k

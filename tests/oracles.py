@@ -20,7 +20,10 @@ library builds all three by boolean gathers instead.
 ``dihedral_table``, ``dicyclic_table`` and ``symmetric_table`` fill the group
 tables element by element, and ``galois_ring_tables`` and
 ``field_quotient_tables`` build ring tables by coefficient convolution; the
-library builds both by index arithmetic and structure constants instead.
+library builds groups by index arithmetic and multiplies ring elements by
+their structure constants, with no table.  ``power_residues_by_table`` is
+the scalar square-and-multiply over such a multiplication table that the
+library once ran for every x in F_q^*; it now runs once over all of them.
 ``assert_identity_and_inverses`` checks a group's identity and inverse table
 against its operation table, and ``assert_abelian_structure`` checks an
 abelian group's invariant factors and coordinates against the table it
@@ -356,6 +359,21 @@ def field_quotient_tables(p: int, m: int, t: int) -> tuple[np.ndarray, np.ndarra
         return out
 
     return _vector_table(vecs, q, combine_add), _vector_table(vecs, q, combine_mul)
+
+
+def power_residues_by_table(mul: np.ndarray, k: int) -> set[int]:
+    """{x^k : x in F_q^*} for the field with multiplication table mul and
+    1 at index 1, by square-and-multiply one x at a time."""
+    members = set()
+    for x in range(1, len(mul)):
+        acc, base_el, e = 1, x, k
+        while e:
+            if e & 1:
+                acc = int(mul[acc, base_el])
+            base_el = int(mul[base_el, base_el])
+            e >>= 1
+        members.add(acc)
+    return members
 
 
 def assert_identity_and_inverses(G) -> None:

@@ -161,7 +161,7 @@ def _product_cases():
     d3, z2 = alg.dihedral(3), alg.cyclic(2)
     yield alg.direct_product(d3, z2), _mixed_radix(d3.op_table, z2.op_table)
     R = fr.parse_ring("zpk:2^2*gf:3")
-    yield fr.additive_group(R), _mixed_radix(*(f.add for f in R.factors))
+    yield fr.additive_group(R), _mixed_radix(*(f.group.op_table for f in R.factors))
     G = fr.additive_group(R)
     yield th.product_group_with_z2(G), _mixed_radix(G.op_table, z2.op_table)
 

@@ -230,6 +230,14 @@ def test_bad_inputs_exit_2_with_one_error_line(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["cyclic", "dicyclic"])
+def test_group_over_cap_exits_2_with_a_short_error(capsys, kind):
+    # 4300 digits parse, but the order (4n for Dic_n) has too many to print
+    code, err = _input_error(capsys, "spectrum", "--group", f"{kind}:{'9' * 4300}", "--set", "1")
+    assert code == cli.EXIT_PARSE_ERROR
+    assert err.splitlines() == ["error: group order exceeds cap 10000"]
+
+
 def test_zero_tolerance_stays_valid(capsys):
     code, out = run(capsys, "spectrum", "--group", "cyclic:4", "--set", "1,3", "--tol", "0")
     assert code == 0 and "{[2]^1, [0]^2, [-2]^1}" in out and "symmetric: True" in out

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from spectra_forge import algebra as alg
+from spectra_forge import cli
 from spectra_forge import finring as fr
+from spectra_forge import theorems as th
 
-from oracles import assert_abelian_structure, field_quotient_tables, galois_ring_tables
+from oracles import (assert_abelian_structure, field_quotient_tables, galois_ring_tables,
+                     power_residues_by_table)
 
 
 def test_zpk_basic():
@@ -51,13 +54,9 @@ def test_nonunits_form_ideal():
                  fr.galois_ring(2, 2, 2)):
         nu = np.nonzero(~ring.units_mask)[0]
         assert len(nu) == ring.maximal_ideal_size
-        nu_set = set(nu.tolist())
-        for a in nu:
-            for b in nu:
-                assert int(ring.add[a, b]) in nu_set
-        for a in range(ring.size):
-            for b in nu:
-                assert int(ring.mul[a, b]) in nu_set
+        nonunit = ~ring.units_mask
+        assert nonunit[ring.group.op_table[np.ix_(nu, nu)]].all()
+        assert nonunit[ring.multiply(np.arange(ring.size)[:, None], nu[None, :])].all()
 
 
 def _gr_4_3_consts():
@@ -97,21 +96,21 @@ def test_noncommutative_multiplication_rejected_at_every_size():
     q, consts = _noncommutative_consts()
     assert not np.array_equal(consts[1, 2], consts[2, 1])
     with pytest.raises(fr.RingError, match="bad: multiplication not commutative"):
-        fr._local_ring(q, consts, "bad")
-    assert fr._local_ring(4, _gr_4_3_consts(), "GR(4,3)") == fr.galois_ring(2, 2, 3)
+        fr._local_ring(q, consts, 1, "bad")
+    assert fr._local_ring(4, _gr_4_3_consts(), 3, "GR(4,3)") == fr.galois_ring(2, 2, 3)
 
 
 def test_nonassociative_multiplication_rejected():
     q, consts = _nonassociative_consts()
     assert np.array_equal(consts, consts.transpose(1, 0, 2))
     with pytest.raises(fr.RingError, match="bad: multiplication not associative"):
-        fr._local_ring(q, consts, "bad")
+        fr._local_ring(q, consts, 1, "bad")
 
 
 def test_missing_identity_rejected():
     q, consts = _no_identity_consts()
     with pytest.raises(fr.RingError, match="bad: 1 is not a multiplicative identity"):
-        fr._local_ring(q, consts, "bad")
+        fr._local_ring(q, consts, 1, "bad")
 
 
 def test_constants_checked_before_any_table(monkeypatch):
@@ -122,7 +121,7 @@ def test_constants_checked_before_any_table(monkeypatch):
     monkeypatch.setattr(fr, "cyclic", no_tables)
     for make, message in BAD_CONSTS:
         with pytest.raises(fr.RingError, match=message):
-            fr._local_ring(*make(), "bad")
+            fr._local_ring(*make(), 1, "bad")
 
 
 def test_units_mask_is_cached_read_only():
@@ -132,7 +131,8 @@ def test_units_mask_is_cached_read_only():
         assert ring.units_mask is mask and not mask.flags.writeable
         with pytest.raises(ValueError):
             mask[0] = True
-        assert np.array_equal(mask, (ring.mul == ring.one).any(axis=1))
+        a = np.arange(ring.size)
+        assert np.array_equal(mask, (ring.multiply(a[:, None], a[None, :]) == 1).any(axis=1))
         assert (ring.maximal_ideal_size, ring.is_field) == (ideal, is_field)
 
 
@@ -175,7 +175,7 @@ def test_field_quotient():
     assert q.size == 9 and q.maximal_ideal_size == 3
     # x (= element index 3 in digit encoding) is nilpotent
     x = 3
-    assert int(q.mul[x, x]) == 0
+    assert int(q.multiply(x, x)) == 0
 
 
 def test_artin_product_units():
@@ -220,10 +220,8 @@ def test_power_residues():
     assert len(P2) == 4
     # closed under multiplication
     ring = F9.factors[0]
-    mem = set(P2.members)
-    for a in mem:
-        for b in mem:
-            assert int(ring.mul[a, b]) in mem
+    mem = np.array(P2.members)
+    assert set(ring.multiply(mem[:, None], mem[None, :]).ravel().tolist()) == set(P2.members)
 
     F5 = fr.artin_product([fr.gf(5, 1)])
     assert len(fr.power_residues(F5, 1)) == 4
@@ -290,8 +288,10 @@ SMALL_LOCAL_RINGS = _local_rings_up_to(256)
 def test_structure_constants_match_convolution_tables(descriptor, label, tables):
     ring = fr.parse_ring(descriptor).factors[0]
     add, mul = tables()
-    assert np.array_equal(ring.add, add) and np.array_equal(ring.mul, mul)
-    assert (ring.one, ring.label) == (1, label)
+    a = np.arange(ring.size)
+    assert np.array_equal(ring.group.op_table, add)
+    assert np.array_equal(ring.multiply(a[:, None], a[None, :]), mul)
+    assert ring.label == label
     assert np.array_equal(ring.units_mask, (mul == 1).any(axis=1))
 
 
@@ -300,7 +300,55 @@ def test_additive_group_is_the_validated_table_group(descriptor):
     ring = fr.parse_ring(descriptor)
     G = fr.additive_group(ring)
     assert G.label == ring.label
-    assert_abelian_structure(G, ring.factors[0].add)
+    assert_abelian_structure(G, ring.factors[0].group.op_table)
+
+
+def _power(ring, x, e):
+    acc = np.ones_like(x)
+    while e:
+        if e & 1:
+            acc = ring.multiply(acc, x)
+        x, e = ring.multiply(x, x), e >> 1
+    return acc
+
+
+@pytest.mark.parametrize("descriptor", ["gf:2^12", "zpk:2^12", "quot:2^2:6", "gr:2^2:6",
+                                        "gf:3^7"] + [d for d, _, _ in SMALL_LOCAL_RINGS])
+def test_units_mask_is_certified_by_powers(descriptor):
+    # a unit u has u^|R*| = 1, and a non-unit lies in the nilpotent maximal
+    # ideal; its nilpotency index is at most log2(4096) = 12 < 16, so the
+    # two powers decide the mask exactly
+    ring = fr.parse_ring(descriptor).factors[0]
+    a, mask = np.arange(ring.size), ring.units_mask
+    assert (_power(ring, a[mask], int(mask.sum())) == 1).all()
+    assert (_power(ring, a[~mask], 16) == 0).all()
+
+
+@pytest.mark.parametrize("descriptor, selector", [("gf:2^12", "pk:3"), ("zpk:2^12", "units")])
+def test_character_route_builds_no_table(descriptor, selector, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a group table was built on the character route")
+
+    # the additive groups are (Z_2)^12 and Z_4096, a relabelled cyclic(4096)
+    monkeypatch.setattr(alg, "_product_table", no_table)
+    R = fr.parse_ring(descriptor)
+    G = fr.additive_group(R)
+    S = fr.power_residues(R, 3) if selector == "pk:3" else fr.units(R)
+    assert th.spectrum_of(G, S, "difference") is not None
+    assert callable(G._table)
+
+
+SMALL_FIELDS = [c for c in SMALL_LOCAL_RINGS if c[0].startswith("gf:")]
+
+
+@pytest.mark.parametrize("descriptor, label, tables", SMALL_FIELDS,
+                         ids=[d for d, _, _ in SMALL_FIELDS])
+def test_power_residues_match_the_table_reference(descriptor, label, tables):
+    R = fr.parse_ring(descriptor)
+    _, mul = tables()
+    q = R.size
+    for k in (k for k in range(1, q) if (q - 1) % k == 0):
+        assert set(fr.power_residues(R, k).members) == power_residues_by_table(mul, k)
 
 
 def _no_tables(*args):
@@ -323,9 +371,26 @@ def test_ring_caps_checked_before_any_table(monkeypatch):
             build(*args)
 
 
-def test_nonunits_not_closed_under_addition_rejected():
-    # Z6 is a commutative ring but not local: 2 and 3 are non-units, 2 + 3 = 5 is a unit
-    a = np.arange(6)
-    z6 = fr.LocalRing(size=6, group=alg.cyclic(6), mul=a[:, None] * a % 6, one=1, label="Z6")
-    with pytest.raises(fr.RingError, match="Z6: non-units not closed under addition"):
-        fr._validate_local(z6)
+def test_ring_caps_decided_before_primality(monkeypatch, capsys):
+    factorize = alg.factorize
+
+    def factorize_within_cap(n):
+        # trial division of a prime near 10^18 would run for minutes
+        assert n <= fr.MAX_RING_SIZE, "a number over the ring cap was factored"
+        return factorize(n)
+
+    monkeypatch.setattr(alg, "factorize", factorize_within_cap)
+    big = 10**18 + 3
+    for descriptor in (f"zpk:{big}^1", f"gf:{big}", f"gr:{big}^1:1"):
+        with pytest.raises(fr.RingError, match="exceeds cap"):
+            fr.parse_ring(descriptor)
+    for build, args in ((fr.zpk, (big, 1)), (fr.galois_ring, (big, 1, 1)),
+                        (fr.field_quotient, (big, 1, 1))):
+        with pytest.raises(fr.RingError, match="exceeds cap"):
+            build(*args)
+    # within the cap at k = 0, and rejected for k before p is tested
+    with pytest.raises(fr.RingError, match="needs prime p"):
+        fr.parse_ring(f"zpk:{big}^0")
+    # p = 1 is rejected before the cap, whose loop would take e steps
+    assert cli.main(["spectrum", "--ring", "zpk:1^100000000000000", "--set", "units"]) == 2
+    assert "1 is not prime" in capsys.readouterr().err
