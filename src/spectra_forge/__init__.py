@@ -56,6 +56,7 @@ from .spectra import (
     spectrum_exact_abelian,
 )
 from .theorems import (
+    HypothesisError,
     VerificationReport,
     build_even_odd_pair,
     check_cayley_structure,

@@ -80,14 +80,19 @@ class FiniteGroup:
         return range(self.order)
 
     def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, FiniteGroup)
-            and self.order == other.order
-            and np.array_equal(self.op_table, other.op_table)
-        )
+        if self is other:
+            return True
+        if not isinstance(other, FiniteGroup) or self.order != other.order:
+            return False
+        # coords is an isomorphism onto Z_d1 x ... x Z_dk, so equal
+        # coordinates fix the table without building it
+        if (self.is_abelian and self.abelian_decomposition == other.abelian_decomposition
+                and np.array_equal(self.coords, other.coords)):
+            return True
+        return np.array_equal(self.op_table, other.op_table)
 
     def __hash__(self) -> int:
-        # equality compares tables, not labels: Z2xZ2 equals the additive group of F4
+        # equality compares structure, not labels: Z2xZ2 equals the additive group of F4
         return hash(self.order)
 
 
@@ -417,20 +422,28 @@ class SubsetPredicates:
     eulerian: bool
 
 
+def _cogeneration_gap(S: GroupSubset) -> int | None:
+    """The first x in S with a generator of <x> outside S, or None when S is
+    closed under co-generation: a union of generator classes {h : <h> = <g>}.
+    These are the atoms of the Boolean algebra of subgroups, and in Z_n the
+    gcd class S_n(d) is the generator class of d, so the Eulerian, Boolean
+    algebra and gcd-class criteria all decide this one closure."""
+    G, mem = S.parent, set(S.members)
+    for x in S.members:
+        cycle = G.powers(x)
+        d = len(cycle)
+        if any(cycle[j] not in mem for j in range(1, d) if math.gcd(j, d) == 1):
+            return x
+    return None
+
+
 def subset_predicates(S: GroupSubset) -> SubsetPredicates:
     G = S.parent
-    mem = set(S.members)
     op = G.op_table
     # g s g^-1 for every g (rows) and s in S (columns); conjugation is a
     # bijection, so g S g^-1 inside S already means g S g^-1 = S
     normal = bool(S.mask()[op[op[:, list(S.members)], G.inv_table[:, None]]].all())
-
-    def generators_inside(x: int) -> bool:
-        cycle = G.powers(x)
-        d = len(cycle)
-        return all(cycle[j] in mem for j in range(1, d) if math.gcd(j, d) == 1)
-
-    return SubsetPredicates(normal=normal, eulerian=all(generators_inside(x) for x in mem))
+    return SubsetPredicates(normal=normal, eulerian=_cogeneration_gap(S) is None)
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +460,10 @@ def gcd_class(group: FiniteGroup, d: int) -> GroupSubset:
     """S_n(d) = {a in Z_n : gcd(a, n) = d} as a subset of a cyclic group."""
     if group.abelian_decomposition is None or len(group.abelian_decomposition) > 1:
         raise GroupError("gcd classes live in cyclic groups")
-    n = group.order
-    members = gcd_class_indices(n, d)
-    if len(group.abelian_decomposition) == 1:
-        # the group's canonical generator may not be element 1; map through coords
-        coord = group.coords[:, 0]
-        lookup = {int(c): g for g, c in enumerate(coord)}
-        members = tuple(sorted(lookup[a] for a in members))
-    return GroupSubset(group, members)
+    members = gcd_class_indices(group.order, d)     # raises on the trivial group
+    # the group's canonical generator may not be element 1; map through coords
+    lookup = {int(c): g for g, c in enumerate(group.coords[:, 0])}
+    return GroupSubset(group, tuple(lookup[a] for a in members))
 
 
 def is_union_of_gcd_classes(S: GroupSubset) -> tuple[bool, object]:
@@ -462,27 +471,12 @@ def is_union_of_gcd_classes(S: GroupSubset) -> tuple[bool, object]:
     G = S.parent
     if G.abelian_decomposition is None or len(G.abelian_decomposition) > 1:
         raise GroupError("gcd classes live in cyclic groups")
-    n = G.order
-    coord = G.coords[:, 0] if n > 1 else np.zeros(1, dtype=np.int64)
-    mem_res = {int(coord[g]) for g in S.members}
-    divisors = sorted({math.gcd(a, n) for a in mem_res})
-    D = []
-    for d in divisors:
-        if d == n:
-            return False, G.identity   # identity never lies in a proper class
-        cls = set(gcd_class_indices(n, d))
-        if cls <= mem_res:
-            D.append(d)
-        else:
-            inside = next(iter(cls & mem_res))
-            outside = next(iter(cls - mem_res))
-            return False, (inside, outside)
-    covered = set()
-    for d in D:
-        covered |= set(gcd_class_indices(n, d))
-    if covered != mem_res:
-        return False, next(iter(mem_res - covered))
-    return True, tuple(D)
+    if G.identity in S:
+        return False, G.identity       # identity never lies in a proper class
+    gap = _cogeneration_gap(S)
+    if gap is not None:
+        return False, gap
+    return True, tuple(sorted({math.gcd(int(G.coords[g, 0]), G.order) for g in S.members}))
 
 
 def boolean_algebra_member(group: FiniteGroup, S: GroupSubset) -> bool:
@@ -495,10 +489,4 @@ def boolean_algebra_member(group: FiniteGroup, S: GroupSubset) -> bool:
         raise GroupError("Boolean algebra test requires an abelian group")
     if S.parent != group:
         raise GroupError("subset over a different group")
-    mem = set(S.members)
-    for g in mem:
-        cyc = frozenset(group.powers(g))
-        gens = {h for h in cyc if frozenset(group.powers(h)) == cyc}
-        if not gens <= mem:
-            return False
-    return True
+    return _cogeneration_gap(S) is None

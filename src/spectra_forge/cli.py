@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import algebra, finring, graphs, spectra, theorems
 from .algebra import FiniteGroup, GroupSubset, GroupError
 from .finring import RingError
 from .graphs import GraphError
 from .spectra import SpectrumError
+from .theorems import HypothesisError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -119,9 +121,8 @@ def cmd_build(args) -> int:
         lines = [f"vertices: {graph.n}"]
         lines.append(f"undirected: {graph.undirected}")
         lines.append(f"regular degree: {graph.regular_degree}")
-        for u in range(graph.n):
-            row = "".join(str(int(x)) for x in graph.adjacency[u])
-            lines.append(f"{graph.vertex_labels[u]:>8} {row}")
+        for label, row in zip(graph.vertex_labels, graph.rows()):
+            lines.append(f"{label:>8} {row}")
         _emit("\n".join(lines) + "\n", args)
     return EXIT_OK
 
@@ -234,10 +235,10 @@ def _non_negative(convert):
     return parse
 
 
-def _add_selectors(p: argparse.ArgumentParser, suffix: str = "", required: bool = True):
+def _add_selectors(p: argparse.ArgumentParser, suffix: str = ""):
     p.add_argument(f"--group{suffix}", help="group descriptor, e.g. cyclic:4")
     p.add_argument(f"--ring{suffix}", help="ring descriptor, e.g. zpk:2^2*gf:3")
-    p.add_argument(f"--set{suffix}", required=required and not suffix,
+    p.add_argument(f"--set{suffix}", required=not suffix,
                    help="subset: indices, units, pk:k or gcd:d1,d2")
     p.add_argument(f"--kind{suffix}", choices=sorted(KIND_ALIASES),
                    default="diff" if not suffix else None,
@@ -246,7 +247,9 @@ def _add_selectors(p: argparse.ArgumentParser, suffix: str = "", required: bool 
                    help="build the mirror graph with this di-connection set")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="spectra-forge",
         description="Cayley, Cayley sum and mirror di-Cayley graph spectra",
@@ -268,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="compare two spectra")
     _add_selectors(p)
-    _add_selectors(p, suffix="2", required=False)
+    _add_selectors(p, suffix="2")
     p.add_argument("--tol", type=_non_negative(float), default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)
@@ -305,11 +308,12 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except HypothesisError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
     except (GroupError, RingError, GraphError) as exc:
-        message = str(exc)
-        code = EXIT_HYPOTHESIS if "hypothesis" in message else EXIT_PARSE_ERROR
-        print(f"error: {message}", file=sys.stderr)
-        return code
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     except SpectrumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE

@@ -287,9 +287,8 @@ def units(ring: FiniteRing | LocalRing) -> GroupSubset:
 
 
 def _as_ring(ring) -> FiniteRing:
-    if isinstance(ring, LocalRing):
-        return _once(ring, "_wrapped", lambda: FiniteRing([ring]))
-    return ring
+    # a fresh wrapper is cheap: its additive group is the factor's own group object
+    return FiniteRing([ring]) if isinstance(ring, LocalRing) else ring
 
 
 def power_residues(field_ring: FiniteRing | LocalRing, k: int) -> GroupSubset:

@@ -79,12 +79,18 @@ class Graph:
         p = np.asarray(perm)
         return Graph(self.adjacency[np.ix_(p, p)], tuple(self.vertex_labels[i] for i in p))
 
+    def rows(self) -> list[str]:
+        """Each adjacency row as a string of 0/1 digits, in vertex order."""
+        n = self.n
+        text = (self.adjacency + ord("0")).tobytes().decode("ascii")   # C order, even for a view
+        return [text[u * n:(u + 1) * n] for u in range(n)]
+
     def to_json(self) -> str:
         return json.dumps(
             {
                 "n": self.n,
                 "labels": list(self.vertex_labels),
-                "adjacency": ["".join(str(int(x)) for x in row) for row in self.adjacency],
+                "adjacency": self.rows(),
             },
             separators=(",", ":"),
         )

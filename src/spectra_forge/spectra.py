@@ -325,22 +325,18 @@ def local_ring_unitary_spectrum(r: int, m: int, kind: str) -> Spectrum:
         raise SpectrumError(f"residue field size {q} is not a prime power")
     if kind not in ("difference", "sum"):
         raise SpectrumError(f"bad kind {kind!r}")
+    # the printed field rows (m = 1) are these rows at m = 1, where the
+    # multiplicity of 0 vanishes
     if kind == "difference" or r % 2 == 0:
-        if m >= 2:
-            return Spectrum.from_pairs(
-                [(r - m, 1), (0, (r // m) * (m - 1)), (-m, r // m - 1)]
-            )
-        return Spectrum.from_pairs([(r - 1, 1), (-1, r - 1)])
-    if m >= 2:
-        return Spectrum.from_pairs(
-            [
-                (r - m, 1),
-                (m, (r - m) // (2 * m)),
-                (0, (r // m) * (m - 1)),
-                (-m, (r - m) // (2 * m)),
-            ]
-        )
-    return Spectrum.from_pairs([(r - 1, 1), (1, (r - 1) // 2), (-1, (r - 1) // 2)])
+        return Spectrum.from_pairs([(r - m, 1), (0, q * (m - 1)), (-m, q - 1)])
+    return Spectrum.from_pairs(
+        [
+            (r - m, 1),
+            (m, (r - m) // (2 * m)),
+            (0, q * (m - 1)),
+            (-m, (r - m) // (2 * m)),
+        ]
+    )
 
 
 def mdcg_local_ring_spectrum(r: int, m: int, t_kind: str, kind: str) -> Spectrum:
@@ -362,61 +358,45 @@ def mdcg_local_ring_spectrum(r: int, m: int, t_kind: str, kind: str) -> Spectrum
         raise SpectrumError(f"bad T kind {t_kind!r}")
 
     q = r // m
+    # the printed field rows (m = 1) are these rows at m = 1
     if t_kind == "identity":
-        if m >= 2:
-            diff = [
-                (r - m + 1, 1), (r - m - 1, 1),
-                (1, q * (m - 1)), (-1, q * (m - 1)),
-                (-m + 1, (r - m) // m), (-m - 1, (r - m) // m),
-            ]
-            if kind == "difference":
-                return Spectrum.from_pairs(diff)
+        if kind == "difference":
             return Spectrum.from_pairs(
                 [
                     (r - m + 1, 1), (r - m - 1, 1),
-                    (m + 1, (r - m) // (2 * m)), (m - 1, (r - m) // (2 * m)),
                     (1, q * (m - 1)), (-1, q * (m - 1)),
-                    (-m + 1, (r - m) // (2 * m)), (-m - 1, (r - m) // (2 * m)),
+                    (-m + 1, (r - m) // m), (-m - 1, (r - m) // m),
                 ]
-            )
-        if kind == "difference":
-            return Spectrum.from_pairs([(r, 1), (r - 2, 1), (0, r - 1), (-2, r - 1)])
-        return Spectrum.from_pairs(
-            [(r, 1), (r - 2, 1), (0, r - 1), (2, (r - 1) // 2), (-2, (r - 1) // 2)]
-        )
-    if t_kind == "S":
-        if m >= 2:
-            if kind == "difference":
-                return Spectrum.from_pairs(
-                    [(2 * (r - m), 1), (0, 2 * r - q), (-2 * m, (r - m) // m)]
-                )
-            return Spectrum.from_pairs(
-                [
-                    (2 * (r - m), 1), (0, 2 * r - q),
-                    (2 * m, (r - m) // (2 * m)), (-2 * m, (r - m) // (2 * m)),
-                ]
-            )
-        if kind == "difference":
-            return Spectrum.from_pairs([(2 * (r - 1), 1), (-2, r - 1), (0, r)])
-        return Spectrum.from_pairs(
-            [(2 * (r - 1), 1), (0, r), (2, (r - 1) // 2), (-2, (r - 1) // 2)]
-        )
-    # S_and_identity
-    if m >= 2:
-        if kind == "difference":
-            return Spectrum.from_pairs(
-                [(2 * (r - m) + 1, 1), (1, 2 * r - q), (-2 * m + 1, (r - m) // m)]
             )
         return Spectrum.from_pairs(
             [
-                (2 * (r - m) + 1, 1), (1, 2 * r - q),
-                (2 * m + 1, (r - m) // (2 * m)), (-2 * m + 1, (r - m) // (2 * m)),
+                (r - m + 1, 1), (r - m - 1, 1),
+                (m + 1, (r - m) // (2 * m)), (m - 1, (r - m) // (2 * m)),
+                (1, q * (m - 1)), (-1, q * (m - 1)),
+                (-m + 1, (r - m) // (2 * m)), (-m - 1, (r - m) // (2 * m)),
             ]
         )
+    if t_kind == "S":
+        if kind == "difference":
+            return Spectrum.from_pairs(
+                [(2 * (r - m), 1), (0, 2 * r - q), (-2 * m, (r - m) // m)]
+            )
+        return Spectrum.from_pairs(
+            [
+                (2 * (r - m), 1), (0, 2 * r - q),
+                (2 * m, (r - m) // (2 * m)), (-2 * m, (r - m) // (2 * m)),
+            ]
+        )
+    # S_and_identity
     if kind == "difference":
-        return Spectrum.from_pairs([(2 * r - 1, 1), (-1, r - 1), (1, r)])
+        return Spectrum.from_pairs(
+            [(2 * (r - m) + 1, 1), (1, 2 * r - q), (-2 * m + 1, (r - m) // m)]
+        )
     return Spectrum.from_pairs(
-        [(2 * r - 1, 1), (1, r), (3, (r - 1) // 2), (-1, (r - 1) // 2)]
+        [
+            (2 * (r - m) + 1, 1), (1, 2 * r - q),
+            (2 * m + 1, (r - m) // (2 * m)), (-2 * m + 1, (r - m) // (2 * m)),
+        ]
     )
 
 

@@ -27,6 +27,11 @@ from .algebra import FiniteGroup, GroupSubset
 from .finring import FiniteRing, RingError
 from .graphs import Graph
 
+
+class HypothesisError(RingError):
+    """A ring outside the hypothesis of the construction asked for."""
+
+
 PASS = "pass"
 FAIL = "fail"
 XFAIL = "xfail"   # documented erratum, expected and confirmed failure
@@ -531,7 +536,7 @@ def build_even_odd_pair(R: FiniteRing) -> EvenOddPairResult:
     has_even = any(f.size == 2 * f.maximal_ideal_size for f in R.factors)
     has_odd = any(f.size % 2 == 1 for f in R.factors)
     if not (has_even and has_odd):
-        raise RingError(
+        raise HypothesisError(
             "hypothesis violation: need a local factor with r = 2m and an odd factor"
         )
     G = finring.additive_group(R)

@@ -30,6 +30,13 @@ abelian group's invariant factors and coordinates against the table it
 should have.  ``character_sums_direct`` sums the character exponentials
 e^(2 pi i a.x / d) over S for every character a, n |S| of them; the
 library takes the inverse FFT of S's indicator instead.
+``boolean_algebra_by_powers`` (generator classes found by comparing the
+powers of every power) and ``gcd_union_by_class_scan`` (a scan of every gcd
+class S touches) are the Boolean-algebra and gcd-class criteria as the
+library once decided them; it now decides both, and the Eulerian one, by a
+single co-generation closure.  ``unitary_field_rows`` and ``mdcg_field_rows``
+are the printed field rows (m = 1) of the local-ring closed forms, which the
+library reads off the general rows at m = 1.
 """
 
 import math
@@ -408,3 +415,59 @@ def character_sums_direct(G, S) -> np.ndarray:
     dims = np.asarray(G.abelian_decomposition, dtype=float)
     coords = G.coords[list(S.members)] / dims
     return np.exp(2j * np.pi * (exps @ coords.T)).sum(axis=1)
+
+
+def boolean_algebra_by_powers(group, S) -> bool:
+    """Every h with <h> = <g> lies in S for every g in S."""
+    mem = set(S.members)
+    for g in mem:
+        cyc = frozenset(group.powers(g))
+        gens = {h for h in cyc if frozenset(group.powers(h)) == cyc}
+        if not gens <= mem:
+            return False
+    return True
+
+
+def gcd_union_by_class_scan(S) -> tuple[bool, object]:
+    """(True, D) when S over a cyclic group is the union of the gcd classes
+    S_n(d), d in D, read through the group's coordinates; else (False, witness)."""
+    G = S.parent
+    n = G.order
+    coord = G.coords[:, 0] if n > 1 else np.zeros(1, dtype=np.int64)
+    mem_res = {int(coord[g]) for g in S.members}
+    D = []
+    for d in sorted({math.gcd(a, n) for a in mem_res}):
+        if d == n:
+            return False, G.identity
+        cls = set(algebra.gcd_class_indices(n, d))
+        if not cls <= mem_res:
+            return False, (next(iter(cls & mem_res)), next(iter(cls - mem_res)))
+        D.append(d)
+    covered = set()
+    for d in D:
+        covered |= set(algebra.gcd_class_indices(n, d))
+    if covered != mem_res:
+        return False, next(iter(mem_res - covered))
+    return True, tuple(D)
+
+
+def unitary_field_rows(r: int, kind: str) -> Spectrum:
+    """The printed spectrum of the unitary Cayley (sum) graph of F_r."""
+    if kind == "difference" or r % 2 == 0:
+        return Spectrum.from_pairs([(r - 1, 1), (-1, r - 1)])
+    return Spectrum.from_pairs([(r - 1, 1), (1, (r - 1) // 2), (-1, (r - 1) // 2)])
+
+
+def mdcg_field_rows(r: int, t_kind: str, kind: str) -> Spectrum:
+    """The printed spectra of the six mirror graphs of F_r, r odd, the
+    misprinted S-and-identity rows included."""
+    h = (r - 1) // 2
+    rows = {
+        ("identity", "difference"): [(r, 1), (r - 2, 1), (0, r - 1), (-2, r - 1)],
+        ("identity", "sum"): [(r, 1), (r - 2, 1), (0, r - 1), (2, h), (-2, h)],
+        ("S", "difference"): [(2 * (r - 1), 1), (-2, r - 1), (0, r)],
+        ("S", "sum"): [(2 * (r - 1), 1), (0, r), (2, h), (-2, h)],
+        ("S_and_identity", "difference"): [(2 * r - 1, 1), (-1, r - 1), (1, r)],
+        ("S_and_identity", "sum"): [(2 * r - 1, 1), (1, r), (3, h), (-1, h)],
+    }
+    return Spectrum.from_pairs(rows[t_kind, kind])

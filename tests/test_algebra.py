@@ -15,8 +15,10 @@ from oracles import (
     assert_abelian_structure,
     assert_identity_and_inverses,
     associative_exhaustive,
+    boolean_algebra_by_powers,
     dicyclic_table,
     dihedral_table,
+    gcd_union_by_class_scan,
     symmetric_table,
 )
 from test_properties import PROPERTY
@@ -108,12 +110,19 @@ def test_order_cap_checked_before_any_work(build, n, monkeypatch):
 
 def test_equal_groups_hash_equal():
     from spectra_forge import finring as fr
+    from spectra_forge import theorems as th
 
     klein = alg.direct_product(alg.cyclic(2), alg.cyclic(2))
     f4 = fr.additive_group(fr.parse_ring("gf:2^2"))
     assert klein.label != f4.label and klein == f4
     assert hash(klein) == hash(f4)
     assert len({klein, f4}) == 1
+    # equal invariant factors and coordinates decide equality; no table is built
+    assert callable(klein._table) and callable(f4._table)
+    z = alg.cyclic(4096)
+    other = alg.cyclic(4096)
+    th.spectrum_of(z, alg.subset(other, [1, 4095]), "difference")
+    assert callable(z._table) and callable(other._table)
 
 
 def test_powers_walk():
@@ -402,40 +411,29 @@ def test_boolean_algebra_member():
         alg.boolean_algebra_member(alg.dihedral(3), alg.subset(alg.dihedral(3), [1]))
 
 
-def test_eulerian_equals_boolean_algebra_on_abelian():
-    rng = np.random.default_rng(5)
-    pool = [
-        alg.cyclic(12),
-        alg.cyclic(15),
-        alg.direct_product(alg.cyclic(4), alg.cyclic(4)),
-        alg.direct_product(alg.cyclic(6), alg.cyclic(2)),
-        alg.direct_product(alg.cyclic(2), alg.cyclic(2), alg.cyclic(2)),
-        alg.cyclic(48),
-    ]
-    for g in pool:
-        for _ in range(25):
-            size = int(rng.integers(1, g.order))
-            members = rng.choice(g.order, size=size, replace=False)
-            S = alg.subset(g, members.tolist())
-            assert (
-                alg.subset_predicates(S).eulerian
-                == alg.boolean_algebra_member(g, S)
-            )
+# every subset of each group: 20822 subsets in all
+COGENERATION_GROUPS = [
+    "cyclic:1", "cyclic:6", "cyclic:8", "cyclic:12", "prod:(cyclic:4,cyclic:3)",
+    "prod:(cyclic:2,cyclic:2,cyclic:3)", "prod:(cyclic:6,cyclic:2)", "dihedral:2", "sym:2",
+    "prod:(dihedral:2,cyclic:3)",
+]
 
 
-def test_gcd_union_equals_eulerian_on_cyclic():
-    rng = np.random.default_rng(6)
-    for n in (6, 8, 12, 18, 24, 40):
-        g = alg.cyclic(n)
-        for _ in range(30):
-            size = int(rng.integers(1, n))
-            members = [m for m in rng.choice(n, size=size, replace=False).tolist()
-                       if m != g.identity]
-            if not members:
-                continue
-            S = alg.subset(g, members)
-            ok, _ = alg.is_union_of_gcd_classes(S)
-            assert ok == alg.subset_predicates(S).eulerian
+@pytest.mark.parametrize("desc", COGENERATION_GROUPS)
+def test_cogeneration_predicates_equal_references(desc):
+    # the Eulerian, Boolean-algebra and gcd-class criteria share one closure;
+    # each is held to an independent reference on every subset
+    g = alg.make_group(desc)
+    cyclic = len(g.abelian_decomposition) <= 1
+    for bits in range(2 ** g.order):
+        S = alg.subset(g, [x for x in range(g.order) if bits >> x & 1])
+        want = boolean_algebra_by_powers(g, S)
+        assert alg.subset_predicates(S).eulerian == want, S.members
+        assert alg.boolean_algebra_member(g, S) == want, S.members
+        if cyclic:
+            ok, D = alg.is_union_of_gcd_classes(S)
+            ok_ref, D_ref = gcd_union_by_class_scan(S)
+            assert ok == ok_ref and (not ok or D == D_ref), S.members
 
 
 def test_generic_abelian_coordinates_consistent():

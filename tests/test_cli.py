@@ -171,6 +171,8 @@ def test_pair_command(capsys):
 def test_pair_hypothesis_violation(capsys):
     code = cli.main(["pair", "--ring", "gf:3"])
     assert code == cli.EXIT_HYPOTHESIS
+    assert capsys.readouterr().err == (
+        "error: hypothesis violation: need a local factor with r = 2m and an odd factor\n")
 
 
 def test_report_command(capsys):
@@ -219,6 +221,9 @@ BAD_INPUTS = [
     ("verify", "--trials", "-3"),
     ("spectrum", "--ring", "gf:2^20000", "--set", "units"),
     ("spectrum", "--ring", "gr:2^1:200000", "--set", "units"),
+    # exit 3 follows the error type, not a message that echoes the word
+    ("spectrum", "--group", "hypothesis:3", "--set", "1"),
+    ("spectrum", "--ring", "hypothesis:3", "--set", "units"),
 ]
 
 
@@ -256,3 +261,27 @@ def test_unknown_suite_prefix_exits_2(capsys, suite):
     code, err = _input_error(capsys, "verify", "--suite", suite, "--trials", "4")
     assert code == cli.EXIT_PARSE_ERROR
     assert err.startswith("error:") and suite.split(",")[-1] in err
+
+
+def test_parser_built_once_and_reused(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    commands = [
+        ["spectrum", "--group", "cyclic:4", "--set", "1,3", "--format", "csv"],
+        ["build", "--group", "cyclic:4", "--set", "1,3", "--tkind", "e", "--format", "json"],
+        ["compare", "--group", "cyclic:4", "--set", "1,3", "--set2", "1"],
+        ["pair", "--ring", "gf:3"],
+        ["report", "--group", "cyclic:6", "--set", "1,5"],
+        ["verify", "--suite", "prop-cayley", "--trials", "2"],
+        ["spectrum", "--group", "cyclic:4"],
+    ]
+
+    def call(argv):
+        code = cli.main(argv)
+        return code, capsys.readouterr()
+
+    shared = [call(argv) for argv in commands]
+    alone = []
+    for argv in commands:
+        cli.build_parser.cache_clear()     # as in a fresh process
+        alone.append(call(argv))
+    assert shared == alone

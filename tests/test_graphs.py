@@ -197,6 +197,24 @@ def test_json_round_trip():
     assert again == g and again.vertex_labels == g.vertex_labels
 
 
+def test_rows_equal_per_cell_join():
+    from spectra_forge import products as pr
+
+    z6 = alg.cyclic(6)
+    S, T = alg.subset(z6, [1, 2]), alg.subset(z6, [0, 3])
+    cay = gr.cayley(z6, S, "sum")
+    graphs = [
+        cay,
+        gr.mirror_dicayley(z6, S, T, "difference"),
+        pr.named_product(cay, pr.path2(True), "strong"),
+        cay.permuted([3, 0, 5, 1, 4, 2]),
+        gr.Graph(gr.cayley(z6, S, "difference").adjacency.T),   # a non-contiguous view
+        gr.Graph(np.zeros((0, 0), dtype=np.uint8)),
+    ]
+    for g in graphs:
+        assert g.rows() == ["".join(str(int(x)) for x in row) for row in g.adjacency]
+
+
 def test_dot_export():
     text = c4_graph().to_dot()
     assert text.startswith("graph") and "--" in text

@@ -12,7 +12,13 @@ from spectra_forge import graphs as gr
 from spectra_forge import spectra as sp
 from spectra_forge import theorems as th
 
-from oracles import jacobi_eigenvalues, moment_check, moments
+from oracles import (
+    jacobi_eigenvalues,
+    mdcg_field_rows,
+    moment_check,
+    moments,
+    unitary_field_rows,
+)
 
 
 def spec(*pairs):
@@ -257,6 +263,22 @@ def test_mdcg_local_ring_examples():
     )
     with pytest.raises(sp.SpectrumError):
         sp.mdcg_local_ring_spectrum(4, 2, "S", "difference")   # even size
+
+
+def test_closed_forms_at_m_1_are_the_printed_field_rows():
+    # the field rows are the general rows at m = 1; held to the printed rows
+    # for every prime power r <= 4096 (odd r for the mirror table)
+    for r in range(2, fr.MAX_LOCAL_SIZE + 1):
+        if alg.prime_power(r) is None:
+            continue
+        for kind in ("difference", "sum"):
+            assert repr(sp.local_ring_unitary_spectrum(r, 1, kind)) == repr(
+                unitary_field_rows(r, kind)), (r, kind)
+            if r % 2 == 0:
+                continue
+            for t_kind in ("identity", "S", "S_and_identity"):
+                assert repr(sp.mdcg_local_ring_spectrum(r, 1, t_kind, kind)) == repr(
+                    mdcg_field_rows(r, t_kind, kind)), (r, t_kind, kind)
 
 
 def test_semiprimitive_vs_dense():
