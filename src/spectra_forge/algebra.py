@@ -189,7 +189,9 @@ def _invariant_chain(cols: np.ndarray, mods) -> tuple[tuple[int, ...], np.ndarra
     flat = np.zeros(n, dtype=np.int64)
     for j, d in enumerate(dims):
         flat = flat * d + coords[:, j]
-    if len(np.unique(flat)) != n:
+    covered = np.zeros(n, dtype=bool)     # flat < n: coords[:, j] < d_j and prod d_j = n
+    covered[flat] = True
+    if not covered.all():
         raise GroupError("abelian coordinates do not cover the group")
     return tuple(dims), coords
 

@@ -307,7 +307,9 @@ def power_residues(field_ring: FiniteRing | LocalRing, k: int) -> GroupSubset:
             acc = F.multiply(acc, base)
         base = F.multiply(base, base)
         k >>= 1
-    return GroupSubset(additive_group(ring), tuple(np.unique(acc).tolist()))
+    hit = np.zeros(q, dtype=bool)
+    hit[acc] = True
+    return GroupSubset(additive_group(ring), tuple(np.flatnonzero(hit).tolist()))
 
 
 # ---------------------------------------------------------------------------

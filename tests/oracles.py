@@ -37,6 +37,9 @@ library once decided them; it now decides both, and the Eulerian one, by a
 single co-generation closure.  ``unitary_field_rows`` and ``mdcg_field_rows``
 are the printed field rows (m = 1) of the local-ring closed forms, which the
 library reads off the general rows at m = 1.
+``random_instance`` draws a random (G, S) with the options the tests use
+(abelian only, symmetric S, a minimum size, e allowed in S); the library's
+suite draws with none of them.
 """
 
 import math
@@ -50,6 +53,7 @@ from spectra_forge.algebra import prime_power
 from spectra_forge.finring import smallest_irreducible
 from spectra_forge.graphs import Graph, GraphError
 from spectra_forge.spectra import MERGE_TOL, Spectrum, SpectrumError
+from spectra_forge.theorems import _GROUP_POOL
 
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
@@ -471,3 +475,28 @@ def mdcg_field_rows(r: int, t_kind: str, kind: str) -> Spectrum:
         ("S_and_identity", "sum"): [(2 * r - 1, 1), (1, r), (3, h), (-1, h)],
     }
     return Spectrum.from_pairs(rows[t_kind, kind])
+
+
+def random_instance(
+    rng: np.random.Generator,
+    require_abelian: bool = False,
+    require_symmetric: bool = False,
+    min_size: int = 1,
+    exclude_identity: bool = True,
+):
+    """A random (G, S) from the suite's pool of groups, with four options
+    the suite never sets; at the defaults it makes the same draws as
+    ``theorems.random_instance``."""
+    pool = _GROUP_POOL
+    while True:
+        G = algebra.make_group(pool[int(rng.integers(0, len(pool)))])
+        if require_abelian and not G.is_abelian:
+            continue
+        candidates = [g for g in G.elements() if g != G.identity or not exclude_identity]
+        size = int(rng.integers(min_size, max(min_size + 1, len(candidates))))
+        chosen = set(rng.choice(candidates, size=min(size, len(candidates)), replace=False).tolist())
+        if require_symmetric:
+            chosen |= {G.invert(g) for g in chosen}
+        if len(chosen) < min_size:
+            continue
+        return G, algebra.GroupSubset(G, tuple(int(x) for x in sorted(chosen)))

@@ -22,7 +22,7 @@ from spectra_forge import graphs as gr
 from spectra_forge import spectra as sp
 from spectra_forge import theorems as th
 
-from oracles import gp_integrality, moment_check, moments
+from oracles import gp_integrality, moment_check, moments, random_instance
 
 TOL = 1e-8
 
@@ -263,7 +263,7 @@ def test_criterion_7_property_suites():
 
     crossed = 0
     while crossed < 200:
-        G, S = th.random_instance(rng, min_size=2)
+        G, S = random_instance(rng, min_size=2)
         if len(S) < 2 or G.identity in S:
             continue
         kind = th.KINDS[crossed % 2]
@@ -275,7 +275,7 @@ def test_criterion_7_property_suites():
         crossed += 1
 
     for i in range(100):
-        G, S = th.random_instance(rng, exclude_identity=False)
+        G, S = random_instance(rng, exclude_identity=False)
         members = rng.choice(G.order, size=max(1, G.order // 3), replace=False)
         T = alg.subset(G, members.tolist())
         kind = th.KINDS[i % 2]
@@ -286,12 +286,12 @@ def test_criterion_7_property_suites():
                 assert r.outcome == "pass", (r.claim_id, r.witness)
 
     for i in range(100):
-        G, S = th.random_instance(rng, require_abelian=True)
+        G, S = random_instance(rng, require_abelian=True)
         for r in th.check_spectrum_formulas(G, S, "difference"):
             assert r.outcome in ("pass", "skip"), (r.claim_id, r.witness)
 
     for _ in range(60):
-        G, S = th.random_instance(rng)
+        G, S = random_instance(rng)
         for r in th.check_integrality_criteria(G, S):
             assert r.outcome in ("pass", "skip"), (r.claim_id, r.witness)
 

@@ -452,3 +452,9 @@ def test_generic_abelian_coordinates_consistent():
                     (x + y) % d for x, y, d in zip(g.coords[a], g.coords[b], dims)
                 )
                 assert tuple(g.coords[c]) == want
+
+
+def test_invariant_chain_rejects_coordinates_that_miss_an_element():
+    # the factor product matches the order, but both elements sit at 0 in Z_2
+    with pytest.raises(alg.GroupError, match="abelian coordinates do not cover the group"):
+        alg._invariant_chain(np.array([[0], [0]]), (2,))

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,3 +289,33 @@ def test_parser_built_once_and_reused(capsys):
         cli.build_parser.cache_clear()     # as in a fresh process
         alone.append(call(argv))
     assert shared == alone
+
+
+# one command of each subcommand, then the iterated chain; run in a fresh
+# interpreter because this process may already hold numpy.ma
+NO_MASKED_ARRAYS = """
+import json, sys
+from spectra_forge import cli, finring, theorems
+commands = [
+    ["spectrum", "--ring", "zpk:2^2*gf:3", "--set", "units", "--tkind", "Se", "--kind", "sum"],
+    ["spectrum", "--ring", "gf:9", "--set", "pk:2"],
+    ["compare", "--group", "cyclic:16", "--set", "1,2,4,5,9,10,12,13",
+     "--group2", "prod:(cyclic:4,cyclic:4)", "--set2", "1,2,4,6,9,10,13,15"],
+    ["build", "--ring", "zpk:2^2*gf:3", "--set", "units", "--format", "json"],
+    ["report", "--group", "cyclic:16", "--set", "1,2,4,5,9,10,12,13"],
+    ["pair", "--ring", "zpk:2^2*gf:3"],
+    ["verify", "--trials", "2"],
+]
+codes = [cli.main(argv) for argv in commands]
+theorems.iterated_pairs(finring.parse_ring("zpk:2^2*gf:3"), 2)
+print(json.dumps({"codes": codes, "ma": "numpy.ma" in sys.modules}), file=sys.stderr)
+"""
+
+
+def test_commands_never_import_numpy_ma():
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+    result = json.loads(done.stderr.splitlines()[-1])
+    assert result == {"codes": [0] * 7, "ma": False}

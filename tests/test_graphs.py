@@ -9,7 +9,7 @@ from spectra_forge import algebra as alg
 from spectra_forge import graphs as gr
 from spectra_forge import theorems as th
 
-from oracles import disjoint_union, small_isomorphic, with_loops
+from oracles import disjoint_union, random_instance, small_isomorphic, with_loops
 
 
 def c4_graph():
@@ -147,7 +147,7 @@ def test_bipartite_query_requires_undirected_loopless():
 def test_directedness_criteria_random():
     rng = np.random.default_rng(11)
     for _ in range(40):
-        G, S = th.random_instance(rng, exclude_identity=False)
+        G, S = random_instance(rng, exclude_identity=False)
         preds = alg.subset_predicates(S)
         mem, inv_mem = set(S), {G.invert(s) for s in S}
         g = gr.cayley(G, S, "difference")
@@ -168,7 +168,7 @@ def test_directedness_criteria_random():
 def test_mirror_row_sums_random():
     rng = np.random.default_rng(12)
     for _ in range(20):
-        G, S = th.random_instance(rng, exclude_identity=False)
+        G, S = random_instance(rng, exclude_identity=False)
         T = th.t_subset(G, S, ("identity", "S", "S_and_identity")[int(rng.integers(3))])
         for kind in ("difference", "sum"):
             m = gr.mirror_dicayley(G, S, T, kind)
@@ -178,7 +178,7 @@ def test_mirror_row_sums_random():
 def test_union_identity_random():
     rng = np.random.default_rng(13)
     for _ in range(15):
-        G, S = th.random_instance(rng)
+        G, S = random_instance(rng)
         members = rng.choice(G.order, size=max(1, G.order // 3), replace=False)
         T1 = alg.subset(G, members.tolist())
         members2 = rng.choice(G.order, size=max(1, G.order // 4), replace=False)

@@ -9,7 +9,7 @@ from spectra_forge import products as pr
 from spectra_forge import spectra as sp
 from spectra_forge import theorems as th
 
-from oracles import with_loops
+from oracles import random_instance, with_loops
 
 
 def c4():
@@ -96,7 +96,7 @@ def test_associativity_exact():
 def test_thm_prods_difference_random():
     rng = np.random.default_rng(5)
     for _ in range(25):
-        G, S = th.random_instance(rng, exclude_identity=False)
+        G, S = random_instance(rng, exclude_identity=False)
         for r in th.check_product_decompositions(G, S, "difference"):
             assert r.outcome == "pass", (r.claim_id, r.witness)
 
@@ -105,7 +105,7 @@ def test_thm_prods_sum_valid_rows_random():
     rng = np.random.default_rng(6)
     valid_always = {"thm-prods/direct", "lem-strong-sum/first", "strong-sum-eq-direct"}
     for _ in range(25):
-        G, S = th.random_instance(rng, exclude_identity=False)
+        G, S = random_instance(rng, exclude_identity=False)
         for r in th.check_product_decompositions(G, S, "sum"):
             if r.claim_id in valid_always:
                 assert r.outcome == "pass", (r.claim_id, r.witness)
@@ -123,7 +123,7 @@ def test_thm_prods_sum_exact_when_inversion_trivial():
 def test_remark_other_products():
     rng = np.random.default_rng(7)
     for _ in range(15):
-        G, S = th.random_instance(rng)
+        G, S = random_instance(rng)
         n = G.order
         for kind in ("difference", "sum"):
             gamma = gr.cayley(G, S, kind)

@@ -17,6 +17,7 @@ from oracles import (
     mdcg_field_rows,
     moment_check,
     moments,
+    random_instance,
     unitary_field_rows,
 )
 
@@ -144,7 +145,7 @@ def test_exact_abelian_sum():
 def test_sum_spectrum_matches_dense_random():
     rng = np.random.default_rng(21)
     for _ in range(20):
-        G, S = th.random_instance(rng, require_abelian=True, exclude_identity=False)
+        G, S = random_instance(rng, require_abelian=True, exclude_identity=False)
         exact = sp.spectrum_exact_abelian(G, S, "sum")
         dense = sp.spectrum_dense_symmetric(gr.cayley(G, S, "sum"))
         assert sp.isospectral(exact, dense)
@@ -153,7 +154,7 @@ def test_sum_spectrum_matches_dense_random():
 def test_difference_spectrum_matches_dense_for_symmetric_random():
     rng = np.random.default_rng(22)
     for _ in range(15):
-        G, S = th.random_instance(rng, require_abelian=True, require_symmetric=True)
+        G, S = random_instance(rng, require_abelian=True, require_symmetric=True)
         exact = sp.spectrum_exact_abelian(G, S, "difference")
         dense = sp.spectrum_dense_symmetric(gr.cayley(G, S, "difference"))
         assert sp.isospectral(exact, dense)
@@ -303,7 +304,7 @@ def test_semiprimitive_vs_dense():
 def test_eigenvalue_range_bound():
     rng = np.random.default_rng(24)
     for _ in range(15):
-        G, S = th.random_instance(rng, require_abelian=True, exclude_identity=False)
+        G, S = random_instance(rng, require_abelian=True, exclude_identity=False)
         for kind in ("difference", "sum"):
             s = sp.spectrum_exact_abelian(G, S, kind)
             d = len(S)

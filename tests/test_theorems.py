@@ -9,6 +9,8 @@ from spectra_forge import graphs as gr
 from spectra_forge import spectra as sp
 from spectra_forge import theorems as th
 
+from oracles import random_instance
+
 
 def z4_s13():
     z4 = alg.cyclic(4)
@@ -74,7 +76,7 @@ def test_cayley_structure_examples_and_fuzz():
         assert th.check_cayley_structure(G, U, U.with_identity(), kind).outcome == "pass"
     rng = np.random.default_rng(31)
     for _ in range(50):
-        Gx, Sx = th.random_instance(rng, exclude_identity=False)
+        Gx, Sx = random_instance(rng, exclude_identity=False)
         members = rng.choice(Gx.order, size=max(1, Gx.order // 3), replace=False)
         Tx = alg.subset(Gx, members.tolist())
         kind = th.KINDS[int(rng.integers(2))]
@@ -90,7 +92,7 @@ def test_spectrum_formulas_fixed_instances():
 def test_spectrum_formulas_difference_fuzz():
     rng = np.random.default_rng(32)
     for _ in range(40):
-        G, S = th.random_instance(rng, require_abelian=True, exclude_identity=False)
+        G, S = random_instance(rng, require_abelian=True, exclude_identity=False)
         for r in th.check_spectrum_formulas(G, S, "difference"):
             # identity-in-S instances skip the S-with-identity family
             assert r.outcome in ("pass", "skip"), (r.claim_id, r.instance, r.witness)
@@ -118,7 +120,7 @@ def test_crossed_nonisospectrality_fuzz():
     rng = np.random.default_rng(33)
     count = 0
     while count < 60:
-        G, S = th.random_instance(rng, min_size=2)
+        G, S = random_instance(rng, min_size=2)
         if len(S) < 2 or G.identity in S:
             continue
         count += 1
@@ -184,9 +186,9 @@ def test_parity_and_symmetry_instances():
 def test_parity_and_symmetry_fuzz():
     rng = np.random.default_rng(34)
     for _ in range(30):
-        G, S = th.random_instance(rng)
+        G, S = random_instance(rng)
         assert_all_ok(th.check_parity_and_symmetry(G, S, "difference"))
-        G2, S2 = th.random_instance(rng, require_symmetric=True)
+        G2, S2 = random_instance(rng, require_symmetric=True)
         assert_all_ok(th.check_parity_and_symmetry(G2, S2, "sum"))
 
 
@@ -430,6 +432,22 @@ def test_character_data_is_cached_read_only_on_the_group():
             alg.character_exponents(alg.dihedral(3))
 
 
+def test_random_instance_makes_the_reference_draws():
+    # the test generator at its defaults draws the same (G, S); the pool
+    # hands every later draw of a descriptor the group built for it first
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    pool = {}
+    for _ in range(60):
+        G, S = th.random_instance(rng, pool)
+        G_ref, S_ref = random_instance(ref)
+        assert G == G_ref and S.members == S_ref.members
+        assert S.members and G.identity not in S.members
+        assert any(G is built for built in pool.values())
+    assert set(pool) <= set(th._GROUP_POOL)
+    assert rng.integers(1 << 30) == ref.integers(1 << 30)
+
+
 def test_warm_caches_do_not_change_the_suite():
-    # the second run reuses the pool groups and their filled caches
+    # each run builds its own pool; within a run the trials reuse the pool
+    # groups and their filled caches
     assert th.run_suite(seed=7, trials=30) == th.run_suite(seed=7, trials=30)
