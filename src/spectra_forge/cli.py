@@ -174,7 +174,7 @@ def cmd_verify(args) -> int:
             raise CliError(f"--suite prefix matches no report: {', '.join(unmatched)}",
                            EXIT_PARSE_ERROR)
         reports = [r for r in reports if any(r.claim_id.startswith(w) for w in wanted)]
-    lines = [r.to_json() for r in reports]
+    lines = [r.to_json(args.seed) for r in reports]
     _emit("\n".join(lines) + "\n", args)
     bad = [r for r in reports if not r.ok]
     return EXIT_CHECK_FAILURE if bad else EXIT_OK

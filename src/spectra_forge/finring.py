@@ -281,9 +281,9 @@ def additive_group(ring: FiniteRing | LocalRing) -> FiniteGroup:
 
 
 def units(ring: FiniteRing | LocalRing) -> GroupSubset:
-    ring = _as_ring(ring)
-    members = tuple(int(i) for i in np.nonzero(ring.units_mask)[0])
-    return GroupSubset(additive_group(ring), members)
+    """R* as a subset of (R, +), once per ring, so spectra memoized on it are shared."""
+    return _once(ring, "_unit_set", lambda: GroupSubset(
+        additive_group(ring), tuple(np.flatnonzero(_as_ring(ring).units_mask).tolist())))
 
 
 def _as_ring(ring) -> FiniteRing:

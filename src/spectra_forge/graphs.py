@@ -97,29 +97,16 @@ class Graph:
 
     def to_dot(self) -> str:
         """DOT export; mutual edge pairs collapse to a single undirected line."""
-        A = self.adjacency
+        A, L = self.adjacency.astype(bool), np.array(self.vertex_labels, dtype=object)
         if self.undirected:
-            lines = ["graph G {"]
-            for u in range(self.n):
-                for v in range(u, self.n):
-                    if A[u, v]:
-                        lines.append(f'  "{self.vertex_labels[u]}" -- "{self.vertex_labels[v]}";')
-        else:
-            lines = ["digraph G {"]
-            for u in range(self.n):
-                for v in range(self.n):
-                    if not A[u, v]:
-                        continue
-                    if A[v, u] and v < u:
-                        continue
-                    if A[v, u] and u != v:
-                        lines.append(
-                            f'  "{self.vertex_labels[u]}" -> "{self.vertex_labels[v]}" [dir=both];'
-                        )
-                    else:
-                        lines.append(f'  "{self.vertex_labels[u]}" -> "{self.vertex_labels[v]}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            head, edges = "graph G {", (f'  "{a}" -- "{b}";' for a, b in
+                                        zip(*(L[i] for i in np.nonzero(np.triu(A)))))
+        else:    # a mutual pair once, at its first cell in row-major order
+            u, v = np.nonzero(A & ~np.tril(A.T, -1))
+            both = A.T[u, v] & (u != v)
+            head, edges = "digraph G {", (f'  "{a}" -> "{b}"{" [dir=both]" if m else ""};'
+                                          for a, b, m in zip(L[u], L[v], both.tolist()))
+        return "\n".join([head, *edges, "}"]) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ anything else that fails reports "fail".
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -60,14 +59,14 @@ class VerificationReport:
     instance: str
     outcome: str
     witness: str | None = None
-    seed: int | None = None
 
-    def to_json(self) -> str:
+    def to_json(self, seed: int | None = None) -> str:
+        """One JSON line; ``seed`` is the run's, written last when given."""
         data = {"claim": self.claim_id, "instance": self.instance, "outcome": self.outcome}
         if self.witness is not None:
             data["witness"] = self.witness
-        if self.seed is not None:
-            data["seed"] = self.seed
+        if seed is not None:
+            data["seed"] = seed
         return json.dumps(data, separators=(",", ":"))
 
     @property
@@ -232,25 +231,25 @@ def check_product_decompositions(
 
 def check_cayley_structure(
     G: FiniteGroup, S: GroupSubset, T: GroupSubset, kind: str
-) -> VerificationReport:
+) -> list[VerificationReport]:
     """MX*(G;S,T) equals the Cayley (sum) graph over G x Z2 exactly."""
     mx = graphs.mirror_dicayley(G, S, T, kind)
     Gp = product_group_with_z2(G)
     Sp = mdcg_connection_subset(Gp, S, T)
     diff = _adjacency_diff(mx, _transpose_to_mirror(graphs.cayley(Gp, Sp, kind), G.order))
     inst = _inst(G, S, f"T={list(T.members)}, kind={kind}")
-    return _report("prop-cayley-structure", inst, diff is None, diff)
+    return [_report("prop-cayley-structure", inst, diff is None, diff)]
 
 
 def check_union_identity(
     G: FiniteGroup, S: GroupSubset, T1: GroupSubset, T2: GroupSubset, kind: str
-) -> VerificationReport:
+) -> list[VerificationReport]:
     """MX*(G;S,T1 u T2) = MX*(G;S,T1) u MX*(G;S,T2) as edge sets."""
     lhs = graphs.mirror_dicayley(G, S, T1.union(T2), kind)
     a = graphs.mirror_dicayley(G, S, T1, kind).adjacency
     b = graphs.mirror_dicayley(G, S, T2, kind).adjacency
     rhs = Graph((a | b), lhs.vertex_labels)
-    return _report("eq-unions", _inst(G, S, f"kind={kind}"), lhs == rhs, "edge sets differ")
+    return [_report("eq-unions", _inst(G, S, f"kind={kind}"), lhs == rhs, "edge sets differ")]
 
 
 # ---------------------------------------------------------------------------
@@ -645,61 +644,48 @@ def random_instance(rng: np.random.Generator, pool: dict[str, FiniteGroup]):
     return G, GroupSubset(G, tuple(sorted(chosen)))
 
 
-def run_suite(seed: int = 7, trials: int = 20) -> list[VerificationReport]:
-    """The default verification suite: fixed paper instances plus fuzzing."""
-    rng = np.random.default_rng(seed)
-    pool: dict[str, FiniteGroup] = {}     # descriptor -> group, shared by this run's trials
-    reports: list[VerificationReport] = []
+def run_suite(seed: int, trials: int) -> list[VerificationReport]:
+    """The default verification suite: every (check, *args) call of
+    `_suite_calls`, run in order, with the reports sorted by claim and instance."""
+    reports = [r for check, *args in _suite_calls(seed, trials) for r in check(*args)]
+    return sorted(reports, key=lambda r: (r.claim_id, r.instance))
 
-    def tag(rs):
-        for r in rs if isinstance(rs, list) else [rs]:
-            reports.append(dataclasses.replace(r, seed=seed))
 
+def _suite_calls(seed: int, trials: int):
+    """The suite as (check, *args) calls: the paper's fixed instances, then
+    `trials` random ones.  Each trial's instance is drawn when its calls are
+    reached, so a run holds one trial's subsets and spectra at a time."""
     z4 = algebra.cyclic(4)
     s13 = algebra.subset(z4, [1, 3])
     z16 = algebra.cyclic(16)
     s1 = algebra.subset(z16, [1, 2, 4, 5, 9, 10, 12, 13])
     z44 = algebra.direct_product(algebra.cyclic(4), algebra.cyclic(4))
-    s2 = algebra.subset(
-        z44, [z44_encode(a, b) for (a, b) in
-              [(0, 1), (0, 2), (1, 0), (1, 2), (2, 1), (2, 2), (3, 1), (3, 3)]]
-    )
+    s2 = algebra.subset(z44, [1, 2, 4, 6, 9, 10, 13, 15])
     R = finring.parse_ring("zpk:2^2*gf:3")
-    G12 = finring.additive_group(R)
-    units12 = finring.units(R)
-
     for kind in KINDS:
-        tag(check_product_decompositions(z4, s13, kind))
-        tag(check_spectrum_formulas(z4, s13, kind))
-        tag(check_crossed_nonisospectrality(z4, s13, kind))
-        tag(check_gen_isosp(z16, s1, z44, s2, kind))
-    tag(check_isosp_transfer(z4, s13))
-    tag(check_isosp_transfer(G12, units12))
-    tag(check_parity_and_symmetry(z4, s13, "difference"))
-    tag(check_integrality_criteria(z4, s13))
-
-    pair = build_even_odd_pair(R)
-    tag(list(pair.reports))
-    tag(iterated_pairs(R, 2))
-    tag(check_local_ring_closed_forms(finring.zpk(3, 1)))
-    tag(check_local_ring_closed_forms(finring.zpk(3, 2)))
-    tag(check_local_ring_closed_forms(finring.galois_ring(2, 2, 2)))
-
+        yield check_product_decompositions, z4, s13, kind
+        yield check_spectrum_formulas, z4, s13, kind
+        yield check_crossed_nonisospectrality, z4, s13, kind
+        yield check_gen_isosp, z16, s1, z44, s2, kind
+    yield check_isosp_transfer, z4, s13
+    yield check_isosp_transfer, finring.additive_group(R), finring.units(R)
+    yield check_parity_and_symmetry, z4, s13, "difference"
+    yield check_integrality_criteria, z4, s13
+    yield (lambda ring: build_even_odd_pair(ring).reports), R
+    yield iterated_pairs, R, 2
+    for local in (finring.zpk(3, 1), finring.zpk(3, 2), finring.galois_ring(2, 2, 2)):
+        yield check_local_ring_closed_forms, local
+    rng = np.random.default_rng(seed)
+    pool: dict[str, FiniteGroup] = {}     # descriptor -> group, shared by this run's trials
     for _ in range(trials):
         G, S = random_instance(rng, pool)
         kind = "difference" if rng.integers(0, 2) == 0 else "sum"
-        tag(check_cayley_structure(G, S, t_subset(G, S, "S_and_identity"), kind))
-        tag(check_product_decompositions(G, S, kind))
-        tag(check_parity_and_symmetry(G, S, "difference"))
+        yield check_cayley_structure, G, S, t_subset(G, S, "S_and_identity"), kind
+        yield check_product_decompositions, G, S, kind
+        yield check_parity_and_symmetry, G, S, "difference"
         if G.is_abelian:
-            tag(check_spectrum_formulas(G, S, kind))
-            tag(check_isosp_transfer(G, S))
+            yield check_spectrum_formulas, G, S, kind
+            yield check_isosp_transfer, G, S
         if len(S) >= 2:
-            tag(check_crossed_nonisospectrality(G, S, "difference"))
-        tag(check_integrality_criteria(G, S))
-    reports.sort(key=lambda r: (r.claim_id, r.instance))
-    return reports
-
-
-def z44_encode(a: int, b: int) -> int:
-    return 4 * a + b
+            yield check_crossed_nonisospectrality, G, S, "difference"
+        yield check_integrality_criteria, G, S

@@ -16,7 +16,9 @@ is the closed-form integrality rule for power-residue Cayley graphs on F_q.
 ``neps_kron`` is the NEPS kernel as a sum of integer Kronecker products,
 ``cayley_by_definition`` tests the Cayley rule element by element, and
 ``mirror_block`` lays two such Cayley graphs out with ``np.block``; the
-library builds all three by boolean gathers instead.
+library builds all three by boolean gathers instead.  ``dot_by_cells``
+writes a graph's DOT text by walking every adjacency cell; the library
+reads the edge list off ``np.nonzero``.
 ``dihedral_table``, ``dicyclic_table`` and ``symmetric_table`` fill the group
 tables element by element, and ``galois_ring_tables`` and
 ``field_quotient_tables`` build ring tables by coefficient convolution; the
@@ -246,6 +248,33 @@ def mirror_block(group, S, T, kind: str) -> Graph:
     C = cayley_by_definition(group, T, kind).adjacency
     labels = tuple(f"({g},{i})" for i in (0, 1) for g in range(group.order))
     return Graph(np.block([[B, C], [C, B]]), labels)
+
+
+def dot_by_cells(graph: Graph) -> str:
+    """DOT export; mutual edge pairs collapse to a single undirected line."""
+    A = graph.adjacency
+    if graph.undirected:
+        lines = ["graph G {"]
+        for u in range(graph.n):
+            for v in range(u, graph.n):
+                if A[u, v]:
+                    lines.append(f'  "{graph.vertex_labels[u]}" -- "{graph.vertex_labels[v]}";')
+    else:
+        lines = ["digraph G {"]
+        for u in range(graph.n):
+            for v in range(graph.n):
+                if not A[u, v]:
+                    continue
+                if A[v, u] and v < u:
+                    continue
+                if A[v, u] and u != v:
+                    lines.append(
+                        f'  "{graph.vertex_labels[u]}" -> "{graph.vertex_labels[v]}" [dir=both];'
+                    )
+                else:
+                    lines.append(f'  "{graph.vertex_labels[u]}" -> "{graph.vertex_labels[v]}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def dihedral_table(n: int) -> np.ndarray:

@@ -158,10 +158,11 @@ def test_verify_deterministic(capsys):
 
 def test_verify_suite_filter(capsys):
     code, out = run(capsys, "verify", "--suite", "prop-cayley-structure",
-                    "--seed", "7", "--trials", "4")
+                    "--seed", "5", "--trials", "6")
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines() if line.strip()]
     assert rows and all(r["claim"].startswith("prop-cayley-structure") for r in rows)
+    assert all(line.endswith(',"seed":5}') for line in out.splitlines())   # the run's seed, last
 
 
 def test_pair_command(capsys):

@@ -184,7 +184,7 @@ def test_union_identity_random():
         members2 = rng.choice(G.order, size=max(1, G.order // 4), replace=False)
         T2 = alg.subset(G, members2.tolist())
         for kind in ("difference", "sum"):
-            r = th.check_union_identity(G, S, T1, T2, kind)
+            [r] = th.check_union_identity(G, S, T1, T2, kind)
             assert r.outcome == "pass", r.witness
 
 

@@ -22,6 +22,7 @@ from spectra_forge import theorems as th
 from oracles import (
     cayley_by_definition,
     character_sums_direct,
+    dot_by_cells,
     isospectral_expanded,
     jacobi_eigenvalues,
     mirror_block,
@@ -94,6 +95,22 @@ def test_dense_route_matches_jacobi_oracle(A):
     got = sp.spectrum_dense_symmetric(gr.Graph(A))
     want = sp.Spectrum.from_values(jacobi_eigenvalues(A))
     assert sp.isospectral(got, want)
+
+
+@st.composite
+def zero_one(draw):
+    """A 0/1 matrix on 0-8 vertices, symmetric or not, loops allowed."""
+    n = draw(st.integers(0, 8))
+    A = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)),
+                 dtype=np.uint8).reshape(n, n)
+    return np.triu(A) | np.triu(A, 1).T if draw(st.booleans()) else A
+
+
+@PROPERTY
+@given(zero_one())
+def test_dot_matches_cell_walk(A):
+    labels = tuple(f"v{i}" for i in range(len(A)))
+    assert gr.Graph(A, labels).to_dot() == dot_by_cells(gr.Graph(A, labels))
 
 
 ABELIAN = ("cyclic:5", "cyclic:8", "cyclic:12", "prod:(cyclic:2,cyclic:4)",

@@ -1,5 +1,7 @@
 """The verification checks on their stated instances plus fuzz sweeps."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -68,19 +70,21 @@ def test_product_decompositions_sum_kind_scope():
 
 def test_cayley_structure_examples_and_fuzz():
     z4, s13 = z4_s13()
-    r = th.check_cayley_structure(z4, s13, alg.subset(z4, [0]), "difference")
+    [r] = th.check_cayley_structure(z4, s13, alg.subset(z4, [0]), "difference")
     assert r.outcome == "pass"
     R = fr.parse_ring("zpk:2^2*gf:3")
     G, U = fr.additive_group(R), fr.units(R)
     for kind in th.KINDS:
-        assert th.check_cayley_structure(G, U, U.with_identity(), kind).outcome == "pass"
+        [r] = th.check_cayley_structure(G, U, U.with_identity(), kind)
+        assert r.outcome == "pass"
     rng = np.random.default_rng(31)
     for _ in range(50):
         Gx, Sx = random_instance(rng, exclude_identity=False)
         members = rng.choice(Gx.order, size=max(1, Gx.order // 3), replace=False)
         Tx = alg.subset(Gx, members.tolist())
         kind = th.KINDS[int(rng.integers(2))]
-        assert th.check_cayley_structure(Gx, Sx, Tx, kind).outcome == "pass"
+        [r] = th.check_cayley_structure(Gx, Sx, Tx, kind)
+        assert r.outcome == "pass"
 
 
 def test_spectrum_formulas_fixed_instances():
@@ -290,8 +294,36 @@ def test_iterated_pairs():
     assert len(iterated) == 3
     assert all(r.outcome == "pass" for r in iterated)
     assert "vertices=192" in iterated[-1].instance
+    for r in reports:     # as a library caller reads them: no run, so no seed
+        data = json.loads(r.to_json())
+        assert (data["claim"], data["outcome"]) == (r.claim_id, r.outcome)
+        assert "seed" not in data
     with pytest.raises(fr.RingError):
         th.iterated_pairs(R, 9)
+
+
+def test_units_built_once_so_their_spectra_are_shared(monkeypatch):
+    R = fr.parse_ring("zpk:2^2*gf:3")
+    G = fr.additive_group(R)
+    assert fr.units(R) is fr.units(R)
+    exact, computed = sp.spectrum_exact_abelian, []
+
+    def counted(group, S, kind):
+        computed.append(group)
+        return exact(group, S, kind)
+
+    monkeypatch.setattr(sp, "spectrum_exact_abelian", counted)
+    base = (G, th.product_group_with_z2(G))
+    on_base, total = [], []
+    for call in (lambda: th.check_isosp_transfer(G, fr.units(R)),
+                 lambda: th.build_even_odd_pair(R),
+                 lambda: th.iterated_pairs(R, 2)):
+        computed.clear()
+        call()
+        on_base.append(sum(any(g is b for b in base) for g in computed))
+        total.append(len(computed))
+    assert on_base == [8, 0, 0]    # the pair and the chain reuse the transfer's spectra
+    assert total == [8, 0, 4]      # the chain computes only its two extensions
 
 
 def test_iterated_pairs_cap_checked_before_any_work(monkeypatch):
@@ -342,7 +374,6 @@ def test_run_suite_all_ok():
     bad = [r for r in reports if not r.ok]
     assert not bad, bad[:3]
     assert any(r.outcome == "xfail" for r in reports)
-    assert all(r.seed == 11 for r in reports)
 
 
 def test_spectrum_of_routes():
