@@ -81,12 +81,15 @@ def _resolve_sets(args) -> tuple[FiniteGroup, GroupSubset, GroupSubset | None]:
     return group, S, None
 
 
-def _build_graph(args) -> graphs.Graph:
+def _build_graph(args) -> tuple[graphs.Graph, list[str]]:
+    """The graph and its vertex names: g for X*(G,S), and (g,i) with all
+    i = 0 first for MX*(G;S,T)."""
     group, S, T = _resolve_sets(args)
     kind = KIND_ALIASES[args.kind]
     if T is None:
-        return graphs.cayley(group, S, kind)
-    return graphs.mirror_dicayley(group, S, T, kind)
+        return graphs.cayley(group, S, kind), [str(g) for g in range(group.order)]
+    return (graphs.mirror_dicayley(group, S, T, kind),
+            [f"({g},{i})" for i in (0, 1) for g in range(group.order)])
 
 
 def _spectrum(args) -> spectra.Spectrum:
@@ -112,16 +115,16 @@ def _emit(text: str, args) -> None:
 
 
 def cmd_build(args) -> int:
-    graph = _build_graph(args)
+    graph, labels = _build_graph(args)
     if args.format == "json":
-        _emit(graph.to_json() + "\n", args)
+        _emit(graph.to_json(labels) + "\n", args)
     elif args.format == "dot":
-        _emit(graph.to_dot(), args)
+        _emit(graph.to_dot(labels), args)
     else:
         lines = [f"vertices: {graph.n}"]
         lines.append(f"undirected: {graph.undirected}")
         lines.append(f"regular degree: {graph.regular_degree}")
-        for label, row in zip(graph.vertex_labels, graph.rows()):
+        for label, row in zip(labels, graph.rows()):
             lines.append(f"{label:>8} {row}")
         _emit("\n".join(lines) + "\n", args)
     return EXIT_OK
@@ -147,12 +150,17 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    def pick(name: str, fallback):     # a second selector falls back only when absent
+        value = getattr(args, f"{name}2")
+        return fallback if value is None else value
+
     first = argparse.Namespace(
         group=args.group, ring=args.ring, set=args.set, kind=args.kind, tkind=args.tkind
     )
     second = argparse.Namespace(
-        group=args.group2 or args.group, ring=args.ring2 or (args.ring if args.group2 is None else None),
-        set=args.set2 or args.set, kind=args.kind2 or args.kind, tkind=args.tkind2 or args.tkind,
+        group=pick("group", args.group),
+        ring=pick("ring", args.ring if args.group2 is None else None),
+        set=pick("set", args.set), kind=pick("kind", args.kind), tkind=pick("tkind", args.tkind),
     )
     sp1 = _spectrum(first)
     sp2 = _spectrum(second)
@@ -166,9 +174,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    wanted = None if args.suite == "all" else [w.strip() for w in args.suite.split(",")]
+    if wanted is not None and "" in wanted:      # an empty prefix would match every claim
+        raise CliError(f"--suite has an empty prefix: {args.suite!r}", EXIT_PARSE_ERROR)
     reports = theorems.run_suite(seed=args.seed, trials=args.trials)
-    if args.suite != "all":
-        wanted = [w.strip() for w in args.suite.split(",")]
+    if wanted is not None:
         unmatched = [w for w in wanted if not any(r.claim_id.startswith(w) for r in reports)]
         if unmatched:
             raise CliError(f"--suite prefix matches no report: {', '.join(unmatched)}",
@@ -182,31 +192,36 @@ def cmd_verify(args) -> int:
 
 def cmd_pair(args) -> int:
     ring = finring.parse_ring(args.ring)
-    result = theorems.build_even_odd_pair(ring)
-    lines = [f"ring: {result.ring_label}"]
-    lines.append(f"even pair spectrum (shared): {result.even_spectrum}")
-    even_cls = spectra.classify(result.even_spectrum)
+    reports = theorems.build_even_odd_pair(ring)
+    G, S = finring.additive_group(ring), finring.units(ring)
+    even, odd_d, odd_s, zero = (   # memoized on S by build_even_odd_pair
+        theorems.spectrum_of(G, S, kind, theorems.t_subset(G, S, t_kind))
+        for kind, t_kind in (("difference", "S"), ("difference", "S_and_identity"),
+                             ("sum", "S_and_identity"), ("difference", "identity")))
+    lines = [f"ring: {ring.label}"]
+    lines.append(f"even pair spectrum (shared): {even}")
+    even_cls = spectra.classify(even)
     lines.append(
         f"  parity={even_cls.parity} symmetric={even_cls.symmetric} "
         f"bipartite={even_cls.bipartite_criterion}"
     )
-    lines.append(f"odd graph spectrum (difference): {result.odd_spectrum_difference}")
-    lines.append(f"odd graph spectrum (sum):        {result.odd_spectrum_sum}")
-    odd_cls = spectra.classify(result.odd_spectrum_difference)
+    lines.append(f"odd graph spectrum (difference): {odd_d}")
+    lines.append(f"odd graph spectrum (sum):        {odd_s}")
+    odd_cls = spectra.classify(odd_d)
     lines.append(
         f"  parity={odd_cls.parity} symmetric={odd_cls.symmetric} "
         f"bipartite={odd_cls.bipartite_criterion}"
     )
-    lines.append(f"zero-case pair spectrum (shared): {result.zero_case_spectrum}")
-    for r in result.reports:
+    lines.append(f"zero-case pair spectrum (shared): {zero}")
+    for r in reports:
         note = f" [{r.witness}]" if r.witness else ""
         lines.append(f"check {r.claim_id}: {r.outcome}{note}")
     _emit("\n".join(lines) + "\n", args)
-    return EXIT_OK if result.certified else EXIT_CHECK_FAILURE
+    return EXIT_OK if all(r.ok for r in reports) else EXIT_CHECK_FAILURE
 
 
 def cmd_report(args) -> int:
-    graph = _build_graph(args)
+    graph, _ = _build_graph(args)
     rep = graphs.structure_report(graph)
     lines = [
         f"vertices: {graph.n}",

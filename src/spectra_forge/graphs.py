@@ -21,10 +21,9 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Dense adjacency over labeled vertices."""
+    """Dense adjacency over vertices 0..n-1; the exports take their names."""
 
     adjacency: np.ndarray
-    vertex_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         raw = np.asarray(self.adjacency)
@@ -38,10 +37,6 @@ class Graph:
         ):
             raise GraphError("adjacency entries must be 0/1")
         object.__setattr__(self, "adjacency", adj)
-        labels = self.vertex_labels or tuple(str(i) for i in range(adj.shape[0]))
-        if len(labels) != adj.shape[0]:
-            raise GraphError("label count mismatch")
-        object.__setattr__(self, "vertex_labels", tuple(labels))
 
     @property
     def n(self) -> int:
@@ -75,9 +70,9 @@ class Graph:
         return hash((self.n, int(self.adjacency.sum())))
 
     def permuted(self, perm: np.ndarray | list[int]) -> "Graph":
-        """Relabel vertices: new vertex i is old vertex perm[i]."""
+        """Reorder vertices: new vertex i is old vertex perm[i]."""
         p = np.asarray(perm)
-        return Graph(self.adjacency[np.ix_(p, p)], tuple(self.vertex_labels[i] for i in p))
+        return Graph(self.adjacency[np.ix_(p, p)])
 
     def rows(self) -> list[str]:
         """Each adjacency row as a string of 0/1 digits, in vertex order."""
@@ -85,19 +80,28 @@ class Graph:
         text = (self.adjacency + ord("0")).tobytes().decode("ascii")   # C order, even for a view
         return [text[u * n:(u + 1) * n] for u in range(n)]
 
-    def to_json(self) -> str:
+    def _names(self, labels) -> list[str]:
+        """labels as a list, one name per vertex."""
+        names = list(labels)
+        if len(names) != self.n:
+            raise GraphError("label count mismatch")
+        return names
+
+    def to_json(self, labels) -> str:
+        """JSON export naming vertex i labels[i]."""
         return json.dumps(
             {
                 "n": self.n,
-                "labels": list(self.vertex_labels),
+                "labels": self._names(labels),
                 "adjacency": self.rows(),
             },
             separators=(",", ":"),
         )
 
-    def to_dot(self) -> str:
-        """DOT export; mutual edge pairs collapse to a single undirected line."""
-        A, L = self.adjacency.astype(bool), np.array(self.vertex_labels, dtype=object)
+    def to_dot(self, labels) -> str:
+        """DOT export naming vertex i labels[i]; mutual edge pairs collapse
+        to a single undirected line."""
+        A, L = self.adjacency.astype(bool), np.array(self._names(labels), dtype=object)
         if self.undirected:
             head, edges = "graph G {", (f'  "{a}" -- "{b}";' for a, b in
                                         zip(*(L[i] for i in np.nonzero(np.triu(A)))))
@@ -119,7 +123,7 @@ def cayley(group: FiniteGroup, S: GroupSubset, kind: str) -> Graph:
     _check_kind(kind)
     if S.parent != group:
         raise GraphError("connection set over a different group")
-    return Graph(_rule_adjacency(group, S, kind), tuple(str(g) for g in range(group.order)))
+    return Graph(_rule_adjacency(group, S, kind))
 
 
 def mirror_dicayley(group: FiniteGroup, S: GroupSubset, T: GroupSubset, kind: str) -> Graph:
@@ -134,8 +138,7 @@ def mirror_dicayley(group: FiniteGroup, S: GroupSubset, T: GroupSubset, kind: st
     adj = np.empty((2 * n, 2 * n), dtype=np.uint8)
     adj[:n, :n] = adj[n:, n:] = _rule_adjacency(group, S, kind)
     adj[:n, n:] = adj[n:, :n] = _rule_adjacency(group, T, kind)
-    labels = tuple(f"({g},{i})" for i in (0, 1) for g in range(n))
-    return Graph(adj, labels)
+    return Graph(adj)
 
 
 def _rule_adjacency(group: FiniteGroup, S: GroupSubset, kind: str) -> np.ndarray:

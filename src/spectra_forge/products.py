@@ -62,14 +62,7 @@ def neps(factors: list[Graph], basis: NepsBasis) -> Graph:
         ])
         for beta in basis.tuples
     )
-    adj = reduce(np.logical_or, terms)
-    labels = reduce(
-        lambda acc, f: tuple(f"{a},{b}" for a in acc for b in f.vertex_labels),
-        factors[1:],
-        tuple(factors[0].vertex_labels),
-    )
-    labels = tuple(f"({lab})" for lab in labels)
-    return Graph(adj, labels)
+    return Graph(reduce(np.logical_or, terms))
 
 
 def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -88,4 +81,4 @@ def path2(looped: bool = False) -> Graph:
     adj = np.array([[0, 1], [1, 0]], dtype=np.uint8)
     if looped:
         adj = adj | np.eye(2, dtype=np.uint8)
-    return Graph(adj, ("0", "1"))
+    return Graph(adj)

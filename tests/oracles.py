@@ -46,7 +46,7 @@ suite draws with none of them.
 
 import math
 from functools import reduce
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 
@@ -195,19 +195,17 @@ def small_isomorphic(g1: Graph, g2: Graph) -> bool:
 def disjoint_union(graphs: list[Graph]) -> Graph:
     n = sum(g.n for g in graphs)
     adj = np.zeros((n, n), dtype=np.uint8)
-    labels = []
     at = 0
-    for k, g in enumerate(graphs):
+    for g in graphs:
         adj[at:at + g.n, at:at + g.n] = g.adjacency
-        labels.extend(f"{k}:{lab}" for lab in g.vertex_labels)
         at += g.n
-    return Graph(adj, tuple(labels))
+    return Graph(adj)
 
 
 def with_loops(graph: Graph) -> Graph:
     adj = graph.adjacency.copy()
     np.fill_diagonal(adj, 1)
-    return Graph(adj, graph.vertex_labels)
+    return Graph(adj)
 
 
 def gp_integrality(k: int, q: int) -> bool:
@@ -227,8 +225,7 @@ def neps_kron(factors: list[Graph], basis) -> Graph:
         ])
         for beta in sorted(basis.tuples)
     ]
-    labels = tuple("(" + ",".join(p) + ")" for p in product(*(f.vertex_labels for f in factors)))
-    return Graph((sum(terms) > 0).astype(np.uint8), labels)
+    return Graph((sum(terms) > 0).astype(np.uint8))
 
 
 def cayley_by_definition(group, S, kind: str) -> Graph:
@@ -239,26 +236,26 @@ def cayley_by_definition(group, S, kind: str) -> Graph:
         right = group.invert(h) if kind == "difference" else h
         for g in range(n):
             adj[h, g] = group.combine(g, right) in mem
-    return Graph(adj, tuple(str(g) for g in range(n)))
+    return Graph(adj)
 
 
 def mirror_block(group, S, T, kind: str) -> Graph:
     """MX*(G; S, T) as the block matrix [[B, C], [C, B]] of two Cayley graphs."""
     B = cayley_by_definition(group, S, kind).adjacency
     C = cayley_by_definition(group, T, kind).adjacency
-    labels = tuple(f"({g},{i})" for i in (0, 1) for g in range(group.order))
-    return Graph(np.block([[B, C], [C, B]]), labels)
+    return Graph(np.block([[B, C], [C, B]]))
 
 
-def dot_by_cells(graph: Graph) -> str:
-    """DOT export; mutual edge pairs collapse to a single undirected line."""
+def dot_by_cells(graph: Graph, labels) -> str:
+    """DOT export naming vertex i labels[i]; mutual edge pairs collapse to a
+    single undirected line."""
     A = graph.adjacency
     if graph.undirected:
         lines = ["graph G {"]
         for u in range(graph.n):
             for v in range(u, graph.n):
                 if A[u, v]:
-                    lines.append(f'  "{graph.vertex_labels[u]}" -- "{graph.vertex_labels[v]}";')
+                    lines.append(f'  "{labels[u]}" -- "{labels[v]}";')
     else:
         lines = ["digraph G {"]
         for u in range(graph.n):
@@ -269,10 +266,10 @@ def dot_by_cells(graph: Graph) -> str:
                     continue
                 if A[v, u] and u != v:
                     lines.append(
-                        f'  "{graph.vertex_labels[u]}" -> "{graph.vertex_labels[v]}" [dir=both];'
+                        f'  "{labels[u]}" -> "{labels[v]}" [dir=both];'
                     )
                 else:
-                    lines.append(f'  "{graph.vertex_labels[u]}" -> "{graph.vertex_labels[v]}";')
+                    lines.append(f'  "{labels[u]}" -> "{labels[v]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

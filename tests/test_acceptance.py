@@ -303,21 +303,20 @@ def test_criterion_7_property_suites():
 def test_criterion_8_even_odd_pair_end_to_end():
     t0 = time.perf_counter()
     R = fr.parse_ring("zpk:2^2*gf:3")
-    result = th.build_even_odd_pair(R)
-    assert result.certified
+    reports = th.build_even_odd_pair(R)
+    assert all(r.ok for r in reports)
 
-    even_cls = sp.classify(result.even_spectrum)
+    G, U = fr.additive_group(R), fr.units(R)
+    even = th.spectrum_of(G, U, "difference", U)
+    even_cls = sp.classify(even)
     assert even_cls.integral and even_cls.parity == "even"
     assert even_cls.symmetric and even_cls.bipartite_criterion
-    G, U = fr.additive_group(R), fr.units(R)
     for kind in th.KINDS:
         assert gr.structure_report(gr.mirror_dicayley(G, U, U, kind)).bipartite
-    d = th.spectrum_of(
-        fr.additive_group(R), fr.units(R), "sum", fr.units(R)
-    )
-    assert sp.isospectral(d, result.even_spectrum, TOL)
+    d = th.spectrum_of(G, U, "sum", U)
+    assert sp.isospectral(d, even, TOL)
 
-    for s in (result.odd_spectrum_difference, result.odd_spectrum_sum):
+    for s in (th.spectrum_of(G, U, kind, U.with_identity()) for kind in th.KINDS):
         cls = sp.classify(s)
         assert cls.integral and cls.parity == "odd"
         assert not cls.symmetric and not cls.bipartite_criterion
@@ -325,7 +324,7 @@ def test_criterion_8_even_odd_pair_end_to_end():
         rep = gr.structure_report(gr.mirror_dicayley(G, U, U.with_identity(), kind))
         assert not rep.bipartite if not rep.directed and not rep.loop_vertices else True
 
-    by_claim = {r.claim_id: r.outcome for r in result.reports}
+    by_claim = {r.claim_id: r.outcome for r in reports}
     assert by_claim["prop-isosp-R/even-pair"] == "pass"
     assert by_claim["prop-isosp-R/zero-pair"] == "pass"
     assert by_claim["thm-main/odd-classes"] == "pass"
@@ -352,7 +351,8 @@ def test_criterion_8_even_odd_pair_end_to_end():
 )
 def test_criterion_8_odd_pair_isospectral():
     R = fr.parse_ring("zpk:2^2*gf:3")
-    result = th.build_even_odd_pair(R)
+    G, U = fr.additive_group(R), fr.units(R)
     assert sp.isospectral(
-        result.odd_spectrum_difference, result.odd_spectrum_sum, TOL
+        th.spectrum_of(G, U, "difference", U.with_identity()),
+        th.spectrum_of(G, U, "sum", U.with_identity()), TOL
     )

@@ -79,12 +79,13 @@ def test_build_round_trip(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     adj = np.array([[int(c) for c in row] for row in data["adjacency"]], dtype=np.uint8)
-    g = Graph(adj, tuple(data["labels"]))
-    assert g.n == 8 and g.to_json() == out.strip()
+    g = Graph(adj)
+    assert g.n == 8 and g.to_json(data["labels"]) == out.strip()
 
 
 # sha256 of the build output, recorded before the graph kernels were
-# rewritten as boolean gathers; the rewrite must not move a single byte
+# rewritten as boolean gathers (json and dot) and before vertex names moved
+# from the graphs to the command line (all); neither may move a single byte
 BUILD_SHA256 = [
     (("cyclic:4", "--set", "1,3", "--tkind", "e"), "json",
      "526a61fb7471abc6769826009ace52a38f2a966c51b3e17af58f11992c2a1c70"),
@@ -94,6 +95,14 @@ BUILD_SHA256 = [
      "b5319e180c760332a01f06bd2c1cd45846f47fe54f4e2a62447fd178fdd4a4ef"),
     (("dihedral:4", "--set", "1,3", "--tkind", "Se", "--kind", "sum"), "dot",
      "05ae7c887a9029293e2606c570b271cca86acfb731177779010fc078e32d6cbc"),
+    (("cyclic:4", "--set", "1,3", "--tkind", "e"), "table",
+     "f64a500fc341b7fcf6d3765424094fad401cdc26bcb6aff3e366b1e671c4afa9"),
+    (("cyclic:4", "--set", "1,3"), "json",
+     "bd72844994e7de281e7030fe5059a2c1ee4574d8e37ff4f031283c16773276d7"),
+    (("cyclic:4", "--set", "1,3"), "dot",
+     "901b2169627a0a4225f0ccfb172545b2e46e1cac0199a460ebd0b2115bbe0b59"),
+    (("cyclic:4", "--set", "1,3"), "table",
+     "5f7286ce9b4188d9da7a909343aa165645be0b355aaac8dbecfca01ade538cff"),
 ]
 
 
@@ -135,6 +144,11 @@ def test_compare(capsys):
         "--kind2", "sum",
     )
     assert code == 0 and "isospectral: False" in out
+    # an empty --set2 is the empty set, not a fall-back to --set
+    code, out = run(capsys, "compare", "--group", "cyclic:4", "--set", "1,3", "--set2", "")
+    assert code == 0
+    assert out.splitlines() == [
+        "first:  {[2]^1, [0]^2, [-2]^1}", "second: {[0]^4}", "isospectral: False"]
 
 
 def test_verify_json_lines(capsys):
@@ -171,6 +185,13 @@ def test_pair_command(capsys):
     assert "even pair spectrum (shared): {[8]^1, [4]^2, [0]^18, [-4]^2, [-8]^1}" in out
     assert "[9]^1, [5]^2, [1]^6, [-3]^2, [-7]^1" in out.replace(", [-1]^12", "")
     assert "xfail" in out    # the documented odd-pair erratum is surfaced
+
+
+def test_pair_output_pinned(capsys):
+    code, out = run(capsys, "pair", "--ring", "zpk:2^2*gf:3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a7dc5cbfce897be8cd16297b0cc5dc66ab9fb583f20f5d934ef4e3e14d17331a")
 
 
 def test_pair_hypothesis_violation(capsys):
@@ -266,6 +287,17 @@ def test_unknown_suite_prefix_exits_2(capsys, suite):
     code, err = _input_error(capsys, "verify", "--suite", suite, "--trials", "4")
     assert code == cli.EXIT_PARSE_ERROR
     assert err.startswith("error:") and suite.split(",")[-1] in err
+
+
+@pytest.mark.parametrize("suite", ["", "thm-main,", "thm-main, ,prop-cayley"])
+def test_empty_suite_prefix_exits_2_before_any_check(capsys, monkeypatch, suite):
+    def no_run(seed, trials):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(theorems, "run_suite", no_run)
+    code, err = _input_error(capsys, "verify", "--suite", suite, "--trials", "2")
+    assert code == cli.EXIT_PARSE_ERROR
+    assert err.splitlines() == [f"error: --suite has an empty prefix: {suite!r}"]
 
 
 def test_parser_built_once_and_reused(capsys):

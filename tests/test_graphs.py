@@ -191,10 +191,17 @@ def test_union_identity_random():
 def test_json_round_trip():
     g = gr.mirror_dicayley(alg.cyclic(4), alg.subset(alg.cyclic(4), [1, 3]),
                            alg.subset(alg.cyclic(4), [0]), "difference")
-    data = json.loads(g.to_json())
+    names = [f"({v},{i})" for i in (0, 1) for v in range(4)]
+    data = json.loads(g.to_json(names))
     adj = np.array([[int(c) for c in row] for row in data["adjacency"]], dtype=np.uint8)
-    again = gr.Graph(adj, tuple(data["labels"]))
-    assert again == g and again.vertex_labels == g.vertex_labels
+    assert gr.Graph(adj) == g and data["labels"] == names
+
+
+def test_exports_check_the_name_count():
+    g = c4_graph()
+    for export in (g.to_json, g.to_dot):
+        with pytest.raises(gr.GraphError, match="label count mismatch"):
+            export(["0", "1", "2"])
 
 
 def test_rows_equal_per_cell_join():
@@ -216,12 +223,12 @@ def test_rows_equal_per_cell_join():
 
 
 def test_dot_export():
-    text = c4_graph().to_dot()
-    assert text.startswith("graph") and "--" in text
+    text = c4_graph().to_dot("abcd")
+    assert text.startswith("graph") and '"a" -- "b"' in text
     z3 = alg.cyclic(3)
     directed = gr.cayley(z3, alg.subset(z3, [1]), "difference")
-    text2 = directed.to_dot()
-    assert text2.startswith("digraph") and "->" in text2
+    text2 = directed.to_dot(["0", "1", "2"])
+    assert text2.startswith("digraph") and '"0" -> "1"' in text2
 
 
 def test_small_isomorphic():

@@ -250,31 +250,34 @@ def test_local_ring_closed_forms_even_ring():
 
 def test_build_even_odd_pair():
     R = fr.parse_ring("zpk:2^2*gf:3")
-    result = th.build_even_odd_pair(R)
-    assert result.certified
+    reports = th.build_even_odd_pair(R)
+    assert all(isinstance(r, th.VerificationReport) and r.ok for r in reports)
+    assert [r.claim_id for r in reports] == [
+        "prop-isosp-R/even-pair", "prop-isosp-R/zero-pair",
+        "thm-main/odd-classes", "prop-isosp-R/odd-pair"]
+    G, U = fr.additive_group(R), fr.units(R)
+    even = th.spectrum_of(G, U, "difference", U)
+    odd = th.spectrum_of(G, U, "difference", U.with_identity())
     assert sp.isospectral(
-        result.even_spectrum,
-        sp.Spectrum.from_pairs([(8, 1), (4, 2), (0, 18), (-4, 2), (-8, 1)]),
+        even, sp.Spectrum.from_pairs([(8, 1), (4, 2), (0, 18), (-4, 2), (-8, 1)]),
     )
     assert sp.isospectral(
-        result.odd_spectrum_difference,
-        sp.Spectrum.from_pairs([(9, 1), (5, 2), (1, 6), (-3, 2), (-7, 1), (-1, 12)]),
+        odd, sp.Spectrum.from_pairs([(9, 1), (5, 2), (1, 6), (-3, 2), (-7, 1), (-1, 12)]),
     )
     assert sp.isospectral(
-        result.zero_case_spectrum,
+        th.spectrum_of(G, U, "difference", th.t_subset(G, U, "identity")),
         sp.Spectrum.from_pairs([(5, 1), (3, 3), (1, 8), (-1, 8), (-3, 3), (-5, 1)]),
     )
-    ec = sp.classify(result.even_spectrum)
+    ec = sp.classify(even)
     assert ec.parity == "even" and ec.symmetric and ec.bipartite_criterion
-    oc = sp.classify(result.odd_spectrum_difference)
+    oc = sp.classify(odd)
     assert oc.parity == "odd" and not oc.symmetric and not oc.bipartite_criterion
     # the two graphs of each pair really are different graphs
-    G, U = fr.additive_group(R), fr.units(R)
     for T in (U, U.with_identity()):
         assert gr.mirror_dicayley(G, U, T, "difference") != gr.mirror_dicayley(G, U, T, "sum")
     # equivalent rings from the other local families qualify too
     for desc in ("quot:2^1:2*gf:3", "zpk:2^3*zpk:3^2"):
-        assert th.build_even_odd_pair(fr.parse_ring(desc)).certified
+        assert all(r.ok for r in th.build_even_odd_pair(fr.parse_ring(desc)))
 
 
 def test_build_even_odd_pair_hypothesis_violations():
