@@ -125,7 +125,7 @@ class GroupSubset:
         return m
 
     def union(self, other: "GroupSubset") -> "GroupSubset":
-        if other.parent is not self.parent and other.parent != self.parent:
+        if other.parent != self.parent:      # equality checks identity first
             raise GroupError("subsets over different groups")
         return GroupSubset(self.parent, self.members + other.members)
 
@@ -397,21 +397,25 @@ def conjugate_characters(group: FiniteGroup) -> np.ndarray:
         np.atleast_1d(np.ravel_multi_index(tuple((-exps % dims).T), dims))))
 
 
-def character_sums_over(group: FiniteGroup, S: GroupSubset) -> np.ndarray:
-    """chi(S) for every character, in the order of character_exponents.
+def character_sums_over(S: GroupSubset) -> np.ndarray:
+    """chi(S) for every character of G = S.parent, in the order of
+    character_exponents; computed once per subset and kept on it, read-only.
 
     chi_a(S) = sum over x in S of e^(2 pi i a.x / d) is the unnormalised
     inverse DFT of S's indicator on the d1 x ... x dk coordinate grid, read
     row-major: O(n log n) by the FFT, with no n x |S| block.
     """
-    if S.parent != group:
-        raise GroupError("subset over a different group")
+    group = S.parent
     if not group.is_abelian:
         raise GroupError("character sums require an abelian group")
-    grid = np.zeros(group.abelian_decomposition or (1,))   # the trivial group: one cell, not 0-d
-    if S.members:               # on one cell the empty index tuple below addresses that cell
-        grid[tuple(group.coords[list(S.members)].T)] = 1
-    return np.fft.ifftn(grid, norm="forward").ravel()
+
+    def build():
+        grid = np.zeros(group.abelian_decomposition or (1,))   # trivial group: one cell, not 0-d
+        if S.members:           # on one cell the empty index tuple below addresses that cell
+            grid[tuple(group.coords[list(S.members)].T)] = 1
+        return _frozen(np.fft.ifftn(grid, norm="forward").ravel())
+
+    return _once(S, "_character_sums", build)
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +485,13 @@ def is_union_of_gcd_classes(S: GroupSubset) -> tuple[bool, object]:
     return True, tuple(sorted({math.gcd(int(G.coords[g, 0]), G.order) for g in S.members}))
 
 
-def boolean_algebra_member(group: FiniteGroup, S: GroupSubset) -> bool:
-    """Membership in the Boolean algebra generated by subgroups of abelian G.
+def boolean_algebra_member(S: GroupSubset) -> bool:
+    """Membership in the Boolean algebra generated by subgroups of abelian
+    G = S.parent.
 
     The atoms are the generator classes {h : <h> = <g>}, so membership is
     closure under co-generation.
     """
-    if not group.is_abelian:
+    if not S.parent.is_abelian:
         raise GroupError("Boolean algebra test requires an abelian group")
-    if S.parent != group:
-        raise GroupError("subset over a different group")
     return _cogeneration_gap(S) is None

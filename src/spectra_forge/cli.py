@@ -72,29 +72,27 @@ def _resolve_subset(group: FiniteGroup, ring, descriptor: str) -> GroupSubset:
     return GroupSubset(group, tuple(members))
 
 
-def _resolve_sets(args) -> tuple[FiniteGroup, GroupSubset, GroupSubset | None]:
-    """The group, S, and the mirror di-connection set T (None without --tkind)."""
-    group, ring = _resolve_group(args)
-    S = _resolve_subset(group, ring, args.set)
+def _resolve_sets(args) -> tuple[GroupSubset, GroupSubset | None]:
+    """S, and the mirror di-connection set T (None without --tkind)."""
+    S = _resolve_subset(*_resolve_group(args), args.set)
     if getattr(args, "tkind", None):
-        return group, S, theorems.t_subset(group, S, TKIND_ALIASES[args.tkind])
-    return group, S, None
+        return S, theorems.t_subset(S, TKIND_ALIASES[args.tkind])
+    return S, None
 
 
 def _build_graph(args) -> tuple[graphs.Graph, list[str]]:
     """The graph and its vertex names: g for X*(G,S), and (g,i) with all
     i = 0 first for MX*(G;S,T)."""
-    group, S, T = _resolve_sets(args)
-    kind = KIND_ALIASES[args.kind]
+    S, T = _resolve_sets(args)
+    kind, n = KIND_ALIASES[args.kind], S.parent.order
     if T is None:
-        return graphs.cayley(group, S, kind), [str(g) for g in range(group.order)]
-    return (graphs.mirror_dicayley(group, S, T, kind),
-            [f"({g},{i})" for i in (0, 1) for g in range(group.order)])
+        return graphs.cayley(S, kind), [str(g) for g in range(n)]
+    return graphs.mirror_dicayley(S, T, kind), [f"({g},{i})" for i in (0, 1) for g in range(n)]
 
 
 def _spectrum(args) -> spectra.Spectrum:
-    group, S, T = _resolve_sets(args)
-    spec = theorems.spectrum_of(group, S, KIND_ALIASES[args.kind], T)
+    S, T = _resolve_sets(args)
+    spec = theorems.spectrum_of(S, KIND_ALIASES[args.kind], T)
     if spec is None:
         raise CliError(
             "no exact spectrum route for a directed non-abelian instance", EXIT_HYPOTHESIS
@@ -193,9 +191,9 @@ def cmd_verify(args) -> int:
 def cmd_pair(args) -> int:
     ring = finring.parse_ring(args.ring)
     reports = theorems.build_even_odd_pair(ring)
-    G, S = finring.additive_group(ring), finring.units(ring)
+    S = finring.units(ring)
     even, odd_d, odd_s, zero = (   # memoized on S by build_even_odd_pair
-        theorems.spectrum_of(G, S, kind, theorems.t_subset(G, S, t_kind))
+        theorems.spectrum_of(S, kind, theorems.t_subset(S, t_kind))
         for kind, t_kind in (("difference", "S"), ("difference", "S_and_identity"),
                              ("sum", "S_and_identity"), ("difference", "identity")))
     lines = [f"ring: {ring.label}"]

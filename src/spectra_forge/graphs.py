@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteGroup, GroupSubset
+from .algebra import GroupSubset
 
 
 class GraphError(ValueError):
@@ -117,34 +117,33 @@ class Graph:
 # constructors
 
 
-def cayley(group: FiniteGroup, S: GroupSubset, kind: str) -> Graph:
+def cayley(S: GroupSubset, kind: str) -> Graph:
     """X(G,S) for kind 'difference' (edge h->g iff g h^-1 in S) or
-    X^+(G,S) for kind 'sum' (edge h->g iff g h in S)."""
+    X^+(G,S) for kind 'sum' (edge h->g iff g h in S), over G = S.parent."""
     _check_kind(kind)
-    if S.parent != group:
-        raise GraphError("connection set over a different group")
-    return Graph(_rule_adjacency(group, S, kind))
+    return Graph(_rule_adjacency(S, kind))
 
 
-def mirror_dicayley(group: FiniteGroup, S: GroupSubset, T: GroupSubset, kind: str) -> Graph:
-    """MX*(G; S, T): two Cayley mirrors joined by T-crossing edges.
+def mirror_dicayley(S: GroupSubset, T: GroupSubset, kind: str) -> Graph:
+    """MX*(G; S, T) over G = S.parent: two Cayley mirrors joined by
+    T-crossing edges.
 
     Vertex order: all (g, 0) first in group order, then all (g, 1).
     """
     _check_kind(kind)
-    if S.parent != group or T.parent != group:
+    if T.parent != S.parent:
         raise GraphError("connection sets over a different group")
-    n = group.order
+    n = S.parent.order
     adj = np.empty((2 * n, 2 * n), dtype=np.uint8)
-    adj[:n, :n] = adj[n:, n:] = _rule_adjacency(group, S, kind)
-    adj[:n, n:] = adj[n:, :n] = _rule_adjacency(group, T, kind)
+    adj[:n, :n] = adj[n:, n:] = _rule_adjacency(S, kind)
+    adj[:n, n:] = adj[n:, :n] = _rule_adjacency(T, kind)
     return Graph(adj)
 
 
-def _rule_adjacency(group: FiniteGroup, S: GroupSubset, kind: str) -> np.ndarray:
+def _rule_adjacency(S: GroupSubset, kind: str) -> np.ndarray:
     """Boolean adj[h, g] = 1 iff g h^-1 (difference) or g h (sum) is in S."""
-    op = group.op_table
-    prod = op[:, group.inv_table] if kind == "difference" else op
+    op = S.parent.op_table
+    prod = op[:, S.parent.inv_table] if kind == "difference" else op
     return S.mask()[prod].T
 
 

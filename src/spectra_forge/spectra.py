@@ -12,13 +12,14 @@ tolerance; integer snapping uses 1e-6.  The dense route calls
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra
-from .algebra import FiniteGroup, GroupSubset
+from .algebra import GroupSubset
 from .graphs import Graph
 
 MERGE_TOL = 1e-8
@@ -73,7 +74,21 @@ class Spectrum:
         return sum(m for _, m in self.entries)
 
     def multiplicity_of(self, value: complex) -> int:
-        return sum(m for v, m in self.entries if abs(v - value) <= self.tolerance)
+        """Total multiplicity of the entries within the tolerance of value.
+
+        Only the entries whose real part lies within twice the tolerance
+        are tested (a superset despite rounding), found by bisection in a
+        copy sorted by real part that is built once per spectrum.
+        """
+        reals, by_real = algebra._once(self, "_by_real", self._sorted_by_real)
+        tol = self.tolerance
+        lo = bisect_left(reals, value.real - 2 * tol)
+        hi = bisect_right(reals, value.real + 2 * tol, lo)
+        return sum(m for v, m in by_real[lo:hi] if abs(v - value) <= tol)
+
+    def _sorted_by_real(self) -> tuple[list[float], list[tuple[complex, int]]]:
+        by_real = sorted(self.entries, key=lambda e: e[0].real)
+        return [v.real for v, _ in by_real], by_real
 
     def negated(self) -> "Spectrum":
         """-v for every entry; an isometry, so the entries are not merged again."""
@@ -263,17 +278,18 @@ def spectrum_dense_symmetric(graph: Graph) -> Spectrum:
 # exact spectra via abelian characters
 
 
-def spectrum_exact_abelian(group: FiniteGroup, S: GroupSubset, kind: str) -> Spectrum:
-    """Spectrum of X(G,S) (difference) or X^+(G,S) (sum) for abelian G.
+def spectrum_exact_abelian(S: GroupSubset, kind: str) -> Spectrum:
+    """Spectrum of X(G,S) (difference) or X^+(G,S) (sum) for abelian G = S.parent.
 
     Difference: the multiset {chi(S)}.  Sum: real characters contribute
     chi(S) once; each conjugate pair contributes +|chi(S)| and -|chi(S)|.
     """
+    group = S.parent
     if not group.is_abelian:
         raise SpectrumError("character route requires an abelian group")
     if kind not in ("difference", "sum"):
         raise SpectrumError(f"bad kind {kind!r}")
-    vals = algebra.character_sums_over(group, S)
+    vals = algebra.character_sums_over(S)
     if kind == "difference":
         return Spectrum.from_values(vals)
     conj = algebra.conjugate_characters(group)

@@ -84,17 +84,13 @@ def _report(claim: str, inst: str, ok: bool | None, witness: str | None = None,
     return VerificationReport(claim, inst, outcome, witness)
 
 
-def _inst(G: FiniteGroup, S: GroupSubset, extra: str = "") -> str:
-    s = f"G={G.label}, S={list(S.members)}"
+def _inst(S: GroupSubset, extra: str = "") -> str:
+    s = f"G={S.parent.label}, S={list(S.members)}"
     return f"({s}{', ' + extra if extra else ''})"
 
 
 def _inversion_trivial(G: FiniteGroup) -> bool:
     return bool(np.array_equal(G.inv_table, np.arange(G.order)))
-
-
-def _identity_subset(G: FiniteGroup) -> GroupSubset:
-    return GroupSubset(G, (G.identity,))
 
 
 def _transpose_to_mirror(prod: Graph, n: int) -> Graph:
@@ -108,17 +104,19 @@ def product_group_with_z2(G: FiniteGroup) -> FiniteGroup:
     return algebra._once(G, "_times_z2", lambda: algebra.direct_product(G, algebra.cyclic(2)))
 
 
-def mdcg_connection_subset(
-    Gp: FiniteGroup, S: GroupSubset, T: GroupSubset
-) -> GroupSubset:
-    """(S x {0}) union (T x {1}) inside the product group G x Z2."""
-    members = tuple(2 * s for s in S.members) + tuple(2 * t + 1 for t in T.members)
-    return GroupSubset(Gp, members)
+def mdcg_connection_subset(S: GroupSubset, T: GroupSubset) -> GroupSubset:
+    """(S x {0}) union (T x {1}) inside the product group G x Z2, for T
+    over G = S.parent; built once per members of T and kept on S."""
+    memo = algebra._once(S, "_mirror_sets", dict)
+    if T.members not in memo:
+        members = tuple(2 * s for s in S.members) + tuple(2 * t + 1 for t in T.members)
+        memo[T.members] = GroupSubset(product_group_with_z2(S.parent), members)
+    return memo[T.members]
 
 
-def t_subset(G: FiniteGroup, S: GroupSubset, t_kind: str) -> GroupSubset:
+def t_subset(S: GroupSubset, t_kind: str) -> GroupSubset:
     if t_kind == "identity":
-        return _identity_subset(G)
+        return GroupSubset(S.parent, (S.parent.identity,))
     if t_kind == "S":
         return S
     if t_kind == "S_and_identity":
@@ -135,46 +133,36 @@ VERTEX_CAP = 4000    # mirror-graph vertices allowed at the last step of iterate
 # the spectrum route
 
 
-def spectrum_of(
-    G: FiniteGroup, S: GroupSubset, kind: str, T: GroupSubset | None = None
-) -> spectra.Spectrum | None:
-    """Spectrum of X*(G,S), or of MX*(G;S,T) when T is given.
+def spectrum_of(S: GroupSubset, kind: str, T: GroupSubset | None = None) -> spectra.Spectrum | None:
+    """Spectrum of X*(G,S), or of MX*(G;S,T) when T is given, for G = S.parent.
 
     Characters over G (over G x Z2 for the mirror graph) when G is
     abelian; otherwise LAPACK eigvalsh on the built graph when it is
     undirected; None when neither route applies.  Memoized on S by kind
-    and the members of T when G and T's group are S's own group; other
-    calls are computed afresh, and an error is never stored.
+    and the members of T; an error is never stored, and a T over another
+    group is rejected on every call.
     """
-    if G is not S.parent or (T is not None and T.parent is not G):
-        return _spectrum_route(G, S, kind, T)
+    if T is not None and T.parent != S.parent:
+        raise algebra.GroupError("subset over a different group")
     memo = algebra._once(S, "_spectra", dict)
     key = (kind, None if T is None else T.members)
     if key not in memo:
-        memo[key] = _spectrum_route(G, S, kind, T)
+        memo[key] = _spectrum_route(S, kind, T)
     return memo[key]
 
 
-def _spectrum_route(
-    G: FiniteGroup, S: GroupSubset, kind: str, T: GroupSubset | None
-) -> spectra.Spectrum | None:
-    for X in (S, T):      # the mirror route reads only the members of S and T
-        if X is not None and X.parent is not G and X.parent != G:
-            raise algebra.GroupError("subset over a different group")
-    if G.is_abelian:
-        if T is None:
-            return spectra.spectrum_exact_abelian(G, S, kind)
-        Gp = product_group_with_z2(G)
-        Sp = mdcg_connection_subset(Gp, S, T)
-        return spectra.spectrum_exact_abelian(Gp, Sp, kind)
-    graph = graphs.cayley(G, S, kind) if T is None else graphs.mirror_dicayley(G, S, T, kind)
+def _spectrum_route(S: GroupSubset, kind: str, T: GroupSubset | None) -> spectra.Spectrum | None:
+    if S.parent.is_abelian:
+        return spectra.spectrum_exact_abelian(
+            S if T is None else mdcg_connection_subset(S, T), kind)
+    graph = graphs.cayley(S, kind) if T is None else graphs.mirror_dicayley(S, T, kind)
     return spectra.spectrum_dense_symmetric(graph) if graph.undirected else None
 
 
-def _complex_pair_sums(G: FiniteGroup, S: GroupSubset) -> np.ndarray:
+def _complex_pair_sums(S: GroupSubset) -> np.ndarray:
     """chi(S) for the first character of each conjugate pair."""
-    vals = algebra.character_sums_over(G, S)
-    return vals[np.arange(G.order) < algebra.conjugate_characters(G)]
+    G = S.parent
+    return algebra.character_sums_over(S)[np.arange(G.order) < algebra.conjugate_characters(G)]
 
 
 # ---------------------------------------------------------------------------
@@ -189,18 +177,15 @@ def _adjacency_diff(lhs: Graph, rhs: Graph) -> str | None:
     return f"adjacency differs at {tuple(int(x) for x in diff)}"
 
 
-def check_product_decompositions(
-    G: FiniteGroup, S: GroupSubset, kind: str
-) -> list[VerificationReport]:
-    n = G.order
+def check_product_decompositions(S: GroupSubset, kind: str) -> list[VerificationReport]:
+    G = S.parent
     reports = []
-    gamma = graphs.cayley(G, S, kind)
+    gamma = graphs.cayley(S, kind)
     p2 = products.path2(False)
     p2l = products.path2(True)
-    e_set = _identity_subset(G)
-    mx_e = graphs.mirror_dicayley(G, S, e_set, kind)
-    mx_s = graphs.mirror_dicayley(G, S, S, kind)
-    mx_se = graphs.mirror_dicayley(G, S, S.with_identity(), kind)
+    mx_e = graphs.mirror_dicayley(S, t_subset(S, "identity"), kind)
+    mx_s = graphs.mirror_dicayley(S, S, kind)
+    mx_se = graphs.mirror_dicayley(S, S.with_identity(), kind)
     triv_inv = _inversion_trivial(G) or kind == "difference"
 
     cases = [
@@ -213,42 +198,39 @@ def check_product_decompositions(
         ("lem-strong-sum/first", mx_s,
          products.named_product(gamma, p2, "strong_sum"), False, True),
         ("lem-strong-sum/second",
-         graphs.mirror_dicayley(G, GroupSubset(G, ()), S.with_identity(), kind),
+         graphs.mirror_dicayley(GroupSubset(G, ()), S.with_identity(), kind),
          products.named_product(p2, gamma, "strong_sum"), True, triv_inv),
         ("strong-sum-eq-direct",
          products.named_product(gamma, p2l, "direct"),
          products.named_product(gamma, p2, "strong_sum"), None, True),
     ]
-    inst = _inst(G, S, f"kind={kind}")
+    inst = _inst(S, f"kind={kind}")
     for claim, lhs, rhs, p2_first, valid in cases:
         if p2_first is False:
-            rhs = _transpose_to_mirror(rhs, n)
+            rhs = _transpose_to_mirror(rhs, G.order)
         diff = _adjacency_diff(lhs, rhs)
         witness = diff if valid else f"{diff}; {ERRATUM_PRODUCTS}"
         reports.append(_report(claim, inst, diff is None, witness, xfail=not valid))
     return reports
 
 
-def check_cayley_structure(
-    G: FiniteGroup, S: GroupSubset, T: GroupSubset, kind: str
-) -> list[VerificationReport]:
+def check_cayley_structure(S: GroupSubset, T: GroupSubset, kind: str) -> list[VerificationReport]:
     """MX*(G;S,T) equals the Cayley (sum) graph over G x Z2 exactly."""
-    mx = graphs.mirror_dicayley(G, S, T, kind)
-    Gp = product_group_with_z2(G)
-    Sp = mdcg_connection_subset(Gp, S, T)
-    diff = _adjacency_diff(mx, _transpose_to_mirror(graphs.cayley(Gp, Sp, kind), G.order))
-    inst = _inst(G, S, f"T={list(T.members)}, kind={kind}")
+    mx = graphs.mirror_dicayley(S, T, kind)
+    cay = graphs.cayley(mdcg_connection_subset(S, T), kind)
+    diff = _adjacency_diff(mx, _transpose_to_mirror(cay, S.parent.order))
+    inst = _inst(S, f"T={list(T.members)}, kind={kind}")
     return [_report("prop-cayley-structure", inst, diff is None, diff)]
 
 
 def check_union_identity(
-    G: FiniteGroup, S: GroupSubset, T1: GroupSubset, T2: GroupSubset, kind: str
+    S: GroupSubset, T1: GroupSubset, T2: GroupSubset, kind: str
 ) -> list[VerificationReport]:
     """MX*(G;S,T1 u T2) = MX*(G;S,T1) u MX*(G;S,T2) as edge sets."""
-    lhs = graphs.mirror_dicayley(G, S, T1.union(T2), kind)
-    a = graphs.mirror_dicayley(G, S, T1, kind).adjacency
-    b = graphs.mirror_dicayley(G, S, T2, kind).adjacency
-    return [_report("eq-unions", _inst(G, S, f"kind={kind}"), lhs == Graph(a | b),
+    lhs = graphs.mirror_dicayley(S, T1.union(T2), kind)
+    a = graphs.mirror_dicayley(S, T1, kind).adjacency
+    b = graphs.mirror_dicayley(S, T2, kind).adjacency
+    return [_report("eq-unions", _inst(S, f"kind={kind}"), lhs == Graph(a | b),
                     "edge sets differ")]
 
 
@@ -256,41 +238,39 @@ def check_union_identity(
 # spectrum formulas (Prop. spec-bicayleys)
 
 
-def specbi_formula_valid(G: FiniteGroup, S: GroupSubset, t_kind: str, kind: str) -> bool:
+def specbi_formula_valid(S: GroupSubset, t_kind: str, kind: str) -> bool:
     """Whether the printed mirror-spectrum formula is exact for this instance."""
     if kind == "difference" or t_kind == "S":
         return True
-    if not G.is_abelian:
-        return _inversion_trivial(G)
-    pair_sums = _complex_pair_sums(G, S)
+    if not S.parent.is_abelian:
+        return _inversion_trivial(S.parent)
+    pair_sums = _complex_pair_sums(S)
     if t_kind == "identity":
         return all(abs(v.imag) <= 1e-9 for v in pair_sums)
     return all(abs(v) <= 1e-9 for v in pair_sums)
 
 
-def check_spectrum_formulas(
-    G: FiniteGroup, S: GroupSubset, kind: str
-) -> list[VerificationReport]:
-    base = spectrum_of(G, S, kind)
+def check_spectrum_formulas(S: GroupSubset, kind: str) -> list[VerificationReport]:
+    G = S.parent
+    base = spectrum_of(S, kind)
     if base is None:
-        return [_report("prop-spec-bicayleys", _inst(G, S, f"kind={kind}"), None,
+        return [_report("prop-spec-bicayleys", _inst(S, f"kind={kind}"), None,
                         "no exact route for a directed non-abelian instance")]
     reports = []
     for t_kind in T_KINDS:
-        inst = _inst(G, S, f"T={t_kind}, kind={kind}")
+        inst = _inst(S, f"T={t_kind}, kind={kind}")
         claim = f"prop-spec-bicayleys/{t_kind}"
         if t_kind == "S_and_identity" and G.identity in S:
             reports.append(_report(
                 claim, inst, None,
                 "identity in S: the S-with-identity family assumes e not in S"))
             continue
-        T = t_subset(G, S, t_kind)
         formula = spectra.mdcg_spectrum_formula(base, t_kind, G.order)
-        direct = spectrum_of(G, S, kind, T)     # a route exists: the base has one
+        direct = spectrum_of(S, kind, t_subset(S, t_kind))    # a route exists: the base has one
         if spectra.isospectral(formula, direct):
             reports.append(_report(claim, inst, True))
             continue
-        xfail = not specbi_formula_valid(G, S, t_kind, kind)
+        xfail = not specbi_formula_valid(S, t_kind, kind)
         witness = f"formula {formula} vs actual {direct}"
         reports.append(_report(claim, inst, False,
                                f"{witness}; {ERRATUM_SPECBI}" if xfail else witness, xfail))
@@ -301,17 +281,15 @@ def check_spectrum_formulas(
 # crossed non-isospectrality (Prop. isospec-T,T')
 
 
-def check_crossed_nonisospectrality(
-    G: FiniteGroup, S: GroupSubset, kind: str
-) -> list[VerificationReport]:
-    inst = _inst(G, S, f"kind={kind}")
+def check_crossed_nonisospectrality(S: GroupSubset, kind: str) -> list[VerificationReport]:
+    inst = _inst(S, f"kind={kind}")
     if len(S) < 2:
         return [_report("prop-isospec-TT", inst, None, "|S| < 2")]
-    if G.identity in S:
+    if S.parent.identity in S:
         return [_report("prop-isospec-TT", inst, None, "identity in S (family convention)")]
     specs = {}
     for t_kind in T_KINDS:
-        specs[t_kind] = spectrum_of(G, S, kind, t_subset(G, S, t_kind))
+        specs[t_kind] = spectrum_of(S, kind, t_subset(S, t_kind))
         if specs[t_kind] is None:
             return [_report("prop-isospec-TT", inst, None,
                             "no exact route for a directed non-abelian instance")]
@@ -319,7 +297,7 @@ def check_crossed_nonisospectrality(
     for a, b in (("identity", "S"), ("identity", "S_and_identity"), ("S", "S_and_identity")):
         iso = spectra.isospectral(specs[a], specs[b])
         witness = f"unexpected isospectrality: {specs[a]}" if iso else None
-        reports.append(_report("prop-isospec-TT", _inst(G, S, f"{a} vs {b}, kind={kind}"),
+        reports.append(_report("prop-isospec-TT", _inst(S, f"{a} vs {b}, kind={kind}"),
                                not iso, witness))
     return reports
 
@@ -328,43 +306,42 @@ def check_crossed_nonisospectrality(
 # isospectrality transfer (Thm. isosp-X,X+ and Thm. gen-isosp)
 
 
-def check_isosp_transfer(G: FiniteGroup, S: GroupSubset) -> list[VerificationReport]:
-    base_d = spectrum_of(G, S, "difference")
-    base_s = spectrum_of(G, S, "sum")
+def check_isosp_transfer(S: GroupSubset) -> list[VerificationReport]:
+    base_d = spectrum_of(S, "difference")
+    base_s = spectrum_of(S, "sum")
     if base_d is None or base_s is None:
-        return [_report("thm-isosp-XX+", _inst(G, S), None,
+        return [_report("thm-isosp-XX+", _inst(S), None,
                         "no exact route for a directed non-abelian instance")]
     base_iso = spectra.isospectral(base_d, base_s)
     reports = []
     for t_kind in T_KINDS:
-        T = t_subset(G, S, t_kind)
-        md = spectrum_of(G, S, "difference", T)
-        ms = spectrum_of(G, S, "sum", T)
-        inst = _inst(G, S, f"T={t_kind}")
+        T = t_subset(S, t_kind)
+        md = spectrum_of(S, "difference", T)
+        ms = spectrum_of(S, "sum", T)
+        inst = _inst(S, f"T={t_kind}")
         claim = f"thm-isosp-XX+/{t_kind}"
         pair_iso = spectra.isospectral(md, ms)
         ok = pair_iso == base_iso
         xfail = (not ok and t_kind == "S_and_identity" and base_iso
-                 and not specbi_formula_valid(G, S, t_kind, "sum"))
+                 and not specbi_formula_valid(S, t_kind, "sum"))
         witness = (f"base isospectral but MX {md} vs MX+ {ms}; {ERRATUM_SPECBI}" if xfail
                    else f"base isospectral={base_iso}, pair isospectral={pair_iso}")
         reports.append(_report(claim, inst, ok, witness, xfail))
     return reports
 
 
-def check_gen_isosp(
-    G1: FiniteGroup, S1: GroupSubset, G2: FiniteGroup, S2: GroupSubset, kind: str
-) -> list[VerificationReport]:
-    b1 = spectrum_of(G1, S1, kind)
-    b2 = spectrum_of(G2, S2, kind)
+def check_gen_isosp(S1: GroupSubset, S2: GroupSubset, kind: str) -> list[VerificationReport]:
+    G1, G2 = S1.parent, S2.parent
+    b1 = spectrum_of(S1, kind)
+    b2 = spectrum_of(S2, kind)
     inst = f"(G1={G1.label}, S1={list(S1.members)}; G2={G2.label}, S2={list(S2.members)}, kind={kind})"
     if b1 is None or b2 is None:
         return [_report("thm-gen-isosp", inst, None, "no exact route")]
     base_iso = b1.size == b2.size and spectra.isospectral(b1, b2)
     reports = []
     for t_kind in T_KINDS:
-        m1 = spectrum_of(G1, S1, kind, t_subset(G1, S1, t_kind))
-        m2 = spectrum_of(G2, S2, kind, t_subset(G2, S2, t_kind))
+        m1 = spectrum_of(S1, kind, t_subset(S1, t_kind))
+        m2 = spectrum_of(S2, kind, t_subset(S2, t_kind))
         pair_iso = m1.size == m2.size and spectra.isospectral(m1, m2)
         witness = None
         if pair_iso != base_iso:
@@ -379,18 +356,16 @@ def check_gen_isosp(
 # parity, symmetry and integrality transfer
 
 
-def check_parity_and_symmetry(
-    G: FiniteGroup, S: GroupSubset, kind: str
-) -> list[VerificationReport]:
-    base = spectrum_of(G, S, kind)
-    inst = _inst(G, S, f"kind={kind}")
+def check_parity_and_symmetry(S: GroupSubset, kind: str) -> list[VerificationReport]:
+    base = spectrum_of(S, kind)
+    inst = _inst(S, f"kind={kind}")
     if base is None:
         return [_report("cor-integral-symmetric", inst, None, "no exact route")]
     base_cls = spectra.classify(base)
-    e_in_S = G.identity in S
-    classes = {tk: spectra.classify(spectrum_of(G, S, kind, t_subset(G, S, tk)))
+    e_in_S = S.parent.identity in S
+    classes = {tk: spectra.classify(spectrum_of(S, kind, t_subset(S, tk)))
                for tk in T_KINDS}
-    formula_ok = {tk: specbi_formula_valid(G, S, tk, kind) for tk in T_KINDS}
+    formula_ok = {tk: specbi_formula_valid(S, tk, kind) for tk in T_KINDS}
     reports = [
         _report(f"cor-integral/transfer/{tk}", inst,
                 classes[tk].integral == base_cls.integral,
@@ -429,14 +404,15 @@ def check_parity_and_symmetry(
     return reports
 
 
-def check_integrality_criteria(G: FiniteGroup, S: GroupSubset) -> list[VerificationReport]:
+def check_integrality_criteria(S: GroupSubset) -> list[VerificationReport]:
     """Prop. integral-MDCGs: integrality of X(G,S) against the set-theoretic
     criteria (gcd classes / Boolean algebra / Eulerian)."""
-    inst = _inst(G, S)
+    G = S.parent
+    inst = _inst(S)
     preds = algebra.subset_predicates(S)
     if not G.is_abelian and not preds.normal:
         return [_report("prop-integral-mdcgs/eulerian", inst, None, "S not normal")]
-    spec = spectrum_of(G, S, "difference")
+    spec = spectrum_of(S, "difference")
     if spec is None:
         return [_report("prop-integral-mdcgs/eulerian", inst, None,
                         "directed non-abelian instance")]
@@ -447,7 +423,7 @@ def check_integrality_criteria(G: FiniteGroup, S: GroupSubset) -> list[Verificat
             ok_gcd, _ = algebra.is_union_of_gcd_classes(S)
             reports.append(_report("prop-integral-mdcgs/gcd", inst, ok_gcd == integral,
                                    f"integral={integral}, gcd-union={ok_gcd}"))
-        ok_bool = algebra.boolean_algebra_member(G, S)
+        ok_bool = algebra.boolean_algebra_member(S)
         reports.append(_report("prop-integral-mdcgs/boolean", inst, ok_bool == integral,
                                f"integral={integral}, boolean={ok_bool}"))
     reports.append(_report("prop-integral-mdcgs/eulerian", inst, preds.eulerian == integral,
@@ -467,30 +443,28 @@ def check_local_ring_closed_forms(local: finring.LocalRing) -> list[Verification
     misprints and report xfail with the actual spectrum as witness.
     """
     r, m = local.size, local.maximal_ideal_size
-    R = finring.artin_product([local])
-    G = finring.additive_group(R)
-    U = finring.units(R)
+    U = finring.units(finring.artin_product([local]))
     inst = f"(R={local.label}, r={r}, m={m})"
 
-    base_graph = graphs.cayley(G, U, "difference")
+    base_graph = graphs.cayley(U, "difference")
     dense = spectra.spectrum_dense_symmetric(base_graph)
     formula = spectra.local_ring_unitary_spectrum(r, m, "difference")
     reports = [_report("eq-spec-GR-local", inst, spectra.isospectral(dense, formula),
                        f"dense {dense} vs formula {formula}")]
     if r % 2 == 0:
         reports.append(_report("even-local-sum-graph-equal", inst,
-                               base_graph == graphs.cayley(G, U, "sum"),
+                               base_graph == graphs.cayley(U, "sum"),
                                "X and X+ differ for an even local ring"))
         return reports
 
-    dense_sum = spectra.spectrum_dense_symmetric(graphs.cayley(G, U, "sum"))
+    dense_sum = spectra.spectrum_dense_symmetric(graphs.cayley(U, "sum"))
     formula_sum = spectra.local_ring_unitary_spectrum(r, m, "sum")
     reports.append(_report("eq-spec-GR+-local", inst, spectra.isospectral(dense_sum, formula_sum),
                            f"dense {dense_sum} vs formula {formula_sum}"))
 
     for kind in KINDS:
         for t_kind in T_KINDS:
-            actual = spectrum_of(G, U, kind, t_subset(G, U, t_kind))
+            actual = spectrum_of(U, kind, t_subset(U, t_kind))
             printed = spectra.mdcg_local_ring_spectrum(r, m, t_kind, kind)
             equal = spectra.isospectral(actual, printed)
             claim = f"cor-spec-GRR/{t_kind}/{kind}"
@@ -525,13 +499,12 @@ def build_even_odd_pair(R: FiniteRing) -> list[VerificationReport]:
         raise HypothesisError(
             "hypothesis violation: need a local factor with r = 2m and an odd factor"
         )
-    G = finring.additive_group(R)
     S = finring.units(R)
     inst = f"(R={R.label})"
     reports: list[VerificationReport] = []
 
-    even_d = spectrum_of(G, S, "difference", S)
-    even_s = spectrum_of(G, S, "sum", S)
+    even_d = spectrum_of(S, "difference", S)
+    even_s = spectrum_of(S, "sum", S)
     even_cls = spectra.classify(even_d)
     even_ok = (
         spectra.isospectral(even_d, even_s)
@@ -543,14 +516,14 @@ def build_even_odd_pair(R: FiniteRing) -> list[VerificationReport]:
     reports.append(_report("prop-isosp-R/even-pair", inst, even_ok,
                            f"{even_d} vs {even_s} ({even_cls})"))
 
-    zero_d = spectrum_of(G, S, "difference", _identity_subset(G))
-    zero_s = spectrum_of(G, S, "sum", _identity_subset(G))
+    zero_d = spectrum_of(S, "difference", t_subset(S, "identity"))
+    zero_s = spectrum_of(S, "sum", t_subset(S, "identity"))
     zero_ok = spectra.isospectral(zero_d, zero_s) and spectra.classify(zero_d).integral
     reports.append(_report("prop-isosp-R/zero-pair", inst, zero_ok, f"{zero_d} vs {zero_s}"))
 
     T_odd = S.with_identity()
-    odd_d = spectrum_of(G, S, "difference", T_odd)
-    odd_s = spectrum_of(G, S, "sum", T_odd)
+    odd_d = spectrum_of(S, "difference", T_odd)
+    odd_s = spectrum_of(S, "sum", T_odd)
     cls_d = spectra.classify(odd_d)
     cls_s = spectra.classify(odd_s)
     both_odd = (
@@ -562,7 +535,7 @@ def build_even_odd_pair(R: FiniteRing) -> list[VerificationReport]:
     reports.append(_report("thm-main/odd-classes", inst, both_odd, f"{cls_d} / {cls_s}"))
     if spectra.isospectral(odd_d, odd_s):
         reports.append(_report("prop-isosp-R/odd-pair", inst,
-                               specbi_formula_valid(G, S, "S_and_identity", "sum"),
+                               specbi_formula_valid(S, "S_and_identity", "sum"),
                                "unexpectedly isospectral"))
     else:
         reports.append(_report("prop-isosp-R/odd-pair", inst, False,
@@ -582,10 +555,9 @@ def iterated_pairs(R: FiniteRing, n_max: int) -> list[VerificationReport]:
     z2 = finring.zpk(2, 1)
     for n in range(1, n_max + 1):
         Rn = finring.artin_product(list(R.factors) + [z2] * n)
-        G = finring.additive_group(Rn)
         S = finring.units(Rn)
-        d = spectrum_of(G, S, "difference", S)
-        s = spectrum_of(G, S, "sum", S)
+        d = spectrum_of(S, "difference", S)
+        s = spectrum_of(S, "sum", S)
         cls = spectra.classify(d)
         ok = (
             spectra.isospectral(d, s)
@@ -609,8 +581,8 @@ _GROUP_POOL = (
 )
 
 
-def random_instance(rng: np.random.Generator, pool: dict[str, FiniteGroup]):
-    """A random (G, S) with e not in S, G drawn from a fixed small pool of
+def random_instance(rng: np.random.Generator, pool: dict[str, FiniteGroup]) -> GroupSubset:
+    """A random S with e not in S, over a G drawn from a fixed small pool of
     groups; `pool` maps each descriptor to the group built for it so far."""
     desc = _GROUP_POOL[int(rng.integers(0, len(_GROUP_POOL)))]
     if desc not in pool:
@@ -619,7 +591,7 @@ def random_instance(rng: np.random.Generator, pool: dict[str, FiniteGroup]):
     candidates = [g for g in G.elements() if g != G.identity]
     size = int(rng.integers(1, len(candidates)))    # every pool group has order >= 6
     chosen = rng.choice(candidates, size=size, replace=False).tolist()
-    return G, GroupSubset(G, tuple(sorted(chosen)))
+    return GroupSubset(G, tuple(sorted(chosen)))
 
 
 def run_suite(seed: int, trials: int) -> list[VerificationReport]:
@@ -633,22 +605,20 @@ def _suite_calls(seed: int, trials: int):
     """The suite as (check, *args) calls: the paper's fixed instances, then
     `trials` random ones.  Each trial's instance is drawn when its calls are
     reached, so a run holds one trial's subsets and spectra at a time."""
-    z4 = algebra.cyclic(4)
-    s13 = algebra.subset(z4, [1, 3])
-    z16 = algebra.cyclic(16)
-    s1 = algebra.subset(z16, [1, 2, 4, 5, 9, 10, 12, 13])
+    s13 = algebra.subset(algebra.cyclic(4), [1, 3])
+    s1 = algebra.subset(algebra.cyclic(16), [1, 2, 4, 5, 9, 10, 12, 13])
     z44 = algebra.direct_product(algebra.cyclic(4), algebra.cyclic(4))
     s2 = algebra.subset(z44, [1, 2, 4, 6, 9, 10, 13, 15])
     R = finring.parse_ring("zpk:2^2*gf:3")
     for kind in KINDS:
-        yield check_product_decompositions, z4, s13, kind
-        yield check_spectrum_formulas, z4, s13, kind
-        yield check_crossed_nonisospectrality, z4, s13, kind
-        yield check_gen_isosp, z16, s1, z44, s2, kind
-    yield check_isosp_transfer, z4, s13
-    yield check_isosp_transfer, finring.additive_group(R), finring.units(R)
-    yield check_parity_and_symmetry, z4, s13, "difference"
-    yield check_integrality_criteria, z4, s13
+        yield check_product_decompositions, s13, kind
+        yield check_spectrum_formulas, s13, kind
+        yield check_crossed_nonisospectrality, s13, kind
+        yield check_gen_isosp, s1, s2, kind
+    yield check_isosp_transfer, s13
+    yield check_isosp_transfer, finring.units(R)
+    yield check_parity_and_symmetry, s13, "difference"
+    yield check_integrality_criteria, s13
     yield build_even_odd_pair, R
     yield iterated_pairs, R, 2
     for local in (finring.zpk(3, 1), finring.zpk(3, 2), finring.galois_ring(2, 2, 2)):
@@ -656,14 +626,14 @@ def _suite_calls(seed: int, trials: int):
     rng = np.random.default_rng(seed)
     pool: dict[str, FiniteGroup] = {}     # descriptor -> group, shared by this run's trials
     for _ in range(trials):
-        G, S = random_instance(rng, pool)
+        S = random_instance(rng, pool)
         kind = "difference" if rng.integers(0, 2) == 0 else "sum"
-        yield check_cayley_structure, G, S, t_subset(G, S, "S_and_identity"), kind
-        yield check_product_decompositions, G, S, kind
-        yield check_parity_and_symmetry, G, S, "difference"
-        if G.is_abelian:
-            yield check_spectrum_formulas, G, S, kind
-            yield check_isosp_transfer, G, S
+        yield check_cayley_structure, S, t_subset(S, "S_and_identity"), kind
+        yield check_product_decompositions, S, kind
+        yield check_parity_and_symmetry, S, "difference"
+        if S.parent.is_abelian:
+            yield check_spectrum_formulas, S, kind
+            yield check_isosp_transfer, S
         if len(S) >= 2:
-            yield check_crossed_nonisospectrality, G, S, "difference"
-        yield check_integrality_criteria, G, S
+            yield check_crossed_nonisospectrality, S, "difference"
+        yield check_integrality_criteria, S

@@ -39,6 +39,9 @@ library once decided them; it now decides both, and the Eulerian one, by a
 single co-generation closure.  ``unitary_field_rows`` and ``mdcg_field_rows``
 are the printed field rows (m = 1) of the local-ring closed forms, which the
 library reads off the general rows at m = 1.
+``multiplicity_by_scan`` and ``classify_by_scan`` look each multiplicity
+up by a scan of every entry, as ``spectra.classify`` once did (O(k^2) for
+k entries in +- pairs); the library bisects a copy sorted by real part.
 ``random_instance`` draws a random (G, S) with the options the tests use
 (abelian only, symmetric S, a minimum size, e allowed in S); the library's
 suite draws with none of them.
@@ -501,6 +504,24 @@ def mdcg_field_rows(r: int, t_kind: str, kind: str) -> Spectrum:
         ("S_and_identity", "sum"): [(2 * r - 1, 1), (1, r), (3, h), (-1, h)],
     }
     return Spectrum.from_pairs(rows[t_kind, kind])
+
+
+def multiplicity_by_scan(spec: Spectrum, value: complex) -> int:
+    """Total multiplicity of the entries within the tolerance of value."""
+    return sum(m for v, m in spec.entries if abs(v - value) <= spec.tolerance)
+
+
+def classify_by_scan(spec: Spectrum) -> tuple[bool, bool]:
+    """(almost_symmetric, bipartite_criterion) of ``spectra.classify``: every
+    entry but the principal one has its negation with equal multiplicity,
+    and the negated principal eigenvalue is an eigenvalue."""
+    principal = max(spec.entries, key=lambda e: (e[0].real, e[0].imag))[0]
+    almost = all(
+        multiplicity_by_scan(spec, v) == multiplicity_by_scan(spec, -v)
+        for v, _ in spec.entries
+        if abs(v - principal) > spec.tolerance
+    )
+    return almost, multiplicity_by_scan(spec, -principal) > 0
 
 
 def random_instance(

@@ -40,7 +40,7 @@ def test_criterion_1_cay_z4_reproduction():
     t0 = time.perf_counter()
     z4 = alg.cyclic(4)
     S = alg.subset(z4, [1, 3])
-    base = sp.spectrum_exact_abelian(z4, S, "difference")
+    base = sp.spectrum_exact_abelian(S, "difference")
     assert sp.isospectral(base, spec((2, 1), (0, 2), (-2, 1)), TOL)
 
     printed = {
@@ -51,7 +51,7 @@ def test_criterion_1_cay_z4_reproduction():
     want_parity = {"identity": "odd", "S": "even", "S_and_identity": "odd"}
     want_symmetric = {"identity": True, "S": True, "S_and_identity": False}
     for t_kind, want in printed.items():
-        direct = th.spectrum_of(z4, S, "difference", th.t_subset(z4, S, t_kind))
+        direct = th.spectrum_of(S, "difference", th.t_subset(S, t_kind))
         assert sp.isospectral(direct, want, TOL), t_kind
         cls = sp.classify(direct)
         assert cls.integral and cls.parity == want_parity[t_kind]
@@ -76,17 +76,17 @@ def test_criterion_2_section7_worked_example():
     r8 = 2 * math.sqrt(2)
     want_sum = spec((8, 1), (4, 1), (r8, 2), (0, 9), (-r8, 2), (-4, 1))
 
-    d1 = sp.spectrum_exact_abelian(z16, S1, "difference")
-    d2 = sp.spectrum_exact_abelian(z44, S2, "difference")
-    s1 = sp.spectrum_exact_abelian(z16, S1, "sum")
-    s2 = sp.spectrum_exact_abelian(z44, S2, "sum")
+    d1 = sp.spectrum_exact_abelian(S1, "difference")
+    d2 = sp.spectrum_exact_abelian(S2, "difference")
+    s1 = sp.spectrum_exact_abelian(S1, "sum")
+    s2 = sp.spectrum_exact_abelian(S2, "sum")
     assert sp.isospectral(d1, want_diff, TOL) and sp.isospectral(d2, want_diff, TOL)
     assert sp.isospectral(s1, want_sum, TOL) and sp.isospectral(s2, want_sum, TOL)
     assert sp.isospectral(d1, d2, TOL) and sp.isospectral(s1, s2, TOL)
     assert not sp.isospectral(d1, s1, TOL) and not sp.isospectral(d2, s2, TOL)
 
-    g1 = gr.cayley(z16, S1, "difference")
-    g2 = gr.cayley(z44, S2, "difference")
+    g1 = gr.cayley(S1, "difference")
+    g2 = gr.cayley(S2, "difference")
     assert any(len(c) > 1 for c in gr.structure_report(g1).twin_classes)
     assert not any(len(c) > 1 for c in gr.structure_report(g2).twin_classes)
     twins = {frozenset(c) for c in gr.structure_report(g1).twin_classes if len(c) > 1}
@@ -102,9 +102,9 @@ def test_criterion_2_section7_worked_example():
 def test_criterion_3_z4z3_example():
     t0 = time.perf_counter()
     R = fr.parse_ring("zpk:2^2*gf:3")
-    G, U = fr.additive_group(R), fr.units(R)
-    base_d = sp.spectrum_exact_abelian(G, U, "difference")
-    base_s = sp.spectrum_exact_abelian(G, U, "sum")
+    U = fr.units(R)
+    base_d = sp.spectrum_exact_abelian(U, "difference")
+    base_s = sp.spectrum_exact_abelian(U, "sum")
     want_base = spec((4, 1), (2, 2), (0, 6), (-2, 2), (-4, 1))
     assert sp.isospectral(base_d, want_base, TOL)
     assert sp.isospectral(base_s, want_base, TOL)
@@ -115,11 +115,11 @@ def test_criterion_3_z4z3_example():
         "S_and_identity": spec((9, 1), (5, 2), (1, 6), (-3, 2), (-7, 1), (-1, 12)),
     }
     for t_kind, want in printed.items():
-        direct = th.spectrum_of(G, U, "difference", th.t_subset(G, U, t_kind))
+        direct = th.spectrum_of(U, "difference", th.t_subset(U, t_kind))
         assert sp.isospectral(direct, want, TOL), t_kind
     # the sum versions also match for the identity and S cases
     for t_kind in ("identity", "S"):
-        direct = th.spectrum_of(G, U, "sum", th.t_subset(G, U, t_kind))
+        direct = th.spectrum_of(U, "sum", th.t_subset(U, t_kind))
         assert sp.isospectral(direct, printed[t_kind], TOL)
 
     cls0 = sp.classify(printed["identity"])
@@ -193,10 +193,10 @@ def test_criterion_4_local_ring_formulas():
 def test_criterion_4_printed_mirror_with_identity_rows():
     for ring in _odd_local_rings_up_to_81():
         R = fr.artin_product([ring])
-        G, U = fr.additive_group(R), fr.units(R)
+        U = fr.units(R)
         r, m = ring.size, ring.maximal_ideal_size
         for kind in th.KINDS:
-            actual = th.spectrum_of(G, U, kind, U.with_identity())
+            actual = th.spectrum_of(U, kind, U.with_identity())
             printed = sp.mdcg_local_ring_spectrum(r, m, "S_and_identity", kind)
             assert sp.isospectral(actual, printed, TOL), (ring.label, kind)
 
@@ -205,7 +205,7 @@ def test_criterion_5_dicyclic_instance():
     t0 = time.perf_counter()
     dic3 = alg.dicyclic(3)
     S = alg.subset(dic3, [2 * k for k in (1, 2, 4, 5)] + [3, 9])
-    g = gr.cayley(dic3, S, "difference")
+    g = gr.cayley(S, "difference")
     got = sp.spectrum_dense_symmetric(g)
     n = 3
     want = spec((2 * n, 1), (2 * n - 4, 1), (0, 3 * n - 1), (-4, n - 1))
@@ -231,24 +231,23 @@ def test_criterion_6_gp_graphs():
     # gamma(3, 16) against the semiprimitive three-eigenvalue spectrum
     F16 = fr.artin_product([fr.gf(2, 4)])
     P3 = fr.power_residues(F16, 3)
-    dense = sp.spectrum_dense_symmetric(gr.cayley(fr.additive_group(F16), P3, "difference"))
+    dense = sp.spectrum_dense_symmetric(gr.cayley(P3, "difference"))
     assert sp.isospectral(dense, spec((5, 1), (-3, 5), (1, 10)), TOL)
 
     # gamma(2, 9) against the spectrum of the Hamming graph H(2, 3)
     F9 = fr.artin_product([fr.gf(3, 2)])
     P2 = fr.power_residues(F9, 2)
-    dense9 = sp.spectrum_dense_symmetric(gr.cayley(fr.additive_group(F9), P2, "difference"))
+    dense9 = sp.spectrum_dense_symmetric(gr.cayley(P2, "difference"))
     assert sp.isospectral(dense9, spec((4, 1), (1, 4), (-2, 4)), TOL)
 
     checked = 0
     for p, m, q in _prime_powers_up_to(64):
         field = fr.artin_product([fr.gf(p, m)])
-        G = fr.additive_group(field)
         for k in range(1, q):
             if (q - 1) % k:
                 continue
             Pk = fr.power_residues(field, k)
-            s = sp.spectrum_exact_abelian(G, Pk, "difference")
+            s = sp.spectrum_exact_abelian(Pk, "difference")
             assert sp.classify(s).integral == gp_integrality(k, q), (k, q)
             checked += 1
     assert checked > 100
@@ -267,7 +266,7 @@ def test_criterion_7_property_suites():
         if len(S) < 2 or G.identity in S:
             continue
         kind = th.KINDS[crossed % 2]
-        reports = th.check_crossed_nonisospectrality(G, S, kind)
+        reports = th.check_crossed_nonisospectrality(S, kind)
         if any(r.outcome == "skip" for r in reports):
             continue
         for r in reports:
@@ -279,21 +278,21 @@ def test_criterion_7_property_suites():
         members = rng.choice(G.order, size=max(1, G.order // 3), replace=False)
         T = alg.subset(G, members.tolist())
         kind = th.KINDS[i % 2]
-        [r] = th.check_cayley_structure(G, S, T, kind)
+        [r] = th.check_cayley_structure(S, T, kind)
         assert r.outcome == "pass"
-        for r in th.check_product_decompositions(G, S, kind):
+        for r in th.check_product_decompositions(S, kind):
             assert r.ok, (r.claim_id, r.witness)
             if kind == "difference":
                 assert r.outcome == "pass", (r.claim_id, r.witness)
 
     for i in range(100):
         G, S = random_instance(rng, require_abelian=True)
-        for r in th.check_spectrum_formulas(G, S, "difference"):
+        for r in th.check_spectrum_formulas(S, "difference"):
             assert r.outcome in ("pass", "skip"), (r.claim_id, r.witness)
 
     for _ in range(60):
         G, S = random_instance(rng)
-        for r in th.check_integrality_criteria(G, S):
+        for r in th.check_integrality_criteria(S):
             assert r.outcome in ("pass", "skip"), (r.claim_id, r.witness)
 
     assert time.perf_counter() - t0 < 60.0
@@ -306,22 +305,22 @@ def test_criterion_8_even_odd_pair_end_to_end():
     reports = th.build_even_odd_pair(R)
     assert all(r.ok for r in reports)
 
-    G, U = fr.additive_group(R), fr.units(R)
-    even = th.spectrum_of(G, U, "difference", U)
+    U = fr.units(R)
+    even = th.spectrum_of(U, "difference", U)
     even_cls = sp.classify(even)
     assert even_cls.integral and even_cls.parity == "even"
     assert even_cls.symmetric and even_cls.bipartite_criterion
     for kind in th.KINDS:
-        assert gr.structure_report(gr.mirror_dicayley(G, U, U, kind)).bipartite
-    d = th.spectrum_of(G, U, "sum", U)
+        assert gr.structure_report(gr.mirror_dicayley(U, U, kind)).bipartite
+    d = th.spectrum_of(U, "sum", U)
     assert sp.isospectral(d, even, TOL)
 
-    for s in (th.spectrum_of(G, U, kind, U.with_identity()) for kind in th.KINDS):
+    for s in (th.spectrum_of(U, kind, U.with_identity()) for kind in th.KINDS):
         cls = sp.classify(s)
         assert cls.integral and cls.parity == "odd"
         assert not cls.symmetric and not cls.bipartite_criterion
     for kind in th.KINDS:
-        rep = gr.structure_report(gr.mirror_dicayley(G, U, U.with_identity(), kind))
+        rep = gr.structure_report(gr.mirror_dicayley(U, U.with_identity(), kind))
         assert not rep.bipartite if not rep.directed and not rep.loop_vertices else True
 
     by_claim = {r.claim_id: r.outcome for r in reports}
@@ -351,8 +350,8 @@ def test_criterion_8_even_odd_pair_end_to_end():
 )
 def test_criterion_8_odd_pair_isospectral():
     R = fr.parse_ring("zpk:2^2*gf:3")
-    G, U = fr.additive_group(R), fr.units(R)
+    U = fr.units(R)
     assert sp.isospectral(
-        th.spectrum_of(G, U, "difference", U.with_identity()),
-        th.spectrum_of(G, U, "sum", U.with_identity()), TOL
+        th.spectrum_of(U, "difference", U.with_identity()),
+        th.spectrum_of(U, "sum", U.with_identity()), TOL
     )

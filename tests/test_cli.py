@@ -63,14 +63,11 @@ def test_trivial_group_spectra(capsys, members, tkind, want, kind):
     code, out = run(capsys, "spectrum", "--group", "cyclic:1", "--set", members,
                     "--kind", kind, *(("--tkind", tkind) if tkind else ()))
     assert code == 0 and out.splitlines()[0] == f"spectrum: {want}"
-    G = algebra.cyclic(1)
-    S = algebra.subset(G, [int(members)] if members else [])
+    S = algebra.subset(algebra.cyclic(1), [int(members)] if members else [])
     if tkind:       # the character route of the mirror graph runs over G x Z2
-        T = theorems.t_subset(G, S, cli.TKIND_ALIASES[tkind])
-        G = theorems.product_group_with_z2(G)
-        S = theorems.mdcg_connection_subset(G, S, T)
-    sums = algebra.character_sums_over(G, S)
-    assert sums.dtype == np.complex128 and sums.shape == (G.order,)
+        S = theorems.mdcg_connection_subset(S, theorems.t_subset(S, cli.TKIND_ALIASES[tkind]))
+    sums = algebra.character_sums_over(S)
+    assert sums.dtype == np.complex128 and sums.shape == (S.parent.order,)
 
 
 def test_build_round_trip(capsys, tmp_path):
@@ -110,6 +107,35 @@ BUILD_SHA256 = [
 def test_build_output_pinned(capsys, argv, fmt, digest):
     code, out = run(capsys, "build", "--group", *argv, "--format", fmt)
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# exit code and sha256 of the full stdout of spectrum and compare runs over
+# the character, dense, mirror and no-route paths, recorded before the
+# subset-taking functions dropped their separate group argument
+SPECTRUM_SHA256 = [
+    (("spectrum", "--group", "cyclic:4", "--set", "1,3"), 0,
+     "9c84380ab0f2ce198ffb1d0bc48309ed49bd457a3e685f96152c7d780ba2a9db"),
+    (("spectrum", "--ring", "zpk:2^7*gf:3", "--set", "units", "--tkind", "S",
+      "--format", "json"), 0,
+     "17b25ab4cd0263a66a56c9fe709951b4e8d5bcfccd2908db0616bed545003b14"),
+    (("spectrum", "--group", "cyclic:4", "--set", "1,3", "--kind", "sum", "--tkind", "e",
+      "--format", "json"), 0,
+     "3be555a498438bb81900ef66d13fb25734cd7ba66f73c57fe8767700f3161a93"),
+    (("spectrum", "--group", "sym:5", "--set", "1,2,6,24,119", "--format", "json"), 0,
+     "06fcf0b2fce9861d3cb7df36bc14bb52b15269b295636c6e8b879d6b055e89cc"),
+    (("spectrum", "--group", "dicyclic:15", "--set", "1,3,5", "--tkind", "e"), 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("compare", "--group", "cyclic:16", "--set", "1,2,4,5,9,10,12,13",
+      "--group2", "prod:(cyclic:4,cyclic:4)", "--set2", "1,2,4,6,9,10,13,15"), 0,
+     "a1315aed9451d1515dfb1edd51228c7940dc7f8be852e3ee85492bd1a9004158"),
+]
+
+
+@pytest.mark.parametrize("argv, rc, digest", SPECTRUM_SHA256)
+def test_spectrum_output_pinned(capsys, argv, rc, digest):
+    code, out = run(capsys, *argv)
+    assert code == rc
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -18,10 +18,10 @@ from spectra_forge import theorems as th
 from oracles import random_instance
 
 
-def dual_route_spectrum(G, S, T, kind):
+def dual_route_spectrum(S, T, kind):
     """Character route and dense route must agree; returns the spectrum."""
-    chars = th.spectrum_of(G, S, kind, T)
-    graph = gr.mirror_dicayley(G, S, T, kind)
+    chars = th.spectrum_of(S, kind, T)
+    graph = gr.mirror_dicayley(S, T, kind)
     assert graph.undirected
     dense = sp.spectrum_dense_symmetric(graph)
     assert sp.isospectral(chars, dense, 1e-7)
@@ -32,13 +32,13 @@ def test_sum_mirror_with_identity_closed_form_is_wrong():
     # Z3 with units: the 6-vertex graph is small enough to audit by hand
     z3 = alg.cyclic(3)
     S = alg.subset(z3, [1, 2])
-    actual = dual_route_spectrum(z3, S, S.with_identity(), "sum")
+    actual = dual_route_spectrum(S, S.with_identity(), "sum")
     truth = sp.Spectrum.from_pairs([(5, 1), (1, 2), (-1, 3)])
     assert sp.isospectral(actual, truth)
     printed = sp.mdcg_local_ring_spectrum(3, 1, "S_and_identity", "sum")
     assert not sp.isospectral(actual, printed)
     # trace check: the actual graph has 4 loops, the printed multiset sums to 10
-    graph = gr.mirror_dicayley(z3, S, S.with_identity(), "sum")
+    graph = gr.mirror_dicayley(S, S.with_identity(), "sum")
     assert np.trace(graph.adjacency) == 4
     assert sum(v.real * m for v, m in printed.entries) == 10
 
@@ -47,8 +47,8 @@ def test_difference_mirror_with_identity_closed_form_is_wrong():
     # the printed difference row misses the [-1]^{|R|} block; the actual
     # graph is loopless so its trace is zero while the printed trace is not
     z9 = fr.artin_product([fr.zpk(3, 2)])
-    G, U = fr.additive_group(z9), fr.units(z9)
-    actual = dual_route_spectrum(G, U, U.with_identity(), "difference")
+    U = fr.units(z9)
+    actual = dual_route_spectrum(U, U.with_identity(), "difference")
     truth = sp.Spectrum.from_pairs([(13, 1), (1, 6), (-1, 9), (-5, 2)])
     assert sp.isospectral(actual, truth)
     printed = sp.mdcg_local_ring_spectrum(9, 3, "S_and_identity", "difference")
@@ -76,10 +76,10 @@ def test_mirror_with_identity_true_closed_forms_by_sweep():
 def test_odd_pair_is_not_isospectral():
     # the even pair shares its spectrum; the odd pair provably does not
     R = fr.parse_ring("zpk:2^2*gf:3")
-    G, U = fr.additive_group(R), fr.units(R)
+    U = fr.units(R)
     T = U.with_identity()
-    diff = dual_route_spectrum(G, U, T, "difference")
-    summ = dual_route_spectrum(G, U, T, "sum")
+    diff = dual_route_spectrum(U, T, "difference")
+    summ = dual_route_spectrum(U, T, "sum")
     assert not sp.isospectral(diff, summ)
     want_sum = sp.Spectrum.from_pairs(
         [(9, 1), (5, 1), (3, 1), (1, 8), (-1, 10), (-3, 1), (-5, 1), (-7, 1)]
@@ -96,8 +96,8 @@ def test_sum_kind_cartesian_decomposition_fails():
     # its crossing edges pair g with -g, and the spectra differ too
     z6 = alg.cyclic(6)
     S = alg.subset(z6, [1])
-    mx = gr.mirror_dicayley(z6, S, alg.subset(z6, [0]), "sum")
-    gamma = gr.cayley(z6, S, "sum")
+    mx = gr.mirror_dicayley(S, alg.subset(z6, [0]), "sum")
+    gamma = gr.cayley(S, "sum")
     box = pr.named_product(pr.path2(False), gamma, "cartesian")
     assert mx != box
     mx_spec = sp.spectrum_dense_symmetric(mx)
@@ -110,11 +110,11 @@ def test_sum_kind_identity_case_formula_needs_symmetric_set():
     # plus-minus pairing of the crossing matching
     z4 = alg.cyclic(4)
     S = alg.subset(z4, [1])
-    actual = dual_route_spectrum(z4, S, alg.subset(z4, [0]), "sum")
+    actual = dual_route_spectrum(S, alg.subset(z4, [0]), "sum")
     r2 = np.sqrt(2)
     truth = sp.Spectrum.from_pairs([(2, 1), (r2, 2), (0, 2), (-r2, 2), (-2, 1)])
     assert sp.isospectral(actual, truth, 1e-7)
-    base = sp.spectrum_exact_abelian(z4, S, "sum")
+    base = sp.spectrum_exact_abelian(S, "sum")
     formula = sp.mdcg_spectrum_formula(base, "identity", 4)
     assert not sp.isospectral(actual, formula)
 
@@ -124,13 +124,13 @@ def test_sum_kind_formulas_hold_where_predicted():
     # sums validate the S-with-identity case (Z4 units have both)
     z4 = alg.cyclic(4)
     S = alg.subset(z4, [1, 3])
-    base = sp.spectrum_exact_abelian(z4, S, "sum")
+    base = sp.spectrum_exact_abelian(S, "sum")
     for t_kind in ("identity", "S", "S_and_identity"):
-        actual = dual_route_spectrum(z4, S, th.t_subset(z4, S, t_kind), "sum")
+        actual = dual_route_spectrum(S, th.t_subset(S, t_kind), "sum")
         formula = sp.mdcg_spectrum_formula(base, t_kind, 4)
         assert sp.isospectral(actual, formula), t_kind
     assert sp.isospectral(
-        dual_route_spectrum(z4, S, S.with_identity(), "sum"),
+        dual_route_spectrum(S, S.with_identity(), "sum"),
         sp.Spectrum.from_pairs([(5, 1), (1, 2), (-1, 4), (-3, 1)]),
     )
 
@@ -144,10 +144,10 @@ def test_validity_predicate_matches_reality():
         if G.identity in S:
             continue
         checked += 1
-        base = sp.spectrum_exact_abelian(G, S, "sum")
+        base = sp.spectrum_exact_abelian(S, "sum")
         for t_kind in ("identity", "S", "S_and_identity"):
             formula = sp.mdcg_spectrum_formula(base, t_kind, G.order)
-            actual = th.spectrum_of(G, S, "sum", th.t_subset(G, S, t_kind))
-            predicted = th.specbi_formula_valid(G, S, t_kind, "sum")
+            actual = th.spectrum_of(S, "sum", th.t_subset(S, t_kind))
+            predicted = th.specbi_formula_valid(S, t_kind, "sum")
             if predicted:
                 assert sp.isospectral(formula, actual), (G.label, t_kind)

@@ -334,7 +334,7 @@ def test_character_route_builds_no_table(descriptor, selector, monkeypatch):
     R = fr.parse_ring(descriptor)
     G = fr.additive_group(R)
     S = fr.power_residues(R, 3) if selector == "pk:3" else fr.units(R)
-    assert th.spectrum_of(G, S, "difference") is not None
+    assert th.spectrum_of(S, "difference") is not None
     assert callable(G._table)
 
 

@@ -14,7 +14,7 @@ from oracles import disjoint_union, random_instance, small_isomorphic, with_loop
 
 def c4_graph():
     z4 = alg.cyclic(4)
-    return gr.cayley(z4, alg.subset(z4, [1, 3]), "difference")
+    return gr.cayley(alg.subset(z4, [1, 3]), "difference")
 
 
 @pytest.mark.parametrize("bad", [
@@ -46,7 +46,7 @@ def test_cayley_c4():
 
 def test_cayley_sum_loops():
     z3 = alg.cyclic(3)
-    g = gr.cayley(z3, alg.subset(z3, [1, 2]), "sum")
+    g = gr.cayley(alg.subset(z3, [1, 2]), "sum")
     assert g.undirected
     # loop at x iff 2x in S: x = 1 (2 in S) and x = 2 (4 = 1 in S)
     assert np.array_equal(np.diag(g.adjacency), [0, 1, 1])
@@ -54,26 +54,29 @@ def test_cayley_sum_loops():
 
 def test_cayley_empty_set():
     z5 = alg.cyclic(5)
-    g = gr.cayley(z5, alg.subset(z5, []), "difference")
+    g = gr.cayley(alg.subset(z5, []), "difference")
     assert g.adjacency.sum() == 0 and g.n == 5
 
 
 def test_cayley_parent_mismatch():
+    # a connection set carries its group; two sets meet only in a mirror graph
     z4, z5 = alg.cyclic(4), alg.cyclic(5)
+    with pytest.raises(gr.GraphError, match="different group"):
+        gr.mirror_dicayley(alg.subset(z5, [1]), alg.subset(z4, [1]), "difference")
+    assert gr.mirror_dicayley(alg.subset(z4, [1]), alg.subset(alg.cyclic(4), [0]),
+                              "difference").n == 8      # an equal group built apart
     with pytest.raises(gr.GraphError):
-        gr.cayley(z5, alg.subset(z4, [1]), "difference")
-    with pytest.raises(gr.GraphError):
-        gr.cayley(z4, alg.subset(z4, [1]), "nope")
+        gr.cayley(alg.subset(z4, [1]), "nope")
 
 
 def test_mirror_dicayley_degrees():
     z4 = alg.cyclic(4)
     S = alg.subset(z4, [1, 3])
-    one_match = gr.mirror_dicayley(z4, S, alg.subset(z4, [0]), "difference")
+    one_match = gr.mirror_dicayley(S, alg.subset(z4, [0]), "difference")
     assert one_match.n == 8 and one_match.regular_degree == 3
-    both = gr.mirror_dicayley(z4, S, S, "difference")
+    both = gr.mirror_dicayley(S, S, "difference")
     assert both.regular_degree == 4
-    full = gr.mirror_dicayley(z4, S, S.with_identity(), "difference")
+    full = gr.mirror_dicayley(S, S.with_identity(), "difference")
     assert full.regular_degree == 5
 
 
@@ -82,21 +85,21 @@ def test_mirror_trivial_cases():
     empty = alg.subset(z3, [])
     e = alg.subset(z3, [0])
     # MX(G; empty, {e}) is a perfect matching: n disjoint 2-paths
-    m = gr.mirror_dicayley(z3, empty, e, "difference")
+    m = gr.mirror_dicayley(empty, e, "difference")
     p2 = gr.Graph(np.array([[0, 1], [1, 0]], dtype=np.uint8))
     assert small_isomorphic(m, disjoint_union([p2, p2, p2]))
     # the sum version is also a perfect matching (crossing pairs g with -g)
-    ms = gr.mirror_dicayley(z3, empty, e, "sum")
+    ms = gr.mirror_dicayley(empty, e, "sum")
     assert small_isomorphic(ms, disjoint_union([p2, p2, p2]))
 
     # MX(G; {e}, {e}) = n looped 2-paths
-    mee = gr.mirror_dicayley(z3, e, e, "difference")
+    mee = gr.mirror_dicayley(e, e, "difference")
     p2l = with_loops(p2)
     assert small_isomorphic(mee, disjoint_union([p2l, p2l, p2l]))
 
     # MX+(G; {e}, {e}): one looped 2-path per self-inverse element and one
     # 4-cycle per inverse pair
-    mps = gr.mirror_dicayley(z3, e, e, "sum")
+    mps = gr.mirror_dicayley(e, e, "sum")
     c4 = c4_graph()
     assert small_isomorphic(mps, disjoint_union([c4, p2l]))
 
@@ -120,7 +123,7 @@ def test_structure_report_c4():
 def test_twins_z16_vs_z4xz4():
     z16 = alg.cyclic(16)
     S1 = alg.subset(z16, [1, 2, 4, 5, 9, 10, 12, 13])
-    g1 = gr.cayley(z16, S1, "difference")
+    g1 = gr.cayley(S1, "difference")
     rep1 = gr.structure_report(g1)
     assert rep1.directed
     twins = {frozenset(c) for c in rep1.twin_classes if len(c) > 1}
@@ -131,13 +134,13 @@ def test_twins_z16_vs_z4xz4():
         z44, [4 * a + b for (a, b) in
               [(0, 1), (0, 2), (1, 0), (1, 2), (2, 1), (2, 2), (3, 1), (3, 3)]]
     )
-    rep2 = gr.structure_report(gr.cayley(z44, S2, "difference"))
+    rep2 = gr.structure_report(gr.cayley(S2, "difference"))
     assert not any(len(c) > 1 for c in rep2.twin_classes)
 
 
 def test_bipartite_query_requires_undirected_loopless():
     z3 = alg.cyclic(3)
-    directed = gr.cayley(z3, alg.subset(z3, [1]), "difference")
+    directed = gr.cayley(alg.subset(z3, [1]), "difference")
     assert gr.structure_report(directed).bipartite is None
     looped = with_loops(c4_graph())
     assert gr.structure_report(looped).bipartite is None
@@ -150,7 +153,7 @@ def test_directedness_criteria_random():
         G, S = random_instance(rng, exclude_identity=False)
         preds = alg.subset_predicates(S)
         mem, inv_mem = set(S), {G.invert(s) for s in S}
-        g = gr.cayley(G, S, "difference")
+        g = gr.cayley(S, "difference")
         assert g.undirected == (mem == inv_mem)
         A = g.adjacency
         off = A & A.T & ~np.eye(G.order, dtype=bool)
@@ -158,7 +161,7 @@ def test_directedness_criteria_random():
         loops_ok = not np.diag(A).any()
         assert (no_antiparallel and loops_ok) == (not mem & inv_mem)
 
-        gs = gr.cayley(G, S, "sum")
+        gs = gr.cayley(S, "sum")
         assert gs.undirected == preds.normal
         # sum graph loops exactly at solutions of x*x in S
         want = [1 if G.combine(x, x) in S else 0 for x in G.elements()]
@@ -168,10 +171,10 @@ def test_directedness_criteria_random():
 def test_mirror_row_sums_random():
     rng = np.random.default_rng(12)
     for _ in range(20):
-        G, S = random_instance(rng, exclude_identity=False)
-        T = th.t_subset(G, S, ("identity", "S", "S_and_identity")[int(rng.integers(3))])
+        _, S = random_instance(rng, exclude_identity=False)
+        T = th.t_subset(S, ("identity", "S", "S_and_identity")[int(rng.integers(3))])
         for kind in ("difference", "sum"):
-            m = gr.mirror_dicayley(G, S, T, kind)
+            m = gr.mirror_dicayley(S, T, kind)
             assert m.regular_degree == len(S) + len(T)
 
 
@@ -184,12 +187,12 @@ def test_union_identity_random():
         members2 = rng.choice(G.order, size=max(1, G.order // 4), replace=False)
         T2 = alg.subset(G, members2.tolist())
         for kind in ("difference", "sum"):
-            [r] = th.check_union_identity(G, S, T1, T2, kind)
+            [r] = th.check_union_identity(S, T1, T2, kind)
             assert r.outcome == "pass", r.witness
 
 
 def test_json_round_trip():
-    g = gr.mirror_dicayley(alg.cyclic(4), alg.subset(alg.cyclic(4), [1, 3]),
+    g = gr.mirror_dicayley(alg.subset(alg.cyclic(4), [1, 3]),
                            alg.subset(alg.cyclic(4), [0]), "difference")
     names = [f"({v},{i})" for i in (0, 1) for v in range(4)]
     data = json.loads(g.to_json(names))
@@ -209,13 +212,13 @@ def test_rows_equal_per_cell_join():
 
     z6 = alg.cyclic(6)
     S, T = alg.subset(z6, [1, 2]), alg.subset(z6, [0, 3])
-    cay = gr.cayley(z6, S, "sum")
+    cay = gr.cayley(S, "sum")
     graphs = [
         cay,
-        gr.mirror_dicayley(z6, S, T, "difference"),
+        gr.mirror_dicayley(S, T, "difference"),
         pr.named_product(cay, pr.path2(True), "strong"),
         cay.permuted([3, 0, 5, 1, 4, 2]),
-        gr.Graph(gr.cayley(z6, S, "difference").adjacency.T),   # a non-contiguous view
+        gr.Graph(gr.cayley(S, "difference").adjacency.T),   # a non-contiguous view
         gr.Graph(np.zeros((0, 0), dtype=np.uint8)),
     ]
     for g in graphs:
@@ -226,7 +229,7 @@ def test_dot_export():
     text = c4_graph().to_dot("abcd")
     assert text.startswith("graph") and '"a" -- "b"' in text
     z3 = alg.cyclic(3)
-    directed = gr.cayley(z3, alg.subset(z3, [1]), "difference")
+    directed = gr.cayley(alg.subset(z3, [1]), "difference")
     text2 = directed.to_dot(["0", "1", "2"])
     assert text2.startswith("digraph") and '"0" -> "1"' in text2
 

@@ -1,7 +1,7 @@
 """Property tests: the merged-entry comparison against the expanded-value
-greedy, the LAPACK dense route against the Jacobi oracle and the
-character route, the character route against power traces on directed
-instances, the boolean-gather graph kernels (NEPS, Cayley, mirror)
+greedy, classification by bisection against the per-lookup scan, the
+LAPACK dense route against the Jacobi oracle and the character route, the
+character route against power traces on directed instances, the boolean-gather graph kernels (NEPS, Cayley, mirror)
 against their Kronecker, element-by-element and block-matrix oracles, the
 mirror route existing exactly when the base route does, and the FFT
 character sums against the direct exponential sums."""
@@ -22,12 +22,14 @@ from spectra_forge import theorems as th
 from oracles import (
     cayley_by_definition,
     character_sums_direct,
+    classify_by_scan,
     dot_by_cells,
     isospectral_expanded,
     jacobi_eigenvalues,
     mirror_block,
     moment_check,
     moments,
+    multiplicity_by_scan,
     neps_kron,
 )
 
@@ -82,6 +84,31 @@ def test_merged_isospectral_matches_expanded_greedy(pairs, merged):
 
 
 @st.composite
+def plus_minus_spectra(draw):
+    """Spectra whose entries come in +- pairs, each negation moved by an
+    offset at the tolerance's edge and perhaps with one more unit; merged,
+    or taken as given in any order."""
+    pairs = []
+    for b in draw(st.lists(BASE, min_size=1, max_size=6, unique=True)):
+        m = draw(st.integers(1, 5))
+        pairs.append((b, m))
+        if draw(st.booleans()):
+            shift = complex(draw(OFFSET), draw(OFFSET)) * TOL
+            pairs.append((-b + shift, m + draw(st.sampled_from([0, 0, 1]))))
+    return _spectrum(draw(st.permutations(pairs)), draw(st.booleans()))
+
+
+@PROPERTY
+@given(plus_minus_spectra())
+def test_classify_matches_the_scanning_reference(spec):
+    c = sp.classify(spec)
+    assert (c.almost_symmetric, c.bipartite_criterion) == classify_by_scan(spec)
+    for v, _ in spec.entries:
+        for x in (v, -v, v + TOL, v - 1.5 * TOL):
+            assert spec.multiplicity_of(x) == multiplicity_by_scan(spec, x)
+
+
+@st.composite
 def symmetric_01(draw):
     n = draw(st.integers(1, 10))
     upper = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
@@ -128,9 +155,9 @@ def abelian_instances(draw):
 @PROPERTY
 @given(abelian_instances(), st.sampled_from(["difference", "sum"]))
 def test_dense_route_matches_character_route(instance, kind):
-    G, S = instance
-    dense = sp.spectrum_dense_symmetric(gr.cayley(G, S, kind))
-    chars = sp.spectrum_exact_abelian(G, S, kind)
+    _, S = instance
+    dense = sp.spectrum_dense_symmetric(gr.cayley(S, kind))
+    chars = sp.spectrum_exact_abelian(S, kind)
     assert sp.isospectral(dense, chars, 1e-7)
 
 
@@ -149,8 +176,8 @@ def directed_abelian_instances(draw):
 def test_character_route_matches_power_traces(instance, kind):
     G, S = instance
     n = G.order
-    spec = sp.spectrum_exact_abelian(G, S, kind)
-    traces = moments(gr.cayley(G, S, kind), min(12, n))
+    spec = sp.spectrum_exact_abelian(S, kind)
+    traces = moments(gr.cayley(S, kind), min(12, n))
     assert moment_check(spec, traces, max(1, len(S)), n)
 
 
@@ -199,8 +226,8 @@ def pool_connection_sets(draw):
 @given(pool_connection_sets(), st.sampled_from(["difference", "sum"]))
 def test_cayley_and_mirror_match_oracles(instance, kind):
     G, S, T = instance
-    for got, want in ((gr.cayley(G, S, kind), cayley_by_definition(G, S, kind)),
-                      (gr.mirror_dicayley(G, S, T, kind), mirror_block(G, S, T, kind))):
+    for got, want in ((gr.cayley(S, kind), cayley_by_definition(G, S, kind)),
+                      (gr.mirror_dicayley(S, T, kind), mirror_block(G, S, T, kind))):
         assert np.array_equal(got.adjacency, want.adjacency)
 
 
@@ -209,10 +236,10 @@ def test_cayley_and_mirror_match_oracles(instance, kind):
 def test_mirror_route_exists_exactly_when_base_route_does(instance, kind):
     # A_T is symmetric whenever A_S is, for T = {e}, S and S with e, so the
     # mirror graph is undirected exactly when the base graph is
-    G, S, _ = instance
-    base_none = th.spectrum_of(G, S, kind) is None
+    _, S, _ = instance
+    base_none = th.spectrum_of(S, kind) is None
     for t_kind in th.T_KINDS:
-        assert (th.spectrum_of(G, S, kind, th.t_subset(G, S, t_kind)) is None) == base_none
+        assert (th.spectrum_of(S, kind, th.t_subset(S, t_kind)) is None) == base_none
 
 
 @st.composite
@@ -234,6 +261,6 @@ def cyclic_products(draw):
 @given(cyclic_products())
 def test_fft_character_sums_match_direct_sums(instance):
     G, S = instance
-    got = alg.character_sums_over(G, S)
+    got = alg.character_sums_over(S)
     assert got.dtype == np.complex128 and got.shape == (G.order,)
     assert np.abs(got - character_sums_direct(G, S)).max() <= 1e-9 * max(1, len(S))
