@@ -6,19 +6,18 @@ from .algebra import (
     FiniteGroup,
     GroupError,
     GroupSubset,
-    boolean_algebra_member,
     character_exponents,
     conjugate_characters,
     character_sums_over,
+    cogeneration_gap,
     cyclic,
     dicyclic,
     dihedral,
     direct_product,
     gcd_class,
-    is_union_of_gcd_classes,
+    is_normal,
     make_group,
     subset,
-    subset_predicates,
     symmetric,
 )
 from .finring import (

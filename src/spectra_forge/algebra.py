@@ -3,13 +3,14 @@ the subset predicates used by the graph constructions, and the
 trial-division number theory the ring and spectrum code shares.
 
 Groups are immutable after construction.  Elements are integers
-0..order-1; the table fixes the operation.  Every group is built with its
-structure and none is validated at run time: Z_n, D_n, Dic_n and S_n come
-from index arithmetic with the identity at index 0, and the abelian ones
-(Z_n, D_2, S_1, S_2) carry their invariant factors by construction; a direct
-product composes its invariant factors from its factors'; Z_n and direct
-products build their tables on first read.  The table checks (associativity,
-identity, inverses, abelian coordinates) live in the tests.
+0..order-1; the table fixes the operation and every constructor places the
+identity at index 0.  Every group is built with its structure and none is
+validated at run time: Z_n, D_n, Dic_n and S_n come from index arithmetic,
+and the abelian ones (Z_n, D_2, S_1, S_2) carry their invariant factors by
+construction; a direct product composes its invariant factors from its
+factors'; Z_n and direct products build their tables on first read.  The
+table checks (associativity, identity, inverses, abelian coordinates) live
+in the tests.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import permutations as _permutations
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -41,9 +42,10 @@ class FiniteGroup:
     ``op_table`` calls and drops.
     """
 
+    identity: ClassVar[int] = 0       # every constructor places it at index 0
+
     order: int
     inv_table: np.ndarray
-    identity: int
     label: str
     _table: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
     abelian_decomposition: tuple[int, ...] | None
@@ -74,7 +76,12 @@ class FiniteGroup:
         """[e, g, g^2, ..., g^(d-1)] for g of order d."""
         if not (0 <= g < self.order):      # a negative index would wrap silently
             raise GroupError(f"element index out of range for {self.label}")
-        return _powers(self.op_table, self.identity, g)
+        op, out = self.op_table, [0]
+        acc = int(op[0, g])
+        while acc != 0:
+            out.append(acc)
+            acc = int(op[acc, g])
+        return out
 
     def elements(self) -> range:
         return range(self.order)
@@ -151,17 +158,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# powers and abelian structure
-
-
-def _powers(op: np.ndarray, identity: int, g: int) -> list[int]:
-    """[e, g, g^2, ...] up to the last power before e recurs."""
-    out = [identity]
-    acc = int(op[identity, g])
-    while acc != identity:
-        out.append(acc)
-        acc = int(op[acc, g])
-    return out
+# abelian structure
 
 
 def _invariant_chain(cols: np.ndarray, mods) -> tuple[tuple[int, ...], np.ndarray]:
@@ -243,7 +240,7 @@ def cyclic(n: int) -> FiniteGroup:
         raise GroupError("cyclic group needs n >= 1")
     _check_order(n)
     a = np.arange(n)
-    return FiniteGroup(n, -a % n, 0, f"Z{n}", lambda: (a[:, None] + a) % n,
+    return FiniteGroup(n, -a % n, f"Z{n}", lambda: (a[:, None] + a) % n,
                        *_invariant_chain(a[:, None], (n,)))
 
 
@@ -258,17 +255,16 @@ def direct_product(*groups: FiniteGroup) -> FiniteGroup:
         return groups[0]
     n = math.prod(g.order for g in groups)
     _check_order(n)
-    inv, identity = np.zeros(1, dtype=np.int64), 0
+    inv = np.zeros(1, dtype=np.int64)
     for g in groups:
         inv = (inv[:, None] * g.order + g.inv_table[None, :]).reshape(-1)
-        identity = identity * g.order + g.identity
     chain = None, None
     if all(g.is_abelian for g in groups):
         idx = _digits([g.order for g in groups])
         cols = np.hstack([g.coords[idx[:, i]] for i, g in enumerate(groups)])
         chain = _invariant_chain(cols, [d for g in groups for d in g.abelian_decomposition])
     label = "x".join(g.label for g in groups)
-    return FiniteGroup(n, inv, identity, label, partial(_product_table, groups), *chain)
+    return FiniteGroup(n, inv, label, partial(_product_table, groups), *chain)
 
 
 def _product_table(groups: tuple[FiniteGroup, ...]) -> np.ndarray:
@@ -282,7 +278,7 @@ def _product_table(groups: tuple[FiniteGroup, ...]) -> np.ndarray:
 def _indexed_group(op: np.ndarray, label: str, chain=(None, None)) -> FiniteGroup:
     """A group built by index arithmetic with the identity at index 0, so g's
     inverse is the h with g.h = 0; ``chain`` is its abelian structure, if any."""
-    return FiniteGroup(len(op), np.argmax(op == 0, axis=1), 0, label, op, *chain)
+    return FiniteGroup(len(op), np.argmax(op == 0, axis=1), label, op, *chain)
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -422,13 +418,7 @@ def character_sums_over(S: GroupSubset) -> np.ndarray:
 # subset predicates
 
 
-@dataclass(frozen=True)
-class SubsetPredicates:
-    normal: bool
-    eulerian: bool
-
-
-def _cogeneration_gap(S: GroupSubset) -> int | None:
+def cogeneration_gap(S: GroupSubset) -> int | None:
     """The first x in S with a generator of <x> outside S, or None when S is
     closed under co-generation: a union of generator classes {h : <h> = <g>}.
     These are the atoms of the Boolean algebra of subgroups, and in Z_n the
@@ -443,17 +433,19 @@ def _cogeneration_gap(S: GroupSubset) -> int | None:
     return None
 
 
-def subset_predicates(S: GroupSubset) -> SubsetPredicates:
+def is_normal(S: GroupSubset) -> bool:
+    """g S g^-1 = S for every g in G = S.parent; at once when G is abelian."""
     G = S.parent
+    if G.is_abelian:
+        return True
     op = G.op_table
     # g s g^-1 for every g (rows) and s in S (columns); conjugation is a
     # bijection, so g S g^-1 inside S already means g S g^-1 = S
-    normal = bool(S.mask()[op[op[:, list(S.members)], G.inv_table[:, None]]].all())
-    return SubsetPredicates(normal=normal, eulerian=_cogeneration_gap(S) is None)
+    return bool(S.mask()[op[op[:, list(S.members)], G.inv_table[:, None]]].all())
 
 
 # ---------------------------------------------------------------------------
-# gcd classes and Boolean algebra membership
+# gcd classes
 
 
 def gcd_class_indices(n: int, d: int) -> tuple[int, ...]:
@@ -470,28 +462,3 @@ def gcd_class(group: FiniteGroup, d: int) -> GroupSubset:
     # the group's canonical generator may not be element 1; map through coords
     lookup = {int(c): g for g, c in enumerate(group.coords[:, 0])}
     return GroupSubset(group, tuple(lookup[a] for a in members))
-
-
-def is_union_of_gcd_classes(S: GroupSubset) -> tuple[bool, object]:
-    """Decide S = union of S_n(d); return (True, D) or (False, witness element)."""
-    G = S.parent
-    if G.abelian_decomposition is None or len(G.abelian_decomposition) > 1:
-        raise GroupError("gcd classes live in cyclic groups")
-    if G.identity in S:
-        return False, G.identity       # identity never lies in a proper class
-    gap = _cogeneration_gap(S)
-    if gap is not None:
-        return False, gap
-    return True, tuple(sorted({math.gcd(int(G.coords[g, 0]), G.order) for g in S.members}))
-
-
-def boolean_algebra_member(S: GroupSubset) -> bool:
-    """Membership in the Boolean algebra generated by subgroups of abelian
-    G = S.parent.
-
-    The atoms are the generator classes {h : <h> = <g>}, so membership is
-    closure under co-generation.
-    """
-    if not S.parent.is_abelian:
-        raise GroupError("Boolean algebra test requires an abelian group")
-    return _cogeneration_gap(S) is None

@@ -274,26 +274,19 @@ def artin_product(factors: list[LocalRing]) -> FiniteRing:
     return FiniteRing(factors)
 
 
-def additive_group(ring: FiniteRing | LocalRing) -> FiniteGroup:
+def additive_group(ring: FiniteRing) -> FiniteGroup:
     """(R, +), once per ring: the product of the factors' additive groups."""
-    ring = _as_ring(ring)
     return _once(ring, "_additive_group", lambda: direct_product(*(f.group for f in ring.factors)))
 
 
-def units(ring: FiniteRing | LocalRing) -> GroupSubset:
+def units(ring: FiniteRing) -> GroupSubset:
     """R* as a subset of (R, +), once per ring, so spectra memoized on it are shared."""
     return _once(ring, "_unit_set", lambda: GroupSubset(
-        additive_group(ring), tuple(np.flatnonzero(_as_ring(ring).units_mask).tolist())))
+        additive_group(ring), tuple(np.flatnonzero(ring.units_mask).tolist())))
 
 
-def _as_ring(ring) -> FiniteRing:
-    # a fresh wrapper is cheap: its additive group is the factor's own group object
-    return FiniteRing([ring]) if isinstance(ring, LocalRing) else ring
-
-
-def power_residues(field_ring: FiniteRing | LocalRing, k: int) -> GroupSubset:
+def power_residues(ring: FiniteRing, k: int) -> GroupSubset:
     """P_k = {x^k : x in F_q^*} as a subset of the additive group."""
-    ring = _as_ring(field_ring)
     if len(ring.factors) != 1 or not ring.factors[0].is_field:
         raise RingError("power residues require a finite field")
     F = ring.factors[0]

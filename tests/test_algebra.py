@@ -347,17 +347,22 @@ def test_character_sums_of_integral_spectra_are_exact():
 
 def test_subset_predicates_examples():
     z4 = alg.cyclic(4)
-    p = alg.subset_predicates(alg.subset(z4, [1, 3]))
-    assert p.normal and p.eulerian
+    S = alg.subset(z4, [1, 3])
+    assert alg.is_normal(S) and alg.cogeneration_gap(S) is None
 
     z16 = alg.cyclic(16)
     S1 = alg.subset(z16, [1, 2, 4, 5, 9, 10, 12, 13])
-    assert alg.subset_predicates(S1).normal
+    assert alg.is_normal(S1)
 
     # in S3 a single transposition is not fixed by conjugation by everything
     s3 = alg.symmetric(3)
     transposition = [g for g in s3.elements() if len(s3.powers(g)) == 2][0]
-    assert not alg.subset_predicates(alg.subset(s3, [transposition])).normal
+    assert not alg.is_normal(alg.subset(s3, [transposition]))
+
+    # an abelian group is answered from its structure: no table is built
+    z12 = alg.cyclic(12)
+    assert alg.is_normal(alg.subset(z12, [1, 5]))
+    assert callable(z12._table)
 
 
 def _normal_by_definition(S) -> bool:
@@ -378,7 +383,7 @@ def test_normal_matches_definition_on_the_pool():
         sets += [rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False) for _ in range(8)]
         for members in sets:
             S = alg.subset(G, members)
-            assert alg.subset_predicates(S).normal == _normal_by_definition(S), (desc, S.members)
+            assert alg.is_normal(S) == _normal_by_definition(S), (desc, S.members)
 
 
 def test_gcd_classes():
@@ -387,28 +392,24 @@ def test_gcd_classes():
     with pytest.raises(alg.GroupError):
         alg.gcd_class_indices(12, 5)
 
+    # S_4(1) is closed under co-generation; the Z16 set misses a generator
+    # of <1>, since 3 is prime to 16 and not in S
     z4 = alg.cyclic(4)
-    ok, D = alg.is_union_of_gcd_classes(alg.subset(z4, [1, 3]))
-    assert ok and D == (1,)
+    assert alg.cogeneration_gap(alg.subset(z4, [1, 3])) is None
 
     z16 = alg.cyclic(16)
-    ok, witness = alg.is_union_of_gcd_classes(
-        alg.subset(z16, [1, 2, 4, 5, 9, 10, 12, 13])
-    )
-    assert not ok and witness is not None
+    assert alg.cogeneration_gap(alg.subset(z16, [1, 2, 4, 5, 9, 10, 12, 13])) == 1
 
 
 def test_boolean_algebra_member():
+    # membership in the Boolean algebra of subgroups is co-generation closure
     z4 = alg.cyclic(4)
-    assert alg.boolean_algebra_member(alg.subset(z4, [1, 3]))
-    assert not alg.boolean_algebra_member(alg.subset(z4, [1]))
+    assert alg.cogeneration_gap(alg.subset(z4, [1, 3])) is None
+    assert alg.cogeneration_gap(alg.subset(z4, [1])) == 1
 
     g = alg.direct_product(alg.cyclic(4), alg.cyclic(3))
     units = alg.subset(g, [3 * a + b for a in (1, 3) for b in (1, 2)])
-    assert alg.boolean_algebra_member(units)
-
-    with pytest.raises(alg.GroupError):
-        alg.boolean_algebra_member(alg.subset(alg.dihedral(3), [1]))
+    assert alg.cogeneration_gap(units) is None
 
 
 # every subset of each group: 20822 subsets in all
@@ -427,13 +428,10 @@ def test_cogeneration_predicates_equal_references(desc):
     cyclic = len(g.abelian_decomposition) <= 1
     for bits in range(2 ** g.order):
         S = alg.subset(g, [x for x in range(g.order) if bits >> x & 1])
-        want = boolean_algebra_by_powers(g, S)
-        assert alg.subset_predicates(S).eulerian == want, S.members
-        assert alg.boolean_algebra_member(S) == want, S.members
+        closed = alg.cogeneration_gap(S) is None
+        assert closed == boolean_algebra_by_powers(g, S), S.members
         if cyclic:
-            ok, D = alg.is_union_of_gcd_classes(S)
-            ok_ref, D_ref = gcd_union_by_class_scan(S)
-            assert ok == ok_ref and (not ok or D == D_ref), S.members
+            assert (closed and g.identity not in S) == gcd_union_by_class_scan(S)[0], S.members
 
 
 def test_generic_abelian_coordinates_consistent():

@@ -213,11 +213,31 @@ def test_pair_command(capsys):
     assert "xfail" in out    # the documented odd-pair erratum is surfaced
 
 
+# sha256 of the full pair stdout; the last two were recorded before the
+# integrality criteria shared one co-generation closure
+PAIR_SHA256 = [
+    ("zpk:2^2*gf:3", "a7dc5cbfce897be8cd16297b0cc5dc66ab9fb583f20f5d934ef4e3e14d17331a"),
+    ("zpk:2^3*gf:9*zpk:5^1", "817df99958f6c4f0b5cb4eacef8d4bbbdea1ffe2be36eba132a61dfeb295659e"),
+    ("gf:2*zpk:3^2", "05f68ae395b5e2f8b8045240fd47f583a875790ee6bc01f01ebaa3b7ef9c1d09"),
+]
+
+
 def test_pair_output_pinned(capsys):
-    code, out = run(capsys, "pair", "--ring", "zpk:2^2*gf:3")
+    for ring, digest in PAIR_SHA256:
+        code, out = run(capsys, "pair", "--ring", ring)
+        assert code == 0, ring
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, ring
+
+
+def test_integrality_criteria_output_pinned(capsys):
+    # 415 reports: 127/124/90 passes for eulerian/boolean/gcd and 74 skips,
+    # recorded before the three criteria shared one co-generation closure
+    code, out = run(capsys, "verify", "--suite", "prop-integral-mdcgs",
+                    "--seed", "30", "--trials", "200")
     assert code == 0
+    assert len(out.splitlines()) == 415
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "a7dc5cbfce897be8cd16297b0cc5dc66ab9fb583f20f5d934ef4e3e14d17331a")
+        "ca51440ba0e249898d11c5fa5ce32918c7557a7d539c077088345af0048830dd")
 
 
 def test_pair_hypothesis_violation(capsys):

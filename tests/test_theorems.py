@@ -219,9 +219,35 @@ def test_integrality_criteria_sweeps():
                     for h in G.elements():
                         closed.add(G.combine(G.combine(h, x), G.invert(h)))
             S = alg.subset(G, sorted(closed))
-            assert alg.subset_predicates(S).normal
+            assert alg.is_normal(S)
             assert set(S) == {G.invert(s) for s in S}      # symmetric
             assert_all_pass(th.check_integrality_criteria(S))
+
+
+def test_integrality_criteria_walk_the_closure_once(monkeypatch):
+    # the three criteria share one co-generation walk, and a skipped
+    # instance (not normal, or no exact route) takes none
+    walks = []
+    closure = alg.cogeneration_gap
+    monkeypatch.setattr(alg, "cogeneration_gap", lambda S: walks.append(S) or closure(S))
+    rng = np.random.default_rng(7)
+    pool = {}
+    skipped = 0
+    for _ in range(60):
+        S = th.random_instance(rng, pool)
+        walks.clear()
+        reports = th.check_integrality_criteria(S)
+        decided = reports[0].outcome != "skip"
+        assert len(walks) == int(decided), (S.parent.label, S.members)
+        skipped += not decided
+    assert skipped
+
+
+def test_inversion_trivial_matches_the_inverse_table():
+    for desc in th._GROUP_POOL + ("cyclic:1", "cyclic:2", "dihedral:2", "sym:2",
+                                  "prod:(cyclic:2,cyclic:2,cyclic:2)"):
+        G = alg.make_group(desc)
+        assert th._inversion_trivial(G) == np.array_equal(G.inv_table, np.arange(G.order)), desc
 
 
 def test_local_ring_closed_forms_z3():
@@ -272,6 +298,15 @@ def test_build_even_odd_pair():
     # equivalent rings from the other local families qualify too
     for desc in ("quot:2^1:2*gf:3", "zpk:2^3*zpk:3^2"):
         assert all(r.ok for r in th.build_even_odd_pair(fr.parse_ring(desc)))
+
+
+def test_odd_pair_fails_where_the_erratum_does_not_apply(monkeypatch):
+    # the odd pair's spectra differ; that is the documented erratum only
+    # where the printed sum-kind formula is invalid
+    monkeypatch.setattr(th, "specbi_formula_valid", lambda S, t_kind, kind: True)
+    odd = th.build_even_odd_pair(fr.parse_ring("zpk:2^2*gf:3"))[-1]
+    assert (odd.claim_id, odd.outcome) == ("prop-isosp-R/odd-pair", "fail")
+    assert th.ERRATUM_SPECBI not in odd.witness
 
 
 def test_build_even_odd_pair_hypothesis_violations():
@@ -356,7 +391,7 @@ def test_even_and_odd_cayley_graphs_exist():
     # non-cyclic abelian base: order-4 elements of Z4 x Z4 form a power-closed set
     z44 = alg.direct_product(alg.cyclic(4), alg.cyclic(4))
     order4 = alg.subset(z44, [g for g in z44.elements() if len(z44.powers(g)) == 4])
-    assert alg.subset_predicates(order4).eulerian
+    assert alg.cogeneration_gap(order4) is None
     even, odd = _even_odd_cayley_over_doubled_group(z44, order4)
     assert even.parity == "even" and odd.parity == "odd"
     # non-abelian base: the dicyclic instance
