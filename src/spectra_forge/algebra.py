@@ -161,32 +161,50 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 # abelian structure
 
 
-def _invariant_chain(cols: np.ndarray, mods) -> tuple[tuple[int, ...], np.ndarray]:
-    """Invariant factors and coordinates from coordinate columns over
-    Z_m1 + ... + Z_mk: split each column into its prime-power parts by the
-    CRT, then combine the largest remaining power of each prime into one
-    cyclic factor until every power is used."""
-    n = cols.shape[0]
-    by_prime: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for col, m in zip(cols.T, mods):
+def _invariant_chain(blocks) -> tuple[tuple[int, ...], np.ndarray]:
+    """Invariant factors and coordinates of a group given by blocks
+    (cols, mods) of coordinate columns over Z_m1 + ... + Z_mk: one block
+    per direct factor, whose rows are the factor's elements; the group's
+    elements are the mixed-radix tuples of rows, first block most
+    significant.  Each modulus splits into its prime-power parts, and the
+    largest remaining power of each prime joins one cyclic factor until
+    every power is used.
+
+    By the CRT, coordinate i is sum_j cols[:, j] * W[j, i] mod d_i, where
+    W[j, i] adds K = d_i/q * (d_i/q)^-1 mod q for each part q of column j
+    in factor i: (c mod q) K = c K mod d_i, since d_i divides q K.  Each
+    block's share is one integer product with its rows of W, and the
+    shares add over the product grid by broadcasting."""
+    mods = [m for _, block_mods in blocks for m in block_mods]
+    by_prime: dict[int, list[tuple[int, int]]] = {}
+    for j, m in enumerate(mods):
         for p, e in factorize(m).items():
-            by_prime.setdefault(p, []).append((p**e, col % p**e))
+            by_prime.setdefault(p, []).append((p**e, j))
     for stack in by_prime.values():
-        stack.sort(key=lambda part: part[0])
-    dims, out = [], []                    # built largest-first
+        stack.sort()
+    dims, weights = [], []                # built largest-first
     while any(by_prime.values()):
         parts = [stack.pop() for stack in by_prime.values() if stack]
         d = math.prod(q for q, _ in parts)
+        w = [0] * len(mods)
+        for q, j in parts:
+            w[j] = (w[j] + d // q * pow(d // q, -1, q)) % d
         dims.append(d)
-        out.append(sum(c * (d // q * pow(d // q, -1, q)) for q, c in parts) % d)
+        weights.append(w)
     dims.reverse()                        # ascending so d1 | d2 | ...
-    coords = np.stack(out[::-1], axis=1) if out else np.zeros((n, 0), dtype=np.int64)
+    W = np.array(weights[::-1], dtype=np.int64).reshape(len(dims), len(mods)).T
+    coords, j = np.zeros((1, len(dims)), dtype=np.int64), 0
+    for cols, block_mods in blocks:
+        share = cols @ W[j:j + len(block_mods)]
+        coords = (coords[:, None, :] + share[None, :, :]).reshape(len(coords) * len(cols), -1)
+        j += len(block_mods)
+    coords %= np.array(dims, dtype=np.int64)
+    n = len(coords)
     if math.prod(dims) != n:
         raise GroupError("invariant factor product != order")
-    flat = np.zeros(n, dtype=np.int64)
-    for j, d in enumerate(dims):
-        flat = flat * d + coords[:, j]
-    covered = np.zeros(n, dtype=bool)     # flat < n: coords[:, j] < d_j and prod d_j = n
+    # flat < n: coords[:, j] < d_j and prod d_j = n
+    flat = coords @ np.array([math.prod(dims[j + 1:]) for j in range(len(dims))], dtype=np.int64)
+    covered = np.zeros(n, dtype=bool)
     covered[flat] = True
     if not covered.all():
         raise GroupError("abelian coordinates do not cover the group")
@@ -241,7 +259,7 @@ def cyclic(n: int) -> FiniteGroup:
     _check_order(n)
     a = np.arange(n)
     return FiniteGroup(n, -a % n, f"Z{n}", lambda: (a[:, None] + a) % n,
-                       *_invariant_chain(a[:, None], (n,)))
+                       *_invariant_chain([(a[:, None], (n,))]))
 
 
 def direct_product(*groups: FiniteGroup) -> FiniteGroup:
@@ -260,9 +278,7 @@ def direct_product(*groups: FiniteGroup) -> FiniteGroup:
         inv = (inv[:, None] * g.order + g.inv_table[None, :]).reshape(-1)
     chain = None, None
     if all(g.is_abelian for g in groups):
-        idx = _digits([g.order for g in groups])
-        cols = np.hstack([g.coords[idx[:, i]] for i, g in enumerate(groups)])
-        chain = _invariant_chain(cols, [d for g in groups for d in g.abelian_decomposition])
+        chain = _invariant_chain([(g.coords, g.abelian_decomposition) for g in groups])
     label = "x".join(g.label for g in groups)
     return FiniteGroup(n, inv, label, partial(_product_table, groups), *chain)
 
@@ -291,7 +307,7 @@ def dihedral(n: int) -> FiniteGroup:
     k, j = l[:, None], m[:, None]
     op = 2 * ((k + (1 - 2 * j) * l) % n) + (j ^ m)
     # D_2 is Z2 x Z2 with a^k b^j at coordinates (j, k)
-    chain = _invariant_chain(np.stack([m, l], axis=1), (2, 2)) if n == 2 else (None, None)
+    chain = _invariant_chain([(np.stack([m, l], axis=1), (2, 2))]) if n == 2 else (None, None)
     return _indexed_group(op, f"D{n}", chain)
 
 
@@ -319,7 +335,7 @@ def symmetric(n: int) -> FiniteGroup:
     # (p q)(k) = p(q(k)): perms[i, perms[j]] composes element i after element j
     op = index[perms[:, perms] @ code]
     # S_1 and S_2 are Z_1 and Z_2, element i at coordinate i
-    chain = _invariant_chain(np.arange(len(op))[:, None], (len(op),)) if n <= 2 else (None, None)
+    chain = _invariant_chain([(np.arange(len(op))[:, None], (len(op),))]) if n <= 2 else (None, None)
     return _indexed_group(op, f"S{n}", chain)
 
 
@@ -386,11 +402,19 @@ def character_exponents(group: FiniteGroup) -> np.ndarray:
 def conjugate_characters(group: FiniteGroup) -> np.ndarray:
     """conj[i] is the index of the complex conjugate of character i, so
     character i is real exactly when conj[i] == i; built once per group,
-    read-only."""
-    exps = character_exponents(group)       # rejects a non-abelian group
-    dims = group.abelian_decomposition
-    return _once(group, "_conjugate_characters", lambda: _frozen(
-        np.atleast_1d(np.ravel_multi_index(tuple((-exps % dims).T), dims))))
+    read-only.  Character i has the mixed-radix digits a of i as exponents
+    and its conjugate has -a mod d, so conj adds the digits' shares over
+    the grid by broadcasting, with no exponent table."""
+    if not group.is_abelian:
+        raise GroupError("character table requires an abelian group")
+
+    def build():
+        conj = np.zeros(1, dtype=np.int64)
+        for d in group.abelian_decomposition:
+            conj = (conj[:, None] * d + -np.arange(d) % d).ravel()
+        return _frozen(conj)
+
+    return _once(group, "_conjugate_characters", build)
 
 
 def character_sums_over(S: GroupSubset) -> np.ndarray:

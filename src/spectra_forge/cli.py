@@ -260,36 +260,30 @@ def _add_selectors(p: argparse.ArgumentParser, suffix: str = ""):
                    help="build the mirror graph with this di-connection set")
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="spectra-forge",
-        description="Cayley, Cayley sum and mirror di-Cayley graph spectra",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build", help="construct a graph")
+def _build_options(p: argparse.ArgumentParser) -> None:
     _add_selectors(p)
     p.add_argument("--format", choices=("json", "dot", "table"), default="table")
     p.add_argument("--out")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("spectrum", help="compute a spectrum")
+
+def _spectrum_options(p: argparse.ArgumentParser) -> None:
     _add_selectors(p)
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.add_argument("--tol", type=_non_negative(float), default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("compare", help="compare two spectra")
+
+def _compare_options(p: argparse.ArgumentParser) -> None:
     _add_selectors(p)
     _add_selectors(p, suffix="2")
     p.add_argument("--tol", type=_non_negative(float), default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("verify", help="run the verification suite")
+
+def _verify_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", default="all",
                    help="'all' or comma-separated claim id prefixes")
     p.add_argument("--seed", type=_non_negative(int), default=7)
@@ -297,16 +291,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("pair", help="build the even/odd mirror pair of a ring")
+
+def _pair_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ring", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_pair)
 
-    p = sub.add_parser("report", help="structure report of a graph")
+
+def _report_options(p: argparse.ArgumentParser) -> None:
     _add_selectors(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_report)
 
+
+SUBCOMMANDS = (
+    ("build", "construct a graph", _build_options),
+    ("spectrum", "compute a spectrum", _spectrum_options),
+    ("compare", "compare two spectra", _compare_options),
+    ("verify", "run the verification suite", _verify_options),
+    ("pair", "build the even/odd mirror pair of a ring", _pair_options),
+    ("report", "structure report of a graph", _report_options),
+)
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser that is set up (ArgumentParser's own set-up,
+    then ``add_options``) the first time it parses, so a run builds only
+    the subcommand it runs.  Every subcommand is registered up front, in
+    order, so the main usage, help and error texts list all of them; they
+    read only the names and help lines, never an unbuilt parser."""
+
+    def __init__(self, add_options, **kwargs):      # the base __init__ waits for the first parse
+        self._pending = add_options, kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._pending is not None:
+            add_options, kwargs = self._pending
+            self._pending = None
+            super().__init__(**kwargs)
+            add_options(self)
+        return super().parse_known_args(args, namespace)
+
+
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; parsing adds a
+    subcommand's options once and otherwise leaves it unchanged."""
+    parser = argparse.ArgumentParser(
+        prog="spectra-forge",
+        description="Cayley, Cayley sum and mirror di-Cayley graph spectra",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, help_text, add_options in SUBCOMMANDS:
+        sub.add_parser(name, help=help_text, add_options=add_options)
     return parser
 
 

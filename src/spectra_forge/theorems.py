@@ -484,6 +484,34 @@ def check_local_ring_closed_forms(local: finring.LocalRing) -> list[Verification
 # even/odd isospectral pairs over rings (Prop. isosp-R, Thm. main)
 
 
+def _pair_units(R: FiniteRing) -> GroupSubset:
+    """units(R), for a ring inside the hypothesis of the even/odd pair: a
+    local factor of size 2m and an odd local factor."""
+    has_even = any(f.size == 2 * f.maximal_ideal_size for f in R.factors)
+    has_odd = any(f.size % 2 == 1 for f in R.factors)
+    if not (has_even and has_odd):
+        raise HypothesisError(
+            "hypothesis violation: need a local factor with r = 2m and an odd factor"
+        )
+    return finring.units(R)
+
+
+def _even_pair_report(S: GroupSubset, inst: str) -> VerificationReport:
+    """The even pair MX(G; S, S), MX+(G; S, S): isospectral, integral, even,
+    symmetric and meeting the bipartite criterion."""
+    even_d = spectrum_of(S, "difference", S)
+    even_s = spectrum_of(S, "sum", S)
+    even_cls = spectra.classify(even_d)
+    even_ok = (
+        spectra.isospectral(even_d, even_s)
+        and even_cls.integral
+        and even_cls.parity == "even"
+        and even_cls.symmetric
+        and even_cls.bipartite_criterion
+    )
+    return _report("prop-isosp-R/even-pair", inst, even_ok, f"{even_d} vs {even_s} ({even_cls})")
+
+
 def build_even_odd_pair(R: FiniteRing) -> list[VerificationReport]:
     """Certify the even, zero-case and odd mirror pairs of a ring with an
     even local factor of size 2m and an odd local factor.
@@ -495,28 +523,9 @@ def build_even_odd_pair(R: FiniteRing) -> list[VerificationReport]:
     records that as an expected failure; any other difference fails.  The
     spectra stay memoized on units(R), where `spectrum_of` finds them.
     """
-    has_even = any(f.size == 2 * f.maximal_ideal_size for f in R.factors)
-    has_odd = any(f.size % 2 == 1 for f in R.factors)
-    if not (has_even and has_odd):
-        raise HypothesisError(
-            "hypothesis violation: need a local factor with r = 2m and an odd factor"
-        )
-    S = finring.units(R)
+    S = _pair_units(R)
     inst = f"(R={R.label})"
-    reports: list[VerificationReport] = []
-
-    even_d = spectrum_of(S, "difference", S)
-    even_s = spectrum_of(S, "sum", S)
-    even_cls = spectra.classify(even_d)
-    even_ok = (
-        spectra.isospectral(even_d, even_s)
-        and even_cls.integral
-        and even_cls.parity == "even"
-        and even_cls.symmetric
-        and even_cls.bipartite_criterion
-    )
-    reports.append(_report("prop-isosp-R/even-pair", inst, even_ok,
-                           f"{even_d} vs {even_s} ({even_cls})"))
+    reports = [_even_pair_report(S, inst)]
 
     zero_d = spectrum_of(S, "difference", t_subset(S, "identity"))
     zero_s = spectrum_of(S, "sum", t_subset(S, "identity"))
@@ -549,13 +558,14 @@ def build_even_odd_pair(R: FiniteRing) -> list[VerificationReport]:
 
 def iterated_pairs(R: FiniteRing, n_max: int) -> list[VerificationReport]:
     """Extend R by Z2 factors; each extension keeps an even integral
-    isospectral mirror pair with di-connection set the units."""
+    isospectral mirror pair with di-connection set the units.  The first
+    report is R's own even pair; the zero and odd pairs are not built."""
     over = next((n for n in range(1, n_max + 1) if 2 * R.size * 2**n > VERTEX_CAP), None)
     if over is not None:
         raise RingError(
             f"vertex cap {VERTEX_CAP} exceeded at n={over} ({2 * R.size * 2**over} vertices)"
         )
-    reports = [r for r in build_even_odd_pair(R) if r.claim_id.endswith("even-pair")]
+    reports = [_even_pair_report(_pair_units(R), f"(R={R.label})")]
     z2 = finring.zpk(2, 1)
     for n in range(1, n_max + 1):
         Rn = finring.artin_product(list(R.factors) + [z2] * n)

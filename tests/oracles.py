@@ -29,7 +29,9 @@ library once ran for every x in F_q^*; it now runs once over all of them.
 ``assert_identity_and_inverses`` checks a group's identity and inverse table
 against its operation table, and ``assert_abelian_structure`` checks an
 abelian group's invariant factors and coordinates against the table it
-should have.  ``character_sums_direct`` sums the character exponentials
+should have.  ``invariant_chain_by_parts`` composes invariant factors and
+coordinates one CRT part at a time, each column reduced modulo its prime
+power first; the library reads all coordinates off one integer product.  ``character_sums_direct`` sums the character exponentials
 e^(2 pi i a.x / d) over S for every character a, n |S| of them; the
 library takes the inverse FFT of S's indicator instead.
 ``boolean_algebra_by_powers`` (generator classes found by comparing the
@@ -439,6 +441,29 @@ def assert_abelian_structure(G, op: np.ndarray) -> None:
     assert len(np.unique(coords, axis=0)) == G.order
     summed = (coords[:, None, :] + coords[None, :, :]) % np.array(dims, dtype=np.int64)
     assert np.array_equal(coords[op], summed)
+
+
+def invariant_chain_by_parts(cols: np.ndarray, mods) -> tuple[tuple[int, ...], np.ndarray]:
+    """Invariant factors and coordinates from coordinate columns over
+    Z_m1 + ... + Z_mk: split each column into its prime-power parts by the
+    CRT, then combine the largest remaining power of each prime into one
+    cyclic factor until every power is used."""
+    n = cols.shape[0]
+    by_prime: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for col, m in zip(cols.T, mods):
+        for p, e in algebra.factorize(m).items():
+            by_prime.setdefault(p, []).append((p**e, col % p**e))
+    for stack in by_prime.values():
+        stack.sort(key=lambda part: part[0])
+    dims, out = [], []                    # built largest-first
+    while any(by_prime.values()):
+        parts = [stack.pop() for stack in by_prime.values() if stack]
+        d = math.prod(q for q, _ in parts)
+        dims.append(d)
+        out.append(sum(c * (d // q * pow(d // q, -1, q)) for q, c in parts) % d)
+    dims.reverse()                        # ascending so d1 | d2 | ...
+    coords = np.stack(out[::-1], axis=1) if out else np.zeros((n, 0), dtype=np.int64)
+    return tuple(dims), coords
 
 
 def character_sums_direct(G, S) -> np.ndarray:

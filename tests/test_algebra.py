@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from spectra_forge import algebra as alg
 from spectra_forge import finring as fr
+from spectra_forge import theorems as th
 
 from oracles import (
     assert_abelian_structure,
@@ -19,6 +20,7 @@ from oracles import (
     dicyclic_table,
     dihedral_table,
     gcd_union_by_class_scan,
+    invariant_chain_by_parts,
     symmetric_table,
 )
 from test_properties import PROPERTY
@@ -455,4 +457,81 @@ def test_generic_abelian_coordinates_consistent():
 def test_invariant_chain_rejects_coordinates_that_miss_an_element():
     # the factor product matches the order, but both elements sit at 0 in Z_2
     with pytest.raises(alg.GroupError, match="abelian coordinates do not cover the group"):
-        alg._invariant_chain(np.array([[0], [0]]), (2,))
+        alg._invariant_chain([(np.array([[0], [0]]), (2,))])
+
+
+def _product_columns(groups):
+    """The coordinate columns and moduli that direct_product hands to
+    _invariant_chain for these abelian factors."""
+    idx = alg._digits([g.order for g in groups])
+    cols = np.hstack([g.coords[idx[:, i]] for i, g in enumerate(groups)])
+    return cols, [d for g in groups for d in g.abelian_decomposition]
+
+
+def _assert_chain_matches_parts(groups):
+    cols, mods = _product_columns(groups)
+    want_dims, want = invariant_chain_by_parts(cols, mods)
+    # the factors as blocks over their product, and all columns as one block
+    for blocks in ([(g.coords, g.abelian_decomposition) for g in groups], [(cols, mods)]):
+        dims, coords = alg._invariant_chain(blocks)
+        assert dims == want_dims
+        assert coords.dtype == np.int64 and np.array_equal(coords, want)
+    G = alg.direct_product(*groups)
+    assert (G.abelian_decomposition, G.coords.tolist()) == (want_dims, want.tolist())
+
+
+# the products of the suite's group pool, and the additive groups of the
+# rings of the benchmark's `rings` workload with up to 7 extra Z2 factors
+SUITE_PRODUCTS = [d[len("prod:("):-1] for d in th._GROUP_POOL if d.startswith("prod:")]
+WORKLOAD_RINGS = (
+    "zpk:2^3*gf:9*zpk:5^1", "gf:9*zpk:2^3*zpk:5^1", "zpk:5^1*gf:9*zpk:2^3",
+    "quot:2:3*gf:9*zpk:5^1", "gf:9*quot:2:3*zpk:5^1", "zpk:5^1*quot:2:3*gf:9",
+    "zpk:2^7*gf:3", "gf:3*zpk:2^7", "quot:2:4*zpk:2^3*gf:3", "gf:3*zpk:2^3*quot:2:4",
+) + tuple("*".join([base] + ["zpk:2^1"] * n)
+          for base in ("zpk:2^2*gf:3", "gf:3*zpk:2^2") for n in range(8))
+
+
+@pytest.mark.parametrize("inner", SUITE_PRODUCTS)
+def test_invariant_chain_matches_the_per_part_oracle_on_the_suite_pool(inner):
+    _assert_chain_matches_parts([alg.make_group(d) for d in alg._split_top_level(inner)])
+
+
+@pytest.mark.parametrize("ring", WORKLOAD_RINGS)
+def test_invariant_chain_matches_the_per_part_oracle_on_ring_groups(ring):
+    _assert_chain_matches_parts([f.group for f in fr.parse_ring(ring).factors])
+
+
+CHAIN_FACTORS = ([f"cyclic:{k}" for k in (1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 25, 27, 30, 64)]
+                 + ["dihedral:2", "zpk:2^3", "zpk:3^2", "gf:2^2", "gf:3^2", "gf:5", "gf:7"])
+
+
+@st.composite
+def large_abelian_products(draw):
+    """2 to 6 abelian factors, some of them products themselves, whose
+    product has order <= 4096."""
+    factors, order = [], 1
+    for _ in range(draw(st.integers(2, 6))):
+        fits = [d for d in CHAIN_FACTORS if order * _factor(d).order <= 4096]
+        g = _factor(draw(st.sampled_from(fits)))
+        if draw(st.booleans()):
+            fits = [d for d in CHAIN_FACTORS if order * g.order * _factor(d).order <= 4096]
+            g = alg.direct_product(g, _factor(draw(st.sampled_from(fits))))
+        factors.append(g)
+        order *= g.order
+    return factors
+
+
+@PROPERTY
+@given(large_abelian_products())
+def test_invariant_chain_matches_the_per_part_oracle_on_random_products(factors):
+    _assert_chain_matches_parts(factors)
+
+
+@pytest.mark.parametrize("descriptor", ["cyclic:1", "cyclic:2", "cyclic:12", "dihedral:2",
+                                        "prod:(cyclic:4,cyclic:6,cyclic:2)", "prod:(cyclic:12,cyclic:12)"])
+def test_conjugate_characters_negate_the_exponents(descriptor):
+    G = alg.make_group(descriptor)
+    for g in (G, alg.direct_product(G, alg.cyclic(2))):
+        dims = g.abelian_decomposition
+        want = np.ravel_multi_index(tuple((-alg.character_exponents(g) % dims).T), dims)
+        assert alg.conjugate_characters(g).tolist() == np.atleast_1d(want).tolist()

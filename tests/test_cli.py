@@ -229,6 +229,67 @@ def test_pair_output_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, ring
 
 
+def _ints(first, last, step=1):
+    return ",".join(str(x) for x in range(first, last + 1, step))
+
+
+# sha256 of the full stdout of character-route spectra with 512 to 1001
+# values, recorded before large spectra were merged and compared as whole
+# arrays; the cyclic:1001 set has 500 distinct non-real character sums
+LARGE_SPECTRUM_SHA256 = [
+    (("--group", "cyclic:512", "--set", _ints(5, 488, 21), "--format", "json"),
+     "be80f827c6a8177b8cda4a8dde677060d7fda2baae9963d69676cc0b97fd1ca2"),
+    (("--group", "cyclic:1001", "--set", _ints(1, 500), "--format", "json"),
+     "943545c8a738f913c064e6f287e0556648cc051871c3457df9027c0f0dd6b197"),
+    (("--ring", "zpk:2^7*gf:3", "--set", "units", "--tkind", "Se", "--format", "csv"),
+     "6cb3d5731dddcb7283dd5554f38b6bcee0a99cf43027901080f17ebe0847d5a8"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", LARGE_SPECTRUM_SHA256, ids=lambda x: str(x)[:40])
+def test_large_spectrum_output_pinned(capsys, argv, digest):
+    code, out = run(capsys, "spectrum", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# exit code, sha256 of stdout and the full stderr of runs that stop in the
+# parser, recorded before each subcommand's options were added on first use
+MAIN_USAGE = "usage: spectra-forge [-h] {build,spectrum,compare,verify,pair,report} ...\n"
+SPECTRUM_USAGE = (
+    "usage: spectra-forge spectrum [-h] [--group GROUP] [--ring RING] --set SET\n"
+    "                              [--kind {diff,difference,sum}]\n"
+    "                              [--tkind {S,Se,e}] [--format {table,json,csv}]\n"
+    "                              [--tol TOL] [--out OUT]\n"
+)
+EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+PARSER_EXITS = [
+    ((), 2, EMPTY_SHA256,
+     MAIN_USAGE + "spectra-forge: error: the following arguments are required: command\n"),
+    (("-h",), 0, "240bbd52555aeadc58da7379afba782fe0d666804c6c81788859560c5d8a88ae", ""),
+    (("nonsense",), 2, EMPTY_SHA256,
+     MAIN_USAGE + "spectra-forge: error: argument command: invalid choice: 'nonsense' "
+     "(choose from 'build', 'spectrum', 'compare', 'verify', 'pair', 'report')\n"),
+    (("spectrum", "-h"), 0,
+     "9807d278b9087af215f1f782a9e97cad00ad1e35678355266213f9d6796c4ee8", ""),
+    (("spectrum", "--group", "cyclic:4"), 2, EMPTY_SHA256,
+     SPECTRUM_USAGE + "spectra-forge spectrum: error: the following arguments are required: --set\n"),
+    (("spectrum", "--group", "cyclic:4", "--set", "1", "--bogus"), 2, EMPTY_SHA256,
+     MAIN_USAGE + "spectra-forge: error: unrecognized arguments: --bogus\n"),
+]
+
+
+@pytest.mark.parametrize("argv, rc, out_digest, err", PARSER_EXITS,
+                         ids=lambda x: " ".join(x) if isinstance(x, tuple) else None)
+def test_parser_exits_pinned(capsys, monkeypatch, argv, rc, out_digest, err):
+    monkeypatch.setenv("COLUMNS", "80")      # argparse wraps its texts to the terminal width
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == rc
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == out_digest
+    assert captured.err == err
+
+
 def test_integrality_criteria_output_pinned(capsys):
     # 415 reports: 127/124/90 passes for eulerian/boolean/gcd and 74 skips,
     # recorded before the three criteria shared one co-generation closure

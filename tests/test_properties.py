@@ -1,5 +1,7 @@
 """Property tests: the merged-entry comparison against the expanded-value
 greedy, classification by bisection against the per-lookup scan, the
+whole-array merge, classification and comparison of large spectra against
+the per-value loops, bit for bit, the
 LAPACK dense route against the Jacobi oracle and the character route, the
 character route against power traces on directed instances, the boolean-gather graph kernels (NEPS, Cayley, mirror)
 against their Kronecker, element-by-element and block-matrix oracles, the
@@ -8,6 +10,7 @@ character sums against the direct exponential sums."""
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -106,6 +109,98 @@ def test_classify_matches_the_scanning_reference(spec):
     for v, _ in spec.entries:
         for x in (v, -v, v + TOL, v - 1.5 * TOL):
             assert spec.multiplicity_of(x) == multiplicity_by_scan(spec, x)
+
+
+# ---------------------------------------------------------------------------
+# the whole-array paths of large spectra against the per-value loops
+
+LOOPS = 10**9      # an ARRAY_MIN no input reaches
+
+
+def _bits(spec):
+    """The entries bit for bit (hex floats tell -0.0 from 0.0)."""
+    return [(v.real.hex(), v.imag.hex(), m) for v, m in spec.entries], spec.tolerance
+
+
+def _on_both_paths(build):
+    """build() with every input on the array path, and on the loops."""
+    with mock.patch.object(sp, "ARRAY_MIN", 1):
+        arrays = build()
+    with mock.patch.object(sp, "ARRAY_MIN", LOOPS):
+        loops = build()
+    return arrays, loops
+
+
+ZEROS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1e-13, -1e-13j)
+STEPS = (1, 1j, (1 + 1j) / math.sqrt(2), (1 - 2j) / math.sqrt(5))
+# gaps in units of the tolerance: inside, at and just past its edge and the
+# array paths' margin EDGE, and clearly outside
+EDGES = (0.3, 0.6, 0.9, 1 - 2e-6, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 2e-6, 1.5, 2.5)
+
+
+@st.composite
+def merge_values(draw, tol=TOL):
+    """Values on the greedy's edges: conjugate pairs sharing a real part,
+    chains whose steps lie within the tolerance but whose span does not,
+    pairs at the edge of the tolerance, +-0 and noise below 1e-12, each
+    repeated up to three times, in a drawn order."""
+    values = []
+    for _ in range(draw(st.integers(1, 6))):
+        b = draw(BASE) * draw(st.sampled_from([1.0, 1.0, 3072.0]))
+        shape = draw(st.sampled_from(["conjugates", "chain", "edge", "zeros"]))
+        if shape == "conjugates":
+            values += [b, b.conjugate(), -b.conjugate()]
+        elif shape == "chain":
+            step = draw(st.sampled_from(EDGES[:5])) * tol * draw(st.sampled_from(STEPS))
+            values += [b + k * step for k in range(draw(st.integers(2, 7)))]
+        elif shape == "edge":
+            values += [b, b + draw(st.sampled_from(EDGES)) * tol * draw(st.sampled_from(STEPS))]
+        else:
+            values += draw(st.lists(st.sampled_from(ZEROS), min_size=1, max_size=4))
+    values = [v for v in values for _ in range(draw(st.integers(1, 3)))]
+    return draw(st.permutations(values))
+
+
+@PROPERTY
+@given(merge_values())
+def test_array_merge_of_values_is_the_greedy_bit_for_bit(values):
+    arrays, loops = _on_both_paths(lambda: sp.Spectrum.from_values(values))
+    assert _bits(arrays) == _bits(loops)
+
+
+@PROPERTY
+@given(st.sampled_from([TOL, 1e-6, 0.0]).flatmap(
+    lambda tol: st.tuples(st.just(tol), merge_values(tol or TOL),
+                          st.lists(st.integers(0, 300), min_size=40, max_size=40))))
+def test_array_merge_of_pairs_is_the_greedy_bit_for_bit(drawn):
+    tol, values, mults = drawn
+    pairs = list(zip(values, mults * (len(values) // 40 + 1)))
+    if not any(m for _, m in pairs):
+        pairs.append((1.0, 1))
+    arrays, loops = _on_both_paths(lambda: sp.Spectrum.from_pairs(pairs, tol))
+    assert _bits(arrays) == _bits(loops)
+
+
+@PROPERTY
+@given(plus_minus_spectra())
+def test_array_classify_matches_the_loops_and_the_scan(spec):
+    (got, negated, mults), (want, want_negated, want_mults) = _on_both_paths(lambda: (
+        sp.classify(spec), spec.negated(),
+        [spec.multiplicity_of(x) for v, _ in spec.entries for x in (v, -v, v + TOL, v - 1.5 * TOL)]))
+    assert got == want and _bits(negated) == _bits(want_negated)
+    assert (got.almost_symmetric, got.bipartite_criterion) == classify_by_scan(spec)
+    assert mults == want_mults == [multiplicity_by_scan(spec, x) for v, _ in spec.entries
+                                   for x in (v, -v, v + TOL, v - 1.5 * TOL)]
+
+
+@PROPERTY
+@given(spectrum_pairs(), st.booleans())
+def test_array_isospectral_matches_the_loops(pairs, merged):
+    s1, s2 = (_spectrum(p, merged) for p in pairs)
+    sym = sp.Spectrum.from_pairs(s1.entries + s1.negated().entries)
+    for x, y in ((s1, s2), (s2, s1), (s1, s1), (s1, s1.negated()), (sym, sym.negated())):
+        arrays, loops = _on_both_paths(lambda: sp.isospectral(x, y))
+        assert arrays == loops == isospectral_expanded(x, y)
 
 
 @st.composite

@@ -137,6 +137,35 @@ def test_classify_makes_no_quadratic_scan(monkeypatch):
     assert len(spec.entries) > 4000 and calls <= 16 * len(spec.entries)
 
 
+def test_skew_set_spectrum_takes_the_array_paths(monkeypatch):
+    # S holds one of a and -a for each a != 0 in Z_4001, so all 4000
+    # nontrivial chi(S) have real part -1/2: a window on the real part holds
+    # every one of them, and the per-value merge took 14 s.  The array paths
+    # decide the merge, the classification and the self-comparison with no
+    # loop, in a bounded number of distance evaluations.
+    n = 4001
+    values = alg.character_sums_over(alg.subset(alg.cyclic(n), range(1, 2001)))
+
+    def loop(*args):
+        raise AssertionError("fell back to a per-value loop")
+
+    monkeypatch.setattr(sp, "_merge_greedy", loop)
+    monkeypatch.setattr(sp, "_isospectral_greedy", loop)
+    hypot, distances = np.hypot, []
+
+    def counted_hypot(x, y):
+        distances.append(np.size(x))
+        return hypot(x, y)
+
+    monkeypatch.setattr(np, "hypot", counted_hypot)
+    spec = sp.Spectrum.from_values(values)
+    c = sp.classify(spec)
+    assert sp.isospectral(spec, spec)
+    assert len(spec.entries) == n and abs(spec.entries[0][0] - 2000) < 1e-9
+    assert not (c.integral or c.symmetric or c.almost_symmetric or c.bipartite_criterion)
+    assert sum(distances) <= 8 * n
+
+
 def test_exact_abelian_difference():
     z4 = alg.cyclic(4)
     s = sp.spectrum_exact_abelian(alg.subset(z4, [1, 3]), "difference")

@@ -1,5 +1,6 @@
 """The verification checks on their stated instances plus fuzz sweeps."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -334,6 +335,18 @@ def test_iterated_pairs():
         th.iterated_pairs(R, 9)
 
 
+# sha256 of the JSON lines of the chain R x Z2^n up to 3072 vertices,
+# recorded before the chain stopped building the zero and odd pairs
+ITERATED_SHA256 = "cbb116a226b21758c3ab1724092758e0e4579be4d1d33cd4e38bfc2ce81a055b"
+
+
+def test_iterated_pairs_output_pinned():
+    reports = th.iterated_pairs(fr.parse_ring("zpk:2^2*gf:3"), 7)
+    text = "\n".join(r.to_json() for r in reports) + "\n"
+    assert [r.outcome for r in reports] == ["pass"] * 8
+    assert hashlib.sha256(text.encode()).hexdigest() == ITERATED_SHA256
+
+
 def test_units_built_once_so_their_spectra_are_shared(monkeypatch):
     R = fr.parse_ring("zpk:2^2*gf:3")
     G = fr.additive_group(R)
@@ -356,6 +369,20 @@ def test_units_built_once_so_their_spectra_are_shared(monkeypatch):
         total.append(len(computed))
     assert on_base == [8, 0, 0]    # the pair and the chain reuse the transfer's spectra
     assert total == [8, 0, 4]      # the chain computes only its two extensions
+
+
+def test_iterated_pairs_builds_only_the_even_pairs(monkeypatch):
+    exact, kinds = sp.spectrum_exact_abelian, []
+
+    def counted(S, kind):
+        kinds.append((S.parent.order, kind))
+        return exact(S, kind)
+
+    monkeypatch.setattr(sp, "spectrum_exact_abelian", counted)
+    reports = th.iterated_pairs(fr.parse_ring("gf:3*zpk:2^2"), 2)
+    assert [r.claim_id for r in reports] == ["prop-isosp-R/even-pair"] + ["cor-iterated"] * 2
+    # MX and MX+ with T = S, over R x Z2 and each extension: no zero or odd pair
+    assert sorted(kinds) == [(n, k) for n in (24, 48, 96) for k in ("difference", "sum")]
 
 
 def test_iterated_pairs_cap_checked_before_any_work(monkeypatch):
