@@ -6,7 +6,6 @@ from .algebra import (
     FiniteGroup,
     GroupError,
     GroupSubset,
-    character_exponents,
     conjugate_characters,
     character_sums_over,
     cogeneration_gap,

@@ -62,16 +62,6 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return self.abelian_decomposition is not None
 
-    def combine(self, g: int, h: int) -> int:
-        if not (0 <= g < self.order and 0 <= h < self.order):
-            raise GroupError(f"element index out of range for {self.label}")
-        return int(self.op_table[g, h])
-
-    def invert(self, g: int) -> int:
-        if not (0 <= g < self.order):
-            raise GroupError(f"element index out of range for {self.label}")
-        return int(self.inv_table[g])
-
     def powers(self, g: int) -> list[int]:
         """[e, g, g^2, ..., g^(d-1)] for g of order d."""
         if not (0 <= g < self.order):      # a negative index would wrap silently
@@ -209,18 +199,6 @@ def _invariant_chain(blocks) -> tuple[tuple[int, ...], np.ndarray]:
     if not covered.all():
         raise GroupError("abelian coordinates do not cover the group")
     return tuple(dims), coords
-
-
-def _digits(radices) -> np.ndarray:
-    """Mixed-radix digits of 0 .. prod(radices)-1, one row each, first radix
-    most significant; read-only."""
-    n = math.prod(radices)
-    out = np.zeros((n, len(radices)), dtype=np.int64)
-    rep = n
-    for j, d in enumerate(radices):
-        rep //= d
-        out[:, j] = (np.arange(n) // rep) % d
-    return _frozen(out)
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -391,14 +369,6 @@ def _split_top_level(s: str) -> list[str]:
 # characters
 
 
-def character_exponents(group: FiniteGroup) -> np.ndarray:
-    """Exponent vectors of all characters in lexicographic order, one row each;
-    built once per group, read-only."""
-    if not group.is_abelian:
-        raise GroupError("character table requires an abelian group")
-    return _once(group, "_character_exponents", lambda: _digits(group.abelian_decomposition))
-
-
 def conjugate_characters(group: FiniteGroup) -> np.ndarray:
     """conj[i] is the index of the complex conjugate of character i, so
     character i is real exactly when conj[i] == i; built once per group,
@@ -418,8 +388,9 @@ def conjugate_characters(group: FiniteGroup) -> np.ndarray:
 
 
 def character_sums_over(S: GroupSubset) -> np.ndarray:
-    """chi(S) for every character of G = S.parent, in the order of
-    character_exponents; computed once per subset and kept on it, read-only.
+    """chi(S) for every character of G = S.parent, character i having the
+    mixed-radix digits of i over the invariant factors as its exponents;
+    computed once per subset and kept on it, read-only.
 
     chi_a(S) = sum over x in S of e^(2 pi i a.x / d) is the unnormalised
     inverse DFT of S's indicator on the d1 x ... x dk coordinate grid, read

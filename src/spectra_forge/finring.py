@@ -246,25 +246,37 @@ def field_quotient(p: int, m: int, t: int) -> LocalRing:
 # Artin products
 
 
+@dataclass(frozen=True)
 class FiniteRing:
     """Product of local rings; elements are mixed-radix integers with the
-    first factor most significant."""
+    first factor most significant.  Frozen, so the values kept on it (the
+    units mask, the additive group and the unit set) never go stale."""
 
-    def __init__(self, factors: list[LocalRing]):
+    factors: tuple[LocalRing, ...]
+    size: int = field(init=False)
+    label: str = field(init=False)
+
+    def __post_init__(self):
+        factors = tuple(self.factors)
         if not factors:
             raise RingError("Artin product needs at least one factor")
-        self.factors = list(factors)
-        self.size = math.prod(f.size for f in factors)
-        if self.size > MAX_RING_SIZE:
-            raise RingError(f"ring size {self.size} exceeds cap {MAX_RING_SIZE}")
-        self.label = "x".join(f.label for f in factors)
+        size = math.prod(f.size for f in factors)
+        if size > MAX_RING_SIZE:
+            raise RingError(f"ring size {size} exceeds cap {MAX_RING_SIZE}")
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "label", "x".join(f.label for f in factors))
 
     @property
     def units_mask(self) -> np.ndarray:
-        mask = np.ones(1, dtype=bool)
-        for f in self.factors:
-            mask = (mask[:, None] & f.units_mask[None, :]).reshape(-1)
-        return mask
+        """Read-only; computed on first read and kept on the ring."""
+        def build():
+            mask = np.ones(1, dtype=bool)
+            for f in self.factors:
+                mask = (mask[:, None] & f.units_mask[None, :]).reshape(-1)
+            return _frozen(mask)
+
+        return _once(self, "_units", build)
 
     def __repr__(self):
         return f"FiniteRing({self.label})"

@@ -47,16 +47,8 @@ class Graph:
         return bool(np.array_equal(self.adjacency, self.adjacency.T))
 
     @property
-    def out_degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1, dtype=np.int64)
-
-    @property
-    def in_degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=0, dtype=np.int64)
-
-    @property
     def regular_degree(self) -> int | None:
-        out, inn = self.out_degrees, self.in_degrees
+        out, inn = (self.adjacency.sum(axis=axis, dtype=np.int64) for axis in (1, 0))
         if len(out) and out.min() == out.max() == inn.min() == inn.max():
             return int(out[0])
         return None
@@ -172,40 +164,29 @@ def structure_report(graph: Graph) -> StructureReport:
     directed = not graph.undirected
     loops = tuple(int(v) for v in np.nonzero(np.diag(A))[0])
 
-    # components of the underlying undirected graph
-    U = ((A + A.T) > 0).astype(np.uint8)
-    seen = np.zeros(n, dtype=bool)
+    # one breadth-first traversal of the underlying undirected graph finds
+    # the components and each vertex's depth in its component's BFS tree;
+    # a loop-free undirected graph is bipartite exactly when no edge joins
+    # two depths of equal parity, since such an edge closes an odd cycle
+    U = (A | A.T).astype(bool)
+    depth = np.full(n, -1, dtype=np.int64)
     components = []
     for s in range(n):
-        if seen[s]:
+        if depth[s] >= 0:
             continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in np.nonzero(U[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        components.append(tuple(sorted(comp)))
+        frontier = comp = np.arange(n) == s
+        level = 0
+        while frontier.any():
+            depth[frontier] = level
+            comp = comp | frontier
+            frontier = U[frontier].any(axis=0) & (depth < 0)
+            level += 1
+        components.append(tuple(np.flatnonzero(comp).tolist()))
 
     bipartite = None
     if not directed and not loops:
-        color = np.full(n, -1, dtype=np.int64)
-        bipartite = True
-        for comp in components:
-            color[comp[0]] = 0
-            stack = [comp[0]]
-            while stack and bipartite:
-                u = stack.pop()
-                for v in np.nonzero(A[u])[0]:
-                    if color[v] == -1:
-                        color[v] = 1 - color[u]
-                        stack.append(int(v))
-                    elif color[v] == color[u]:
-                        bipartite = False
-                        break
+        parity = depth % 2
+        bipartite = not (U & (parity[:, None] == parity[None, :])).any()
 
     # twins: identical neighborhoods, both outgoing and incoming
     keys = {}

@@ -107,7 +107,10 @@ def product_group_with_z2(G: FiniteGroup) -> FiniteGroup:
 
 def mdcg_connection_subset(S: GroupSubset, T: GroupSubset) -> GroupSubset:
     """(S x {0}) union (T x {1}) inside the product group G x Z2, for T
-    over G = S.parent; built once per members of T and kept on S."""
+    over G = S.parent; built once per members of T and kept on S, and a T
+    over another group is rejected on every call."""
+    if T.parent != S.parent:
+        raise algebra.GroupError("subset over a different group")
     memo = algebra._once(S, "_mirror_sets", dict)
     if T.members not in memo:
         members = tuple(2 * s for s in S.members) + tuple(2 * t + 1 for t in T.members)
@@ -160,12 +163,6 @@ def _spectrum_route(S: GroupSubset, kind: str, T: GroupSubset | None) -> spectra
     return spectra.spectrum_dense_symmetric(graph) if graph.undirected else None
 
 
-def _complex_pair_sums(S: GroupSubset) -> np.ndarray:
-    """chi(S) for the first character of each conjugate pair."""
-    G = S.parent
-    return algebra.character_sums_over(S)[np.arange(G.order) < algebra.conjugate_characters(G)]
-
-
 # ---------------------------------------------------------------------------
 # product decompositions (Thm. prods, Lemma strong-sum, eq. XGSx+P2)
 
@@ -188,27 +185,24 @@ def check_product_decompositions(S: GroupSubset, kind: str) -> list[Verification
     mx_s = graphs.mirror_dicayley(S, S, kind)
     mx_se = graphs.mirror_dicayley(S, S.with_identity(), kind)
     triv_inv = _inversion_trivial(G) or kind == "difference"
+    gamma_p2 = products.named_product(gamma, p2, "strong_sum")     # factor-major
 
     cases = [
         ("thm-prods/cartesian", mx_e,
-         products.named_product(p2, gamma, "cartesian"), True, triv_inv),
+         products.named_product(p2, gamma, "cartesian"), triv_inv),
         ("thm-prods/direct", mx_s,
-         products.named_product(p2l, gamma, "direct"), True, True),
+         products.named_product(p2l, gamma, "direct"), True),
         ("thm-prods/strong", mx_se,
-         products.named_product(p2, gamma, "strong"), True, triv_inv),
-        ("lem-strong-sum/first", mx_s,
-         products.named_product(gamma, p2, "strong_sum"), False, True),
+         products.named_product(p2, gamma, "strong"), triv_inv),
+        ("lem-strong-sum/first", mx_s, _transpose_to_mirror(gamma_p2, G.order), True),
         ("lem-strong-sum/second",
          graphs.mirror_dicayley(GroupSubset(G, ()), S.with_identity(), kind),
-         products.named_product(p2, gamma, "strong_sum"), True, triv_inv),
+         products.named_product(p2, gamma, "strong_sum"), triv_inv),
         ("strong-sum-eq-direct",
-         products.named_product(gamma, p2l, "direct"),
-         products.named_product(gamma, p2, "strong_sum"), None, True),
+         products.named_product(gamma, p2l, "direct"), gamma_p2, True),
     ]
     inst = _inst(S, f"kind={kind}")
-    for claim, lhs, rhs, p2_first, valid in cases:
-        if p2_first is False:
-            rhs = _transpose_to_mirror(rhs, G.order)
+    for claim, lhs, rhs, valid in cases:
         diff = _adjacency_diff(lhs, rhs)
         witness = diff if valid else f"{diff}; {ERRATUM_PRODUCTS}"
         reports.append(_report(claim, inst, diff is None, witness, xfail=not valid))
@@ -240,15 +234,27 @@ def check_union_identity(
 
 
 def specbi_formula_valid(S: GroupSubset, t_kind: str, kind: str) -> bool:
-    """Whether the printed mirror-spectrum formula is exact for this instance."""
+    """Whether the printed mirror-spectrum formula is exact for this instance.
+
+    For an abelian G = S.parent the sum-kind formula holds with T = {e}
+    when every chi(S) is real, and with T = S u {e} when chi(S) = 0 for
+    every non-real character.  By Fourier inversion the first means
+    S = -S; the real characters are those trivial on 2G, so the second
+    means S is a union of cosets of 2G: membership depends only on the
+    parities of the coordinates along the even invariant factors.  Both
+    are read off S exactly, with no character sum and no group table.
+    """
     if kind == "difference" or t_kind == "S":
         return True
-    if not S.parent.is_abelian:
-        return _inversion_trivial(S.parent)
-    pair_sums = _complex_pair_sums(S)
+    G = S.parent
+    if not G.is_abelian:
+        return _inversion_trivial(G)
+    members = list(S.members)
     if t_kind == "identity":
-        return all(abs(v.imag) <= 1e-9 for v in pair_sums)
-    return all(abs(v) <= 1e-9 for v in pair_sums)
+        return np.array_equal(np.sort(G.inv_table[members]), S.members)
+    even = [i for i, d in enumerate(G.abelian_decomposition) if d % 2 == 0]
+    keys = G.coords[members][:, even] % 2 @ (1 << np.arange(len(even)))
+    return len(set(keys.tolist())) * (G.order >> len(even)) == len(S)
 
 
 def check_spectrum_formulas(S: GroupSubset, kind: str) -> list[VerificationReport]:

@@ -34,6 +34,11 @@ coordinates one CRT part at a time, each column reduced modulo its prime
 power first; the library reads all coordinates off one integer product.  ``character_sums_direct`` sums the character exponentials
 e^(2 pi i a.x / d) over S for every character a, n |S| of them; the
 library takes the inverse FFT of S's indicator instead.
+``mixed_radix_digits`` and ``character_exponents`` write out the digit and
+exponent rows that the library only reads as indices.
+``specbi_formula_valid_by_sums`` decides where the printed sum-kind mirror
+formula holds from the character sums at a tolerance; the library reads
+the same fact off S exactly (S = -S, or S a union of cosets of 2G).
 ``boolean_algebra_by_powers`` (generator classes found by comparing the
 powers of every power) and ``gcd_union_by_class_scan`` (a scan of every gcd
 class S touches) are the Boolean-algebra and gcd-class criteria as the
@@ -238,9 +243,9 @@ def cayley_by_definition(group, S, kind: str) -> Graph:
     n, mem = group.order, set(S.members)
     adj = np.zeros((n, n), dtype=np.uint8)
     for h in range(n):
-        right = group.invert(h) if kind == "difference" else h
+        right = group.inv_table[h] if kind == "difference" else h
         for g in range(n):
-            adj[h, g] = group.combine(g, right) in mem
+            adj[h, g] = int(group.op_table[g, right]) in mem
     return Graph(adj)
 
 
@@ -466,13 +471,47 @@ def invariant_chain_by_parts(cols: np.ndarray, mods) -> tuple[tuple[int, ...], n
     return tuple(dims), coords
 
 
+def mixed_radix_digits(radices) -> np.ndarray:
+    """Mixed-radix digits of 0 .. prod(radices)-1, one row each, first radix
+    most significant."""
+    n = math.prod(radices)
+    out = np.zeros((n, len(radices)), dtype=np.int64)
+    rep = n
+    for j, d in enumerate(radices):
+        rep //= d
+        out[:, j] = (np.arange(n) // rep) % d
+    return out
+
+
+def character_exponents(G) -> np.ndarray:
+    """Exponent vectors of the characters of an abelian G, one row each, in
+    the order of ``algebra.character_sums_over``: row i is the mixed-radix
+    digits of i over the invariant factors."""
+    return mixed_radix_digits(G.abelian_decomposition)
+
+
 def character_sums_direct(G, S) -> np.ndarray:
     """chi_a(S) for every row a of character_exponents(G), by summing
     e^(2 pi i a.x / d) over the coordinates x of the members of S."""
-    exps = algebra.character_exponents(G)
+    exps = character_exponents(G)
     dims = np.asarray(G.abelian_decomposition, dtype=float)
     coords = G.coords[list(S.members)] / dims
     return np.exp(2j * np.pi * (exps @ coords.T)).sum(axis=1)
+
+
+def specbi_formula_valid_by_sums(S, t_kind: str) -> bool:
+    """Whether the printed sum-kind mirror-spectrum formula holds over an
+    abelian G = S.parent, read off the character sums at tolerance 1e-9:
+    with T = {e} every conjugate pair's chi(S) must be real, with
+    T = S u {e} it must vanish, and with T = S it always holds."""
+    if t_kind == "S":
+        return True
+    G = S.parent
+    pair_sums = algebra.character_sums_over(S)[
+        np.arange(G.order) < algebra.conjugate_characters(G)]
+    if t_kind == "identity":
+        return all(abs(v.imag) <= 1e-9 for v in pair_sums)
+    return all(abs(v) <= 1e-9 for v in pair_sums)
 
 
 def boolean_algebra_by_powers(group, S) -> bool:
@@ -568,7 +607,7 @@ def random_instance(
         size = int(rng.integers(min_size, max(min_size + 1, len(candidates))))
         chosen = set(rng.choice(candidates, size=min(size, len(candidates)), replace=False).tolist())
         if require_symmetric:
-            chosen |= {G.invert(g) for g in chosen}
+            chosen |= {int(G.inv_table[g]) for g in chosen}
         if len(chosen) < min_size:
             continue
         return G, algebra.GroupSubset(G, tuple(int(x) for x in sorted(chosen)))

@@ -229,6 +229,41 @@ def test_pair_output_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, ring
 
 
+# exit code and sha256 of the full stdout of runs that reach the sum-kind
+# erratum domain, the even/odd pair and the structure report, recorded
+# before the domain was read off S and the report found components and
+# colouring in one traversal
+ERRATUM_AND_REPORT_SHA256 = [
+    (("verify", "--suite", "prop-spec-bicayleys,thm-isosp-XX+,cor-integral,cor-symmetric",
+      "--seed", "30", "--trials", "200"), 0,
+     "b7216642e07203d19994bb505dc7ec94de52cf9fd4e6894c62299ad49429e164"),
+    (("pair", "--ring", "zpk:2^2*gf:5"), 0,
+     "6a1065b5dc4ecc89e9acbb15d169a4a27952559a79212c0056c96666cde7c657"),
+    (("report", "--group", "cyclic:4", "--set", "1,3"), 0,          # connected, bipartite
+     "6b2ae130ca8a281fcc7cc3c5d35ba835c9ada68a88d3e152e3a02c5c6486d2a9"),
+    (("report", "--group", "cyclic:8", "--set", "2,6"), 0,          # two 4-cycles
+     "701c9aae4b15e2cd2e46ce9a82c68f9e1536cb1f83d501bc249cbd36c866195a"),
+    (("report", "--group", "cyclic:6", "--set", "2,4"), 0,          # two triangles
+     "6f11788b37f5b8ef7d66a28565056dc0a9817ee6050f642eca26daf359995c47"),
+    (("report", "--group", "cyclic:5", "--set", "0,1"), 0,          # directed, loops
+     "02d50bb94e856b7d71210f0172cb82b1889041f56b490b37f9cce3d186fc8123"),
+    (("report", "--group", "cyclic:6", "--set", "1,3,5"), 0,        # K_{3,3}: twin classes
+     "f86f0a59a23cc05e29730aa8963ec042a4143c1629ed558a0c3c9961d6eeeeb0"),
+    (("report", "--group", "cyclic:5", "--set", "1,2", "--kind", "sum"), 0,
+     "7176ec5f6410903793760a039afba1032bde5623e7a4325ce3ef3d6058d017af"),
+    (("report", "--group", "dihedral:4", "--set", "1,3", "--tkind", "Se", "--kind", "sum"), 0,
+     "bdd236cfd1200c4d915e7e81d7af015aa2ecb160613331ac297bb0a095dc6e2c"),
+]
+
+
+@pytest.mark.parametrize("argv, rc, digest", ERRATUM_AND_REPORT_SHA256,
+                         ids=lambda x: " ".join(x)[:48] if isinstance(x, tuple) else None)
+def test_erratum_pair_and_report_output_pinned(capsys, argv, rc, digest):
+    code, out = run(capsys, *argv)
+    assert code == rc
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _ints(first, last, step=1):
     return ",".join(str(x) for x in range(first, last + 1, step))
 

@@ -6,7 +6,12 @@ route) and then shows the printed form differs.  These are the facts behind ever
 xfail outcome in the verification suite.
 """
 
+import functools
+
 import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spectra_forge import algebra as alg
 from spectra_forge import finring as fr
@@ -15,7 +20,8 @@ from spectra_forge import products as pr
 from spectra_forge import spectra as sp
 from spectra_forge import theorems as th
 
-from oracles import random_instance
+from oracles import random_instance, specbi_formula_valid_by_sums
+from test_properties import PROPERTY
 
 
 def dual_route_spectrum(S, T, kind):
@@ -151,3 +157,70 @@ def test_validity_predicate_matches_reality():
             predicted = th.specbi_formula_valid(S, t_kind, "sum")
             if predicted:
                 assert sp.isospectral(formula, actual), (G.label, t_kind)
+
+
+# the abelian groups of the suite's pool and seven more of order at most 9
+SPECBI_GROUPS = tuple(d for d in th._GROUP_POOL if alg.make_group(d).is_abelian) + (
+    "cyclic:1", "cyclic:2", "sym:2", "dihedral:2", "cyclic:9",
+    "prod:(cyclic:2,cyclic:4)", "prod:(cyclic:2,cyclic:2,cyclic:2)",
+)
+
+
+@functools.cache
+def _specbi_group(descriptor):
+    return alg.make_group(descriptor)
+
+
+@st.composite
+def specbi_subsets(draw):
+    """A subset of an abelian group: random, closed under inverses, or a
+    union of cosets of 2G = {g + g} with one element possibly toggled."""
+    G = _specbi_group(draw(st.sampled_from(SPECBI_GROUPS)))
+    elements = st.integers(0, G.order - 1)
+    members = draw(st.sets(elements))
+    shape = draw(st.sampled_from(["random", "symmetric", "cosets", "cosets+1"]))
+    op = G.op_table
+    if shape == "symmetric":
+        members |= {int(G.inv_table[g]) for g in members}
+    elif shape.startswith("cosets"):
+        doubles = set(np.diag(op).tolist())
+        members = {int(op[x, h]) for x in members for h in doubles}
+        if shape == "cosets+1":
+            members ^= {draw(elements)}
+    return alg.subset(G, members)
+
+
+@PROPERTY
+@given(specbi_subsets())
+def test_exact_erratum_domain_matches_the_character_sums(S):
+    for t_kind in th.T_KINDS:
+        assert th.specbi_formula_valid(S, t_kind, "difference")
+        assert (th.specbi_formula_valid(S, t_kind, "sum")
+                == specbi_formula_valid_by_sums(S, t_kind)), (S.parent.label, S.members, t_kind)
+
+
+# the rings of the benchmark's `rings` workload: its pair rings and its unit rings
+WORKLOAD_RINGS = (
+    "zpk:2^3*gf:9*zpk:5^1", "gf:9*zpk:2^3*zpk:5^1", "zpk:5^1*gf:9*zpk:2^3",
+    "quot:2:3*gf:9*zpk:5^1", "gf:9*quot:2:3*zpk:5^1", "zpk:5^1*quot:2:3*gf:9",
+    "zpk:2^7*gf:3", "gf:3*zpk:2^7", "quot:2:4*zpk:2^3*gf:3", "gf:3*zpk:2^3*quot:2:4",
+)
+
+
+@pytest.mark.parametrize("ring", WORKLOAD_RINGS)
+def test_exact_erratum_domain_matches_the_character_sums_on_ring_units(ring):
+    U = fr.units(fr.parse_ring(ring))
+    for S in (U, U.with_identity()):
+        for t_kind in th.T_KINDS:
+            assert th.specbi_formula_valid(S, t_kind, "sum") == specbi_formula_valid_by_sums(
+                S, t_kind), t_kind
+
+
+def test_exact_erratum_domain_builds_no_table():
+    R = fr.parse_ring("zpk:2^12*gf:2")
+    U = fr.units(R)      # the odd residues times {1}: a coset of 2G, and U = -U
+    assert [th.specbi_formula_valid(U, t_kind, "sum") for t_kind in th.T_KINDS] == [True] * 3
+    Ue = U.with_identity()
+    assert [th.specbi_formula_valid(Ue, t_kind, "sum") for t_kind in th.T_KINDS] == [
+        True, True, False]
+    assert callable(fr.additive_group(R)._table)

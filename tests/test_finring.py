@@ -190,6 +190,21 @@ def test_artin_product_units():
         fr.artin_product([])
 
 
+def test_artin_product_is_frozen_with_a_cached_units_mask():
+    R = fr.artin_product([fr.zpk(2, 2), fr.gf(3, 1)])
+    assert R.factors == (fr.zpk(2, 2), fr.gf(3, 1)) and (R.size, R.label) == (12, "Z4xF3")
+    for name, value in (("factors", (fr.zpk(2, 1),)), ("size", 2), ("label", "Z2")):
+        with pytest.raises(AttributeError):
+            setattr(R, name, value)
+    with pytest.raises(AttributeError):
+        R.factors.append(fr.zpk(2, 1))
+    mask = R.units_mask
+    assert R.units_mask is mask and not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0] = True
+    assert np.flatnonzero(mask).tolist() == [4, 5, 10, 11]      # (1 or 3) * 3 + (1 or 2)
+
+
 def test_artin_units_equal_product_of_factor_units():
     factors = [fr.zpk(2, 2), fr.gf(3, 1), fr.field_quotient(2, 1, 2)]
     R = fr.artin_product(factors)

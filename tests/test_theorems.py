@@ -214,14 +214,14 @@ def test_integrality_criteria_sweeps():
             members = set(rng.choice(np.arange(1, G.order),
                                      size=int(rng.integers(1, G.order - 1)),
                                      replace=False).tolist())
-            closed = set()
+            op, inv, closed = G.op_table, G.inv_table, set()
             for g in members:
-                for x in (int(g), G.invert(int(g))):
+                for x in (int(g), int(inv[g])):
                     for h in G.elements():
-                        closed.add(G.combine(G.combine(h, x), G.invert(h)))
+                        closed.add(int(op[op[h, x], inv[h]]))
             S = alg.subset(G, sorted(closed))
             assert alg.is_normal(S)
-            assert set(S) == {G.invert(s) for s in S}      # symmetric
+            assert set(S) == {int(inv[s]) for s in S}      # symmetric
             assert_all_pass(th.check_integrality_criteria(S))
 
 
@@ -466,6 +466,19 @@ def test_spectrum_of_rejects_subsets_of_another_group():
     assert th.spectrum_of(S, "difference", T) is th.spectrum_of(S, "difference", S)
 
 
+def test_mirror_connection_set_rejects_a_T_over_another_group():
+    # Z2 x Z2 has Z4's order but is another group: rejected on the first
+    # call, and also once the memo holds an entry for T's members over Z4
+    z4, z2z2 = alg.cyclic(4), alg.make_group("prod:(cyclic:2,cyclic:2)")
+    S, T = alg.subset(z4, [1, 3]), alg.subset(z2z2, [1, 2])
+    for _ in range(2):
+        with pytest.raises(alg.GroupError, match="subset over a different group"):
+            th.mdcg_connection_subset(S, T)
+    th.mdcg_connection_subset(S, alg.subset(z4, [1, 2]))
+    with pytest.raises(alg.GroupError, match="subset over a different group"):
+        th.mdcg_connection_subset(S, T)
+
+
 def test_product_with_z2_is_cached_on_the_group():
     z4 = z4_s13().parent
     Gp = th.product_group_with_z2(z4)
@@ -503,26 +516,21 @@ def test_spectrum_of_is_memoized_on_the_connection_set():
 
 def test_character_data_is_cached_read_only_on_the_group():
     z4 = z4_s13().parent
-    exps = alg.character_exponents(z4)
-    assert alg.character_exponents(z4) is exps
-    with pytest.raises(ValueError):
-        exps[0, 0] = 1
     conj = alg.conjugate_characters(z4)
     assert conj.tolist() == [0, 3, 2, 1]
     assert alg.conjugate_characters(z4) is conj
     with pytest.raises(ValueError):
         conj[0] = 1
     assert alg.conjugate_characters(alg.cyclic(1)).tolist() == [0]
-    # G x Z2 keeps its own exponents
+    # G x Z2 keeps its own conjugate index
     Gp = th.product_group_with_z2(z4)
-    exps_p = alg.character_exponents(Gp)
-    assert alg.character_exponents(Gp) is exps_p
-    assert exps_p.shape == (8, 2) and exps.shape == (4, 1)
-    assert not exps_p.flags.writeable
+    conj_p = alg.conjugate_characters(Gp)
+    assert alg.conjugate_characters(Gp) is conj_p
+    assert conj_p.shape == (8,) and not conj_p.flags.writeable
     # a non-abelian group raises on every call
     for _ in range(2):
         with pytest.raises(alg.GroupError):
-            alg.character_exponents(alg.dihedral(3))
+            alg.conjugate_characters(alg.dihedral(3))
 
 
 def test_random_instance_makes_the_reference_draws():
