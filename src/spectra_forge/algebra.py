@@ -1,16 +1,18 @@
 """Finite groups as explicit multiplication tables, abelian characters,
-the subset predicates used by the graph constructions, and the
-trial-division number theory the ring and spectrum code shares.
+irreducible representations of D_n, Dic_n and S_n, the subset predicates
+used by the graph constructions, and the trial-division number theory the
+ring and spectrum code shares.
 
 Groups are immutable after construction.  Elements are integers
 0..order-1; the table fixes the operation and every constructor places the
 identity at index 0.  Every group is built with its structure and none is
 validated at run time: Z_n, D_n, Dic_n and S_n come from index arithmetic,
-and the abelian ones (Z_n, D_2, S_1, S_2) carry their invariant factors by
-construction; a direct product composes its invariant factors from its
-factors'; Z_n and direct products build their tables on first read.  The
-table checks (associativity, identity, inverses, abelian coordinates) live
-in the tests.
+inverses included, and the abelian ones (Z_n, D_2, S_1, S_2) carry their
+invariant factors by construction; a direct product composes its invariant
+factors from its factors'; D_n, Dic_n and S_n carry their irreducible
+representations by construction; every table is built on first read.  The
+table and representation checks (associativity, identity, inverses,
+abelian coordinates, homomorphism and orthogonality) live in the tests.
 """
 
 from __future__ import annotations
@@ -39,7 +41,11 @@ class FiniteGroup:
     is commutative.  ``coords`` maps each element to its exponent tuple
     with respect to that chain; both are None for non-abelian groups.
     ``_table`` holds the table or a builder of it, which the first read of
-    ``op_table`` calls and drops.
+    ``op_table`` calls and drops.  ``irreducibles``, given for D_n, Dic_n
+    and S_n, evaluates every irreducible representation of the group, each
+    unitary, at an integer array of m elements: a tuple of arrays of shape
+    (k, m, d, d), one per dimension d in ascending order, holding the k
+    irreducibles of that dimension.
     """
 
     identity: ClassVar[int] = 0       # every constructor places it at index 0
@@ -50,6 +56,8 @@ class FiniteGroup:
     _table: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
     abelian_decomposition: tuple[int, ...] | None
     coords: np.ndarray | None = field(repr=False)
+    irreducibles: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = field(
+        default=None, repr=False)
 
     @property
     def op_table(self) -> np.ndarray:
@@ -269,36 +277,35 @@ def _product_table(groups: tuple[FiniteGroup, ...]) -> np.ndarray:
     return op
 
 
-def _indexed_group(op: np.ndarray, label: str, chain=(None, None)) -> FiniteGroup:
-    """A group built by index arithmetic with the identity at index 0, so g's
-    inverse is the h with g.h = 0; ``chain`` is its abelian structure, if any."""
-    return FiniteGroup(len(op), np.argmax(op == 0, axis=1), label, op, *chain)
-
-
 def dihedral(n: int) -> FiniteGroup:
     """D_n of order 2n; element (k, j) is a^k b^j, stored at index 2k + j:
-    (k, j)(l, m) = (k + (-1)^j l, j xor m)."""
+    (k, j)(l, m) = (k + (-1)^j l, j xor m), so (k, 0)^-1 = (-k, 0) and
+    (k, 1)^-1 = (k, 1)."""
     if n < 2:
         raise GroupError("dihedral group needs n >= 2")
     _check_order(2 * n)
     l, m = np.divmod(np.arange(2 * n), 2)
+    inv = np.where(m == 1, 2 * l + 1, 2 * (-l % n))
     k, j = l[:, None], m[:, None]
-    op = 2 * ((k + (1 - 2 * j) * l) % n) + (j ^ m)
     # D_2 is Z2 x Z2 with a^k b^j at coordinates (j, k)
     chain = _invariant_chain([(np.stack([m, l], axis=1), (2, 2))]) if n == 2 else (None, None)
-    return _indexed_group(op, f"D{n}", chain)
+    return FiniteGroup(2 * n, inv, f"D{n}", lambda: 2 * ((k + (1 - 2 * j) * l) % n) + (j ^ m),
+                       *chain, partial(_dihedral_irreducibles, n))
 
 
 def dicyclic(n: int) -> FiniteGroup:
     """Dic_n of order 4n: a^(2n)=1, b^2=a^n, b a b^-1 = a^-1; index 2k + j:
-    (k, j)(l, m) = (k + (-1)^j l + n j m, j xor m)."""
+    (k, j)(l, m) = (k + (-1)^j l + n j m, j xor m), so (k, 0)^-1 = (-k, 0)
+    and (k, 1)^-1 = (k + n, 1)."""
     if n < 2:
         raise GroupError("dicyclic group needs n >= 2")
     _check_order(4 * n)
     l, m = np.divmod(np.arange(4 * n), 2)
+    inv = 2 * ((np.where(m == 1, l + n, -l)) % (2 * n)) + m
     k, j = l[:, None], m[:, None]
-    op = 2 * ((k + (1 - 2 * j) * l + n * j * m) % (2 * n)) + (j ^ m)
-    return _indexed_group(op, f"Dic{n}")
+    return FiniteGroup(4 * n, inv, f"Dic{n}",
+                       lambda: 2 * ((k + (1 - 2 * j) * l + n * j * m) % (2 * n)) + (j ^ m),
+                       None, None, partial(_dicyclic_irreducibles, n))
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -310,11 +317,13 @@ def symmetric(n: int) -> FiniteGroup:
     code = n ** np.arange(n - 1, -1, -1)
     index = np.zeros(n**n, dtype=np.int64)
     index[perms @ code] = np.arange(len(perms))
-    # (p q)(k) = p(q(k)): perms[i, perms[j]] composes element i after element j
-    op = index[perms[:, perms] @ code]
     # S_1 and S_2 are Z_1 and Z_2, element i at coordinate i
-    chain = _invariant_chain([(np.arange(len(op))[:, None], (len(op),))]) if n <= 2 else (None, None)
-    return _indexed_group(op, f"S{n}", chain)
+    order = len(perms)
+    chain = _invariant_chain([(np.arange(order)[:, None], (order,))]) if n <= 2 else (None, None)
+    # (p q)(k) = p(q(k)): perms[i, perms[j]] composes element i after element j
+    return FiniteGroup(order, index[np.argsort(perms, axis=1) @ code], f"S{n}",
+                       lambda: index[perms[:, perms] @ code], *chain,
+                       partial(_symmetric_irreducibles, perms, _young_generators(n)))
 
 
 def make_group(descriptor: str) -> FiniteGroup:
@@ -410,6 +419,134 @@ def character_sums_over(S: GroupSubset) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# irreducible representations
+
+
+def representation_sums_over(S: GroupSubset) -> tuple[np.ndarray, ...]:
+    """rho(S) = sum over s in S of rho(s) for every irreducible rho of
+    G = S.parent, stacked by dimension as ``G.irreducibles`` stacks them:
+    one (k, d, d) array per dimension d.  rho is evaluated at S's members
+    only; computed once per subset and kept on it, read-only."""
+    group = S.parent
+    if group.irreducibles is None:
+        raise GroupError(f"{group.label} carries no irreducible representations")
+
+    def build():
+        rhos = group.irreducibles(np.array(S.members, dtype=np.int64))
+        return tuple(_frozen(rho.sum(axis=1)) for rho in rhos)
+
+    return _once(S, "_representation_sums", build)
+
+
+def _sign_characters(k: np.ndarray, j: np.ndarray, alphas: int) -> np.ndarray:
+    """alpha^k beta^j at every (k, j), for beta = +-1 and the first
+    ``alphas`` of alpha = 1, -1: shape (2 alphas, m, 1, 1)."""
+    a, b = np.divmod(np.arange(2 * alphas)[:, None], 2)
+    return (-1.0) ** (a * k + b * j)[:, :, None, None]
+
+
+def _two_by_two(shape, dtype, top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
+    """The 2 x 2 matrices with these entries, each an array of ``shape``."""
+    out = np.empty(shape + (2, 2), dtype)
+    out[..., 0, 0], out[..., 0, 1] = top_left, top_right
+    out[..., 1, 0], out[..., 1, 1] = bottom_left, bottom_right
+    return out
+
+
+def _dihedral_irreducibles(n: int, g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """D_n's irreducibles at g = a^k b^j: the linear characters
+    alpha^k beta^j (alpha = -1 only for even n), then rho_m(a^k b^j) =
+    R(2 pi m k / n) F^j for m = 1, ..., (n - 1) // 2, with R the rotation
+    and F = diag(1, -1) the reflection; all real orthogonal."""
+    k, j = np.divmod(g, 2)
+    theta = 2 * np.pi / n * (np.arange(1, (n + 1) // 2)[:, None] * k % n)
+    c, s, f = np.cos(theta), np.sin(theta), 1 - 2 * j
+    planar = _two_by_two(theta.shape, float, c, -s * f, s, c * f)
+    return tuple(r for r in (_sign_characters(k, j, 2 - n % 2), planar) if len(r))
+
+
+def _dicyclic_irreducibles(n: int, g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Dic_n's irreducibles at g = a^k b^j: four linear characters, which
+    are alpha^k beta^j with alpha, beta = +-1 for even n and, since b^2 =
+    a^n forces alpha = beta^2, i^(t (2k + j)) for t = 0..3 for odd n; then
+    rho_m(a^k b^j) = diag(w^mk, w^-mk) [[0, (-1)^m], [1, 0]]^j for
+    m = 1, ..., n - 1, with w = e^(i pi / n); all unitary."""
+    k, j = np.divmod(g, 2)
+    if n % 2 == 0:
+        linear = _sign_characters(k, j, 2)
+    else:
+        powers_of_i = np.array([1, 1j, -1, -1j])
+        linear = powers_of_i[np.arange(4)[:, None] * (2 * k + j) % 4][:, :, None, None]
+    m = np.arange(1, n)[:, None]
+    x = np.exp(1j * np.pi / n * (m * k % (2 * n)))
+    y, sign = x.conj(), 1 - 2 * (m % 2)
+    planar = _two_by_two(x.shape, complex, x * (1 - j), sign * x * j, y * j, y * (1 - j))
+    return linear, planar
+
+
+def _young_generators(n: int) -> tuple[np.ndarray, ...]:
+    """Young's orthogonal form (James & Kerber 1981, 3.3) of the adjacent
+    transpositions s_i = (i i+1), i = 0..n-2, for every partition of n,
+    stacked by dimension: one (k, n, d, d) array per dimension d whose slot
+    n - 1 holds the identity.  The basis is the standard tableaux, each a
+    row word (letter i sits in row w[i]); with r the content of letter i+1
+    minus that of letter i, s_i sends T to T / r + sqrt(1 - 1/r^2) s_i T,
+    the second term only when s_i T is standard (|r| > 1)."""
+    by_dim: dict[int, list[np.ndarray]] = {}
+    for shape in _partitions(n, n):
+        words = [()]
+        for _ in range(n):
+            words = [w + (r,) for w in words for r in range(len(shape))
+                     if w.count(r) < shape[r] and (r == 0 or w.count(r - 1) > w.count(r))]
+        where = {w: t for t, w in enumerate(words)}
+        gens = np.zeros((n, len(words), len(words)))
+        gens[n - 1] = np.eye(len(words))
+        for t, w in enumerate(words):
+            content = [w[:i].count(w[i]) - w[i] for i in range(n)]
+            for i in range(n - 1):
+                r = content[i + 1] - content[i]
+                gens[i, t, t] = 1 / r
+                if abs(r) > 1:
+                    swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+                    gens[i, where[swapped], t] = math.sqrt(1 - 1 / r**2)
+        by_dim.setdefault(len(words), []).append(gens)
+    return tuple(np.stack(by_dim[d]) for d in sorted(by_dim))
+
+
+def _partitions(n: int, top: int):
+    """The partitions of n with parts at most top, largest parts first."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, top), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _symmetric_irreducibles(perms: np.ndarray, generators: tuple[np.ndarray, ...],
+                            g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """S_n's irreducibles at the elements g, each the product of Young's
+    orthogonal form along a reduced word of g.  Bubble-sorting the rows
+    perms[g] swaps positions i, i+1 (p -> p s_i) at step t wherever they
+    are out of order, until p s_(w_1) ... s_(w_L) = e, so rho(p) =
+    rho(s_(w_L)) ... rho(s_(w_1)); a row with nothing to swap at a step
+    takes slot n - 1, the identity."""
+    p, n = perms[g], perms.shape[1]
+    steps = []
+    for end in range(n - 1, 0, -1):
+        for i in range(end):
+            left, right = p[:, i], p[:, i + 1]
+            steps.append(np.where(left > right, i, n - 1))
+            p[:, i], p[:, i + 1] = np.minimum(left, right), np.maximum(left, right)
+    out = []
+    for gens in generators:
+        rho = np.broadcast_to(gens[:, n - 1:], (len(gens), len(g)) + gens.shape[2:])
+        for step in steps:
+            rho = gens[:, step] @ rho
+        out.append(rho)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # subset predicates
 
 
@@ -426,6 +563,11 @@ def cogeneration_gap(S: GroupSubset) -> int | None:
         if any(cycle[j] not in mem for j in range(1, d) if math.gcd(j, d) == 1):
             return x
     return None
+
+
+def is_inverse_closed(S: GroupSubset) -> bool:
+    """S = S^-1, read from the inverse table."""
+    return np.array_equal(np.sort(S.parent.inv_table[list(S.members)]), S.members)
 
 
 def is_normal(S: GroupSubset) -> bool:

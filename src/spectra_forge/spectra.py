@@ -1,6 +1,17 @@
-"""Spectra: exact character formulas, a dense LAPACK route (``eigvalsh``)
-as the independent numeric route for undirected graphs, the closed-form
-spectrum families, and classification.
+"""Spectra: exact character formulas for abelian groups, irreducible blocks
+for D_n, Dic_n and S_n, a dense LAPACK route (``eigvalsh``) for the other
+undirected graphs, the closed-form spectrum families, and classification.
+
+Routes: the adjacency of X(G, S) is similar to the direct sum over the
+irreducibles rho of G of d_rho copies of rho(S) = sum over s in S of
+rho(s) (Babai, JCT B 27, 1979; Diaconis, Group Representations in
+Probability and Statistics, 1988, ch. 3).  For abelian G every rho is a
+character, and one FFT gives every chi(S) (``spectrum_exact_abelian``);
+for D_n, Dic_n and S_n, ``spectrum_from_blocks`` takes the Hermitian
+blocks rho(S), one batched ``eigvalsh`` per dimension.  The dense route
+serves the other undirected graphs (the sum kind over a non-abelian
+group, and non-abelian direct products) and is the blocks' reference in
+the tests.
 
 Numeric policy: complex eigenvalues merge within 1e-8, and the members of
 one merged entry lie pairwise within that tolerance (clusters never
@@ -496,7 +507,7 @@ def _classify_arrays(spec: Spectrum) -> SpectrumClass:
 
 
 # ---------------------------------------------------------------------------
-# dense symmetric route (LAPACK), the numeric route for non-abelian groups
+# dense symmetric route (LAPACK), for undirected graphs without blocks
 
 
 def spectrum_dense_symmetric(graph: Graph) -> Spectrum:
@@ -509,6 +520,19 @@ def spectrum_dense_symmetric(graph: Graph) -> Spectrum:
     if A.size == 0 or not np.array_equal(A, A.T):
         raise SpectrumError("dense route requires a non-empty symmetric adjacency")
     return Spectrum.from_values(np.linalg.eigvalsh(A))
+
+
+# ---------------------------------------------------------------------------
+# irreducible blocks
+
+
+def spectrum_from_blocks(blocks) -> Spectrum:
+    """Spectrum of a matrix similar to the direct sum of d copies of every
+    block in ``blocks``, a sequence of (k, d, d) stacks of Hermitian
+    blocks: each eigenvalue of a d x d block counts d times.  One batched
+    ``eigvalsh`` per stack, which reads one triangle of each block."""
+    return Spectrum.from_values(np.concatenate(
+        [np.repeat(np.linalg.eigvalsh(stack).ravel(), stack.shape[-1]) for stack in blocks]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 ``jacobi_eigenvalues`` is the cyclic Jacobi eigensolver that was once the
 dense route; it now checks the LAPACK route on small matrices.
+``eigvalsh_spectrum`` is LAPACK ``eigvalsh`` on a built graph, the route
+that the irreducible blocks replace for undirected difference-kind graphs
+over D_n, Dic_n and S_n; it is their reference.
 ``isospectral_expanded`` is the greedy nearest pairing over expanded
 values that the merged-entry ``spectra.isospectral`` replaces.
 ``moments`` and ``moment_check`` compare a spectrum with the power traces
@@ -105,6 +108,19 @@ def jacobi_eigenvalues(
                 A[:, p] = c * cp - s * cq
                 A[:, q] = s * cp + c * cq
     raise SpectrumError(f"jacobi did not converge within {max_sweeps} sweeps")
+
+
+def eigvalsh_spectrum(graph: Graph) -> Spectrum:
+    """The spectrum of an undirected graph by ``numpy.linalg.eigvalsh`` on its adjacency."""
+    A = graph.adjacency.astype(float)
+    assert np.array_equal(A, A.T), "eigvalsh reads one triangle: the graph must be undirected"
+    return Spectrum.from_values(np.linalg.eigvalsh(A))
+
+
+def same_entries(s1: Spectrum, s2: Spectrum, tol: float) -> bool:
+    """Entry by entry, equal multiplicities and values within tol."""
+    return len(s1.entries) == len(s2.entries) and all(
+        m1 == m2 and abs(v1 - v2) <= tol for (v1, m1), (v2, m2) in zip(s1.entries, s2.entries))
 
 
 def isospectral_expanded(s1: Spectrum, s2: Spectrum, tol: float = MERGE_TOL) -> bool:

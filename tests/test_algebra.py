@@ -204,6 +204,65 @@ def test_builders_give_groups_with_their_structure(descriptor):
         assert G.coords.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
 
 
+# every non-abelian pool group is among these
+REPRESENTED = ([f"dihedral:{n}" for n in range(2, 31)] + [f"dicyclic:{n}" for n in range(2, 31)]
+               + [f"sym:{n}" for n in range(1, 6)])
+
+
+@pytest.mark.parametrize("descriptor", REPRESENTED)
+def test_irreducibles_are_unitary_representations(descriptor):
+    G = alg.make_group(descriptor)
+    op, elements = G.op_table, np.arange(G.order)
+    stacks = G.irreducibles(elements)
+    dims = [r.shape[-1] for r in stacks]
+    assert dims == sorted(set(dims))                       # one stack per dimension, ascending
+    assert sum(r.shape[0] * r.shape[-1] ** 2 for r in stacks) == G.order
+    for rho in stacks:
+        k, m, d, _ = rho.shape
+        assert k and m == G.order
+        assert np.allclose(rho[:, 0], np.eye(d), atol=1e-12)
+        # rho(g) rho(h) = rho(gh) for every g, h, read off the table
+        assert np.allclose(rho[:, :, None] @ rho[:, None, :], rho[:, op], atol=1e-12)
+        # unitary: rho(g^-1) = rho(g)^H
+        assert np.allclose(rho[:, G.inv_table], rho.conj().swapaxes(-1, -2), atol=1e-12)
+    # the characters are orthonormal, so the irreducibles are irreducible and distinct
+    chars = np.concatenate([np.trace(r, axis1=-2, axis2=-1) for r in stacks])
+    assert np.allclose(chars @ chars.conj().T / G.order, np.eye(len(chars)), atol=1e-12)
+    # evaluated on a subset of elements, in any order, they give the same matrices
+    picked = elements[::-3]
+    assert all(np.array_equal(a, b[:, picked]) for a, b in zip(G.irreducibles(picked), stacks))
+
+
+def test_representation_sums_are_read_only_on_the_subset():
+    G = alg.symmetric(4)
+    S = alg.subset(G, [1, 2, 6, 23])
+    sums = alg.representation_sums_over(S)
+    assert alg.representation_sums_over(S) is sums
+    assert [b.shape for b in sums] == [(2, 1, 1), (1, 2, 2), (2, 3, 3)]
+    assert all(not b.flags.writeable for b in sums)
+    rho = G.irreducibles(np.array(S.members))
+    assert all(np.allclose(b, r.sum(axis=1)) for b, r in zip(sums, rho))
+    empty = alg.representation_sums_over(alg.subset(G, []))
+    assert all(b.shape == a.shape and not b.any() for a, b in zip(sums, empty))
+    for group in (alg.cyclic(4), alg.make_group("prod:(sym:3,cyclic:2)")):
+        with pytest.raises(alg.GroupError, match="irreducible"):
+            alg.representation_sums_over(alg.subset(group, [1]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 40])
+def test_dihedral_and_dicyclic_inverses_are_the_tables(n):
+    # the inverses come from index arithmetic; the table is built only when read
+    for G in (alg.dihedral(n), alg.dicyclic(n)):
+        assert callable(G._table)
+        assert np.array_equal(G.inv_table, np.argmax(G.op_table == 0, axis=1))
+
+
+def test_large_dihedral_and_dicyclic_build_no_table():
+    for G in (alg.dihedral(2000), alg.dicyclic(2500)):
+        assert callable(G._table) and G.inv_table.shape == (G.order,)
+        assert G.inv_table[G.inv_table].tolist() == list(range(G.order))
+
+
 @functools.cache
 def _factor(desc):
     from spectra_forge import finring as fr

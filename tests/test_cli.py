@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectra_forge import algebra, cli, theorems
+from spectra_forge import algebra, cli, graphs, spectra, theorems
 from spectra_forge.graphs import Graph
+
+from oracles import eigvalsh_spectrum, same_entries
 
 
 def run(capsys, *argv):
@@ -122,8 +124,10 @@ SPECTRUM_SHA256 = [
     (("spectrum", "--group", "cyclic:4", "--set", "1,3", "--kind", "sum", "--tkind", "e",
       "--format", "json"), 0,
      "3be555a498438bb81900ef66d13fb25734cd7ba66f73c57fe8767700f3161a93"),
-    (("spectrum", "--group", "sym:5", "--set", "1,2,6,24,119", "--format", "json"), 0,
-     "06fcf0b2fce9861d3cb7df36bc14bb52b15269b295636c6e8b879d6b055e89cc"),
+    # the text output: the JSON prints every bit of the values, in which the
+    # irreducible blocks and the dense route differ (test_block_spectrum_json_matches_eigvalsh)
+    (("spectrum", "--group", "sym:5", "--set", "1,2,6,24,119"), 0,
+     "3a2cfcaa5b1ad0689d578b41c90a860f02f66fbf0037e67ffbffc9d8f4b1d825"),
     (("spectrum", "--group", "dicyclic:15", "--set", "1,3,5", "--tkind", "e"), 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("compare", "--group", "cyclic:16", "--set", "1,2,4,5,9,10,12,13",
@@ -137,6 +141,22 @@ def test_spectrum_output_pinned(capsys, argv, rc, digest):
     code, out = run(capsys, *argv)
     assert code == rc
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_block_spectrum_json_matches_eigvalsh(capsys):
+    # the JSON values of the block route lie within 1e-9 of eigvalsh on the
+    # built graph, entry by entry with equal multiplicities; the class is
+    # the one the dense route printed
+    members = [1, 2, 6, 24, 119]
+    code, out = run(capsys, "spectrum", "--group", "sym:5", "--set", ",".join(map(str, members)),
+                    "--format", "json")
+    data = json.loads(out)
+    got = spectra.Spectrum.from_pairs([(complex(e["re"], e["im"]), e["mult"]) for e in data["entries"]])
+    want = eigvalsh_spectrum(graphs.cayley(algebra.subset(algebra.symmetric(5), members), "difference"))
+    assert code == 0 and len(got.entries) == len(data["entries"]) == 25
+    assert same_entries(got, want, 1e-9)
+    assert data["class"] == {"integral": False, "parity": "non-integral", "symmetric": False,
+                             "almost_symmetric": False}
 
 
 def test_build_dot(capsys):
@@ -494,3 +514,25 @@ def test_commands_never_import_numpy_ma():
                           text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
     result = json.loads(done.stderr.splitlines()[-1])
     assert result == {"codes": [0] * 7, "ma": False}
+
+
+# the irreducible blocks of S_n, Dic_n and D_n, plain and mirrored
+BLOCKS_NO_MASKED_ARRAYS = """
+import json, sys
+from spectra_forge import cli
+commands = [
+    ["spectrum", "--group", "sym:5", "--set", "1,2,6,24,119", "--format", "json"],
+    ["spectrum", "--group", "dicyclic:15", "--set", "1,2,31,58", "--tkind", "Se"],
+    ["compare", "--group", "dihedral:24", "--set", "1,3,2,46", "--tkind", "e", "--set2", "1,5"],
+]
+codes = [cli.main(argv) for argv in commands]
+print(json.dumps({"codes": codes, "ma": "numpy.ma" in sys.modules}), file=sys.stderr)
+"""
+
+
+def test_block_route_never_imports_numpy_ma():
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", BLOCKS_NO_MASKED_ARRAYS], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert json.loads(done.stderr.splitlines()[-1]) == {"codes": [0] * 3, "ma": False}

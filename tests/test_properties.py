@@ -25,6 +25,7 @@ from spectra_forge import theorems as th
 from oracles import (
     cayley_by_definition,
     character_sums_direct,
+    eigvalsh_spectrum,
     classify_by_scan,
     dot_by_cells,
     isospectral_expanded,
@@ -34,6 +35,7 @@ from oracles import (
     moments,
     multiplicity_by_scan,
     neps_kron,
+    same_entries,
 )
 
 TOL = sp.MERGE_TOL
@@ -335,6 +337,31 @@ def test_mirror_route_exists_exactly_when_base_route_does(instance, kind):
     base_none = th.spectrum_of(S, kind) is None
     for t_kind in th.T_KINDS:
         assert (th.spectrum_of(S, kind, th.t_subset(S, t_kind)) is None) == base_none
+
+
+BLOCK_GROUPS = ([f"dihedral:{n}" for n in (3, 4, 5, 6, 9, 12)]
+                + [f"dicyclic:{n}" for n in (2, 3, 4, 5, 7, 10)] + ["sym:3", "sym:4", "sym:5"])
+
+
+@st.composite
+def inverse_closed_non_abelian(draw):
+    """A non-abelian D_n, Dic_n or S_n and an inverse-closed S, which may
+    hold the identity."""
+    G = alg.make_group(draw(st.sampled_from(BLOCK_GROUPS)))
+    picks = draw(st.sets(st.integers(0, G.order - 1), max_size=8))
+    return G, alg.subset(G, sorted(picks | {int(G.inv_table[g]) for g in picks}))
+
+
+@PROPERTY
+@given(inverse_closed_non_abelian(), st.sampled_from([None, *th.T_KINDS]))
+def test_block_spectra_match_eigvalsh_of_the_built_graph(instance, t_kind):
+    G, S = instance
+    T = None if t_kind is None else th.t_subset(S, t_kind)
+    spec = th.spectrum_of(S, "difference", T)
+    graph = gr.cayley(S, "difference") if T is None else gr.mirror_dicayley(S, T, "difference")
+    assert "_representation_sums" in S.__dict__            # the blocks, not the dense route
+    assert spec.size == graph.n
+    assert same_entries(spec, eigvalsh_spectrum(graph), 1e-9)
 
 
 @st.composite

@@ -166,6 +166,30 @@ def test_gen_isosp_section7_example():
     )
 
 
+def test_gen_isosp_outside_the_sum_formula_domain_is_the_erratum():
+    # X+(Z5, {1, 2}) and X+(Z5, {1, 4}) are isospectral, but {1, 2} != -{1, 2}
+    # and is no union of cosets of 2G = Z5, so the printed sum-kind mirror
+    # formula, on which the transfer rests, fails for T = e and T = S u e
+    S1, S2 = alg.subset(alg.cyclic(5), [1, 2]), alg.subset(alg.cyclic(5), [1, 4])
+    assert not th.specbi_formula_valid(S1, "identity", "sum")
+    reports = {r.claim_id: r for r in th.check_gen_isosp(S1, S2, "sum")}
+    assert reports["thm-gen-isosp/S"].outcome == "pass"
+    for t_kind in ("identity", "S_and_identity"):
+        r = reports[f"thm-gen-isosp/{t_kind}"]
+        assert r.outcome == "xfail", r
+        assert r.witness == ("base isospectral=True, MDCG isospectral=False; "
+                             + th.ERRATUM_SPECBI)
+    # the difference kind has no erratum, and there the transfer holds
+    assert_all_pass(th.check_gen_isosp(S1, S2, "difference"))
+
+
+def test_gen_isosp_fails_a_mismatch_inside_the_domain(monkeypatch):
+    S1, S2 = alg.subset(alg.cyclic(5), [1, 2]), alg.subset(alg.cyclic(5), [1, 4])
+    monkeypatch.setattr(th, "specbi_formula_valid", lambda S, t_kind, kind: True)
+    outcomes = {r.claim_id: r.outcome for r in th.check_gen_isosp(S1, S2, "sum")}
+    assert outcomes["thm-gen-isosp/identity"] == outcomes["thm-gen-isosp/S_and_identity"] == "fail"
+
+
 def test_parity_and_symmetry_instances():
     assert_all_pass(th.check_parity_and_symmetry(z4_s13(), "difference"))
 
@@ -449,6 +473,42 @@ def test_spectrum_of_routes():
     three_cycle = alg.subset(s3, [g for g in s3.elements() if len(s3.powers(g)) == 3][:1])
     assert th.spectrum_of(three_cycle, "difference") is None
     assert th.spectrum_of(three_cycle, "difference", three_cycle) is None
+
+
+def test_spectrum_of_routes_non_abelian_difference_graphs_through_blocks(monkeypatch):
+    def no_dense(graph):
+        raise AssertionError("dense route taken")
+
+    monkeypatch.setattr(sp, "spectrum_dense_symmetric", no_dense)
+    for desc, members in (("dihedral:5", [1, 2, 8]), ("dicyclic:3", [1, 7, 2, 10]),
+                          ("sym:4", [1, 2, 6, 23])):
+        S = alg.subset(alg.make_group(desc), members)
+        assert alg.is_inverse_closed(S)
+        for T in (None, *(th.t_subset(S, t_kind) for t_kind in th.T_KINDS)):
+            assert th.spectrum_of(S, "difference", T).size == S.parent.order * (1 if T is None else 2)
+    # the sum kind and non-abelian products keep the dense route
+    S = alg.subset(alg.dihedral(5), [1, 3, 5, 7, 9])      # the reflections: undirected X+
+    with pytest.raises(AssertionError, match="dense route"):
+        th.spectrum_of(S, "sum")
+    S = alg.subset(alg.make_group("prod:(sym:3,cyclic:2)"), [1, 2])
+    with pytest.raises(AssertionError, match="dense route"):
+        th.spectrum_of(S, "difference")
+    # a directed difference graph has no route, and no graph is built to find that out
+    monkeypatch.setattr(gr, "cayley", no_dense)
+    monkeypatch.setattr(gr, "mirror_dicayley", no_dense)
+    S = alg.subset(alg.dihedral(5), [2])
+    assert th.spectrum_of(S, "difference") is None
+    assert th.spectrum_of(alg.subset(alg.dihedral(5), [1]), "difference", S) is None
+
+
+def test_block_route_builds_no_table():
+    G = alg.make_group("dihedral:2000")
+    S = alg.subset(G, [1, 3, 2, 3998])      # b, ab, a and a^-1
+    spec = th.spectrum_of(S, "difference")
+    mirror = th.spectrum_of(S, "difference", S.with_identity())
+    assert callable(G._table)
+    assert spec.size == 4000 and mirror.size == 8000
+    assert sp.classify(spec).principal_eigenvalue == pytest.approx(4)
 
 
 def test_spectrum_of_rejects_subsets_of_another_group():
