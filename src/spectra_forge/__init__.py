@@ -40,7 +40,7 @@ from .graphs import (
     mirror_dicayley,
     structure_report,
 )
-from .products import NepsBasis, named_product, neps, path2
+from .products import named_product, path2
 from .spectra import (
     Spectrum,
     SpectrumClass,

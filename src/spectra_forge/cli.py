@@ -34,11 +34,14 @@ class CliError(Exception):
 
 
 def _resolve_group(args) -> tuple[FiniteGroup, object]:
-    if getattr(args, "ring", None):
-        ring = finring.parse_ring(args.ring)
+    ring, group = getattr(args, "ring", None), getattr(args, "group", None)
+    if ring and group:
+        raise CliError("--group and --ring are exclusive", EXIT_PARSE_ERROR)
+    if ring:
+        ring = finring.parse_ring(ring)
         return finring.additive_group(ring), ring
-    if getattr(args, "group", None):
-        return algebra.make_group(args.group), None
+    if group:
+        return algebra.make_group(group), None
     raise CliError("one of --group or --ring is required", EXIT_PARSE_ERROR)
 
 
@@ -155,9 +158,11 @@ def cmd_compare(args) -> int:
     first = argparse.Namespace(
         group=args.group, ring=args.ring, set=args.set, kind=args.kind, tkind=args.tkind
     )
+    # group and ring fall back as a pair, only when neither is given (empty is absent)
+    side2 = (args.group2, args.ring2)
+    group2, ring2 = side2 if any(side2) else (args.group, args.ring)
     second = argparse.Namespace(
-        group=pick("group", args.group),
-        ring=pick("ring", args.ring if args.group2 is None else None),
+        group=group2, ring=ring2,
         set=pick("set", args.set), kind=pick("kind", args.kind), tkind=pick("tkind", args.tkind),
     )
     sp1 = _spectrum(first)

@@ -90,7 +90,10 @@ class Spectrum:
 
     @staticmethod
     def from_pairs(pairs, tolerance: float = MERGE_TOL) -> "Spectrum":
-        items = [(complex(v), int(m)) for v, m in pairs if m]
+        pairs = [(v, m) for v, m in pairs if m]
+        if any(m % 1 for _, m in pairs):      # 2.0 counts 2; 0.5, nan and inf are refused
+            raise SpectrumError("multiplicity is not an integer")
+        items = [(complex(v), int(m)) for v, m in pairs]
         if not items:
             raise SpectrumError("empty spectrum")
         if any(m < 0 for _, m in items):

@@ -130,7 +130,7 @@ def t_subset(S: GroupSubset, t_kind: str) -> GroupSubset:
 
 T_KINDS = ("identity", "S", "S_and_identity")
 KINDS = ("difference", "sum")
-VERTEX_CAP = 4000    # mirror-graph vertices allowed at the last step of iterated_pairs
+VERTEX_CAP = 4000    # vertices allowed in a dense eigensolve and at the last step of iterated_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,8 @@ def spectrum_of(S: GroupSubset, kind: str, T: GroupSubset | None = None) -> spec
     abelian; otherwise the irreducible blocks of G for an undirected
     difference-kind graph (S = S^-1, and T = T^-1 when T is given) over a
     group that carries them, and LAPACK eigvalsh on the built graph when
-    it is undirected; None for a directed graph.  Memoized on S by kind and
+    it is undirected, refused over VERTEX_CAP vertices before any table
+    or graph is built; None for a directed graph.  Memoized on S by kind and
     the members of T; an error is never stored, and a T over another group
     is rejected on every call.
     """
@@ -173,6 +174,9 @@ def _spectrum_route(S: GroupSubset, kind: str, T: GroupSubset | None) -> spectra
                 blocks = [np.concatenate((b + t, b - t))
                           for b, t in zip(blocks, algebra.representation_sums_over(T))]
             return spectra.spectrum_from_blocks(blocks)
+    n = G.order if T is None else 2 * G.order
+    if n > VERTEX_CAP:      # checked before any group table or graph is built
+        raise algebra.GroupError(f"dense route: {n} vertices exceed cap {VERTEX_CAP}")
     graph = graphs.cayley(S, kind) if T is None else graphs.mirror_dicayley(S, T, kind)
     return spectra.spectrum_dense_symmetric(graph) if graph.undirected else None
 

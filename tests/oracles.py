@@ -16,7 +16,7 @@ builds every group with its structure and checks no table.
 ``disjoint_union`` and ``with_loops`` build and compare the small graphs
 that the product decompositions are checked against.  ``gp_integrality``
 is the closed-form integrality rule for power-residue Cayley graphs on F_q.
-``neps_kron`` is the NEPS kernel as a sum of integer Kronecker products,
+``neps_kron`` sums a named product's NEPS terms as integer Kronecker products,
 ``cayley_by_definition`` tests the Cayley rule element by element, and
 ``mirror_block`` lays two such Cayley graphs out with ``np.block``; the
 library builds all three by boolean gathers instead.  ``dot_by_cells``
@@ -242,14 +242,15 @@ def gp_integrality(k: int, q: int) -> bool:
 
 
 def neps_kron(factors: list[Graph], basis) -> Graph:
-    """NEPS as the thresholded sum over the basis of integer Kronecker
-    products, one factor's adjacency or identity per coordinate."""
+    """NEPS as the thresholded sum over the basis, a tuple of 0/1 tuples,
+    of integer Kronecker products, one factor's adjacency (1) or identity
+    (0) per coordinate."""
     terms = [
         reduce(np.kron, [
             f.adjacency.astype(np.int64) if b else np.eye(f.n, dtype=np.int64)
             for f, b in zip(factors, beta)
         ])
-        for beta in sorted(basis.tuples)
+        for beta in basis
     ]
     return Graph((sum(terms) > 0).astype(np.uint8))
 

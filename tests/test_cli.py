@@ -195,6 +195,12 @@ def test_compare(capsys):
     assert code == 0
     assert out.splitlines() == [
         "first:  {[2]^1, [0]^2, [-2]^1}", "second: {[0]^4}", "isospectral: False"]
+    # a --ring2 alone replaces the first side's group: C4 against the unitary graph of F4
+    code, out = run(capsys, "compare", "--group", "cyclic:4", "--set", "1,3",
+                    "--ring2", "gf:4", "--set2", "1,2")
+    assert code == 0
+    assert out.splitlines() == [
+        "first:  {[2]^1, [0]^2, [-2]^1}", "second: {[2]^1, [0]^2, [-2]^1}", "isospectral: True"]
 
 
 def test_verify_json_lines(capsys):
@@ -409,6 +415,10 @@ BAD_INPUTS = [
     ("verify", "--trials", "-3"),
     ("spectrum", "--ring", "gf:2^20000", "--set", "units"),
     ("spectrum", "--ring", "gr:2^1:200000", "--set", "units"),
+    # one side names one group: --group and --ring are exclusive
+    ("spectrum", "--group", "cyclic:4", "--set", "1,3", "--ring", "gf:9"),
+    # 4002 vertices: over the dense route's vertex cap, refused before any graph is built
+    ("spectrum", "--group", "dihedral:2001", "--set", "1", "--kind", "sum"),
     # exit 3 follows the error type, not a message that echoes the word
     ("spectrum", "--group", "hypothesis:3", "--set", "1"),
     ("spectrum", "--ring", "hypothesis:3", "--set", "units"),

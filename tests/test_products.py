@@ -1,4 +1,4 @@
-"""NEPS kernel and the named graph products."""
+"""The four named graph products and the 2-path."""
 
 import numpy as np
 import pytest
@@ -17,20 +17,11 @@ def c4():
     return gr.cayley(alg.subset(z4, [1, 3]), "difference")
 
 
-def test_basis_validation():
-    with pytest.raises(gr.GraphError):
-        pr.NepsBasis(2, frozenset())
-    with pytest.raises(gr.GraphError):
-        pr.NepsBasis(2, frozenset({(0, 0)}))
-    with pytest.raises(gr.GraphError):
-        pr.NepsBasis(2, frozenset({(1, 0)}))   # second coordinate never used
-    with pytest.raises(gr.GraphError):
-        pr.neps([c4()], pr.NepsBasis(2, frozenset({(1, 0), (0, 1)})))
-
-
 def test_cartesian_cube_like():
     g = pr.named_product(c4(), pr.path2(False), "cartesian")
     assert g.n == 8 and g.regular_degree == 3 and g.undirected
+    with pytest.raises(gr.GraphError):
+        pr.named_product(c4(), pr.path2(False), "lexicographic")
 
 
 def test_direct_with_looped_path():

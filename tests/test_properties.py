@@ -3,12 +3,11 @@ greedy, classification by bisection against the per-lookup scan, the
 whole-array merge, classification and comparison of large spectra against
 the per-value loops, bit for bit, the
 LAPACK dense route against the Jacobi oracle and the character route, the
-character route against power traces on directed instances, the boolean-gather graph kernels (NEPS, Cayley, mirror)
+character route against power traces on directed instances, the boolean-gather graph kernels (the named products, Cayley, mirror)
 against their Kronecker, element-by-element and block-matrix oracles, the
 mirror route existing exactly when the base route does, and the FFT
 character sums against the direct exponential sums."""
 
-import itertools
 import math
 from unittest import mock
 
@@ -278,27 +277,29 @@ def test_character_route_matches_power_traces(instance, kind):
     assert moment_check(spec, traces, max(1, len(S)), n)
 
 
+# each kind's NEPS basis: a term takes each factor's adjacency (1) or identity (0)
+PRODUCT_TERMS = {
+    "cartesian": ((1, 0), (0, 1)),
+    "direct": ((1, 1),),
+    "strong": ((1, 0), (0, 1), (1, 1)),
+    "strong_sum": ((1, 0), (1, 1)),
+}
+
+
 @st.composite
-def neps_instances(draw):
-    """2 or 3 random 0/1 factors (directed, loops allowed) on 1-4 vertices
-    and a valid NEPS basis of that arity."""
-    arity = draw(st.sampled_from([2, 3]))
-    factors = []
-    for _ in range(arity):
-        n = draw(st.integers(1, 4))
-        cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
-        factors.append(gr.Graph(np.array(cells, dtype=np.uint8).reshape(n, n)))
-    nonzero = [t for t in itertools.product((0, 1), repeat=arity) if any(t)]
-    tuples = draw(st.sets(st.sampled_from(nonzero), min_size=1).filter(
-        lambda ts: all(any(t[i] for t in ts) for i in range(arity))))
-    return factors, pr.NepsBasis(arity, frozenset(tuples))
+def zero_one_graphs(draw):
+    """A random 0/1 graph (directed, loops allowed) on 1-4 vertices."""
+    n = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    return gr.Graph(np.array(cells, dtype=np.uint8).reshape(n, n))
 
 
 @PROPERTY
-@given(neps_instances())
-def test_neps_matches_kronecker_oracle(instance):
-    factors, basis = instance
-    got, want = pr.neps(factors, basis), neps_kron(factors, basis)
+@given(zero_one_graphs(), zero_one_graphs(), st.sampled_from(sorted(PRODUCT_TERMS)))
+def test_neps_matches_kronecker_oracle(g1, g2, kind):
+    """Each named product equals its NEPS basis as integer Kronecker terms."""
+    got = pr.named_product(g1, g2, kind)
+    want = neps_kron([g1, g2], PRODUCT_TERMS[kind])
     assert np.array_equal(got.adjacency, want.adjacency)
     assert got.adjacency.dtype == want.adjacency.dtype
 

@@ -33,6 +33,11 @@ def test_spectrum_merging_and_order():
     assert [m for _, m in s.entries] == [2, 2, 1]
     with pytest.raises(sp.SpectrumError):
         sp.Spectrum.from_values([])
+    # a multiplicity that is not an integer is neither truncated nor divided by
+    for pairs in ([(1, 0.5)], [(1, -0.5), (2, 1)], [(1, 2.5)], [(1, float("nan"))]):
+        with pytest.raises(sp.SpectrumError):
+            sp.Spectrum.from_pairs(pairs)
+    assert sp.Spectrum.from_pairs([(1, 2.0)]) == spec((1, 2))
 
 
 def test_spectrum_merging_does_not_chain():

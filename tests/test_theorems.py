@@ -511,6 +511,26 @@ def test_block_route_builds_no_table():
     assert sp.classify(spec).principal_eigenvalue == pytest.approx(4)
 
 
+def test_dense_route_cap_checked_before_any_work(monkeypatch):
+    def no_graphs(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(gr, "cayley", no_graphs)
+    monkeypatch.setattr(gr, "mirror_dicayley", no_graphs)
+    # the sum kind over D_n takes the dense route: 4002 vertices, and 2 * 2002 for a mirror
+    S = alg.subset(alg.dihedral(2001), [1])
+    with pytest.raises(alg.GroupError, match="4002 vertices exceed cap 4000"):
+        th.spectrum_of(S, "sum")
+    assert callable(S.parent._table)
+    S = alg.subset(alg.dihedral(1001), [1])
+    with pytest.raises(alg.GroupError, match="4004 vertices exceed cap 4000"):
+        th.spectrum_of(S, "sum", S)
+    assert callable(S.parent._table)
+    # at the cap the graph is built
+    with pytest.raises(AssertionError, match="a graph was built"):
+        th.spectrum_of(alg.subset(alg.dihedral(2000), [1]), "sum")
+
+
 def test_spectrum_of_rejects_subsets_of_another_group():
     z8, z4 = alg.cyclic(8), alg.cyclic(4)
     cases = [(alg.subset(z8, [1, 3]), alg.subset(z4, [1])),    # only T over Z4
