@@ -18,6 +18,7 @@ abelian coordinates, homomorphism and orthogonality) live in the tests.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import permutations as _permutations
@@ -109,7 +110,10 @@ class GroupSubset:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        mem = tuple(sorted(set(int(m) for m in self.members)))
+        try:        # integers of any type; 1.5 or nan is refused, not truncated
+            mem = tuple(sorted(set(map(operator.index, self.members))))
+        except TypeError:
+            raise GroupError("subset members must be integers") from None
         if mem and not (0 <= mem[0] and mem[-1] < self.parent.order):
             raise GroupError("subset contains invalid element indices")
         object.__setattr__(self, "members", mem)
@@ -139,7 +143,7 @@ class GroupSubset:
 
 
 def subset(group: FiniteGroup, members) -> GroupSubset:
-    return GroupSubset(group, tuple(int(m) for m in members))
+    return GroupSubset(group, tuple(members))
 
 
 def _once(obj, name: str, build):

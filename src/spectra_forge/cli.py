@@ -75,27 +75,26 @@ def _resolve_subset(group: FiniteGroup, ring, descriptor: str) -> GroupSubset:
     return GroupSubset(group, tuple(members))
 
 
-def _resolve_sets(args) -> tuple[GroupSubset, GroupSubset | None]:
-    """S, and the mirror di-connection set T (None without --tkind)."""
+def _resolve_sets(args) -> tuple[GroupSubset, str | None]:
+    """S, and the kind of the mirror di-connection set T (None without --tkind)."""
     S = _resolve_subset(*_resolve_group(args), args.set)
-    if getattr(args, "tkind", None):
-        return S, theorems.t_subset(S, TKIND_ALIASES[args.tkind])
-    return S, None
+    return S, TKIND_ALIASES.get(getattr(args, "tkind", None))
 
 
 def _build_graph(args) -> tuple[graphs.Graph, list[str]]:
     """The graph and its vertex names: g for X*(G,S), and (g,i) with all
     i = 0 first for MX*(G;S,T)."""
-    S, T = _resolve_sets(args)
+    S, t_kind = _resolve_sets(args)
     kind, n = KIND_ALIASES[args.kind], S.parent.order
-    if T is None:
+    if t_kind is None:
         return graphs.cayley(S, kind), [str(g) for g in range(n)]
-    return graphs.mirror_dicayley(S, T, kind), [f"({g},{i})" for i in (0, 1) for g in range(n)]
+    return (graphs.mirror_dicayley(S, theorems.t_subset(S, t_kind), kind),
+            [f"({g},{i})" for i in (0, 1) for g in range(n)])
 
 
 def _spectrum(args) -> spectra.Spectrum:
-    S, T = _resolve_sets(args)
-    spec = theorems.spectrum_of(S, KIND_ALIASES[args.kind], T)
+    S, t_kind = _resolve_sets(args)
+    spec = theorems.spectrum_of(S, KIND_ALIASES[args.kind], t_kind)
     if spec is None:
         raise CliError(
             "no exact spectrum route for a directed non-abelian instance", EXIT_HYPOTHESIS
@@ -198,7 +197,7 @@ def cmd_pair(args) -> int:
     reports = theorems.build_even_odd_pair(ring)
     S = finring.units(ring)
     even, odd_d, odd_s, zero = (   # memoized on S by build_even_odd_pair
-        theorems.spectrum_of(S, kind, theorems.t_subset(S, t_kind))
+        theorems.spectrum_of(S, kind, t_kind)
         for kind, t_kind in (("difference", "S"), ("difference", "S_and_identity"),
                              ("sum", "S_and_identity"), ("difference", "identity")))
     lines = [f"ring: {ring.label}"]

@@ -8,7 +8,10 @@ rho(s) (Babai, JCT B 27, 1979; Diaconis, Group Representations in
 Probability and Statistics, 1988, ch. 3).  For abelian G every rho is a
 character, and one FFT gives every chi(S) (``spectrum_exact_abelian``);
 for D_n, Dic_n and S_n, ``spectrum_from_blocks`` takes the Hermitian
-blocks rho(S), one batched ``eigvalsh`` per dimension.  The dense route
+blocks rho(S), one batched ``eigvalsh`` per dimension.  The mirror graph
+MX*(G; S, T) has the blocks rho(S) +- rho(T), and for T = {e}, S or S u {e}
+rho(T) comes from rho(S) (``mirror_blocks``, which with the base
+eigenvalues as 1 x 1 blocks is also the printed formula).  The dense route
 serves the other undirected graphs (the sum kind over a non-abelian
 group, and non-abelian direct products) and is the blocks' reference in
 the tests.
@@ -538,15 +541,36 @@ def spectrum_from_blocks(blocks) -> Spectrum:
         [np.repeat(np.linalg.eigvalsh(stack).ravel(), stack.shape[-1]) for stack in blocks]))
 
 
+def mirror_blocks(blocks: np.ndarray, t_kind: str, identity_in_S: bool) -> np.ndarray:
+    """rho(S) + rho(T) stacked on rho(S) - rho(T), the blocks of MX*(G; S, T)
+    (the irreducibles of G x Z2 are rho (x) (+-1)), for rho(S) given as a
+    (k, d, d) stack or as k character values.  rho(T) comes from rho(S): I
+    for T = {e}, rho(S) for S, rho(S) + I for S u {e} (rho(S) when e is in S).
+    """
+    one = np.eye(blocks.shape[-1]) if blocks.ndim == 3 else 1
+    if t_kind == "identity":
+        t = one
+    elif t_kind == "S" or (t_kind == "S_and_identity" and identity_in_S):
+        t = blocks
+    elif t_kind == "S_and_identity":
+        t = blocks + one
+    else:
+        raise SpectrumError(f"bad T kind {t_kind!r}")
+    return np.concatenate((blocks + t, blocks - t))
+
+
 # ---------------------------------------------------------------------------
 # exact spectra via abelian characters
 
 
-def spectrum_exact_abelian(S: GroupSubset, kind: str) -> Spectrum:
-    """Spectrum of X(G,S) (difference) or X^+(G,S) (sum) for abelian G = S.parent.
+def spectrum_exact_abelian(S: GroupSubset, kind: str, t_kind: str | None = None) -> Spectrum:
+    """Spectrum of X(G,S) (difference) or X^+(G,S) (sum) for abelian G = S.parent,
+    or of MX*(G; S, T) with T of kind t_kind when it is given.
 
     Difference: the multiset {chi(S)}.  Sum: real characters contribute
     chi(S) once; each conjugate pair contributes +|chi(S)| and -|chi(S)|.
+    The mirror graph's characters chi (x) (+-1) of G x Z2 take their sums
+    from chi(S) (``mirror_blocks``); conjugation keeps the sign.
     """
     group = S.parent
     if not group.is_abelian:
@@ -554,10 +578,14 @@ def spectrum_exact_abelian(S: GroupSubset, kind: str) -> Spectrum:
     if kind not in ("difference", "sum"):
         raise SpectrumError(f"bad kind {kind!r}")
     vals = algebra.character_sums_over(S)
+    if t_kind is not None:
+        vals = mirror_blocks(vals, t_kind, group.identity in S)
     if kind == "difference":
         return Spectrum.from_values(vals)
     conj = algebra.conjugate_characters(group)
-    idx = np.arange(group.order)
+    if t_kind is not None:
+        conj = np.concatenate((conj, conj + group.order))
+    idx = np.arange(len(vals))
     real = vals[conj == idx]
     if (np.abs(real.imag) > 1e-7).any():
         raise SpectrumError("real character produced a complex value")
@@ -571,25 +599,16 @@ def spectrum_exact_abelian(S: GroupSubset, kind: str) -> Spectrum:
 
 
 def mdcg_spectrum_formula(base: Spectrum, t_kind: str, group_order: int) -> Spectrum:
-    """Mirror di-Cayley spectrum from the base Cayley spectrum.
-
-    identity: {l ± 1}; S: {2l} and n zeros; S_and_identity: {2l + 1} and
-    n copies of -1.  Output multiplicity is 2n.
+    """Mirror di-Cayley spectrum from the base Cayley spectrum (Prop.
+    spec-bicayleys): ``mirror_blocks`` with each base eigenvalue l as a 1 x 1
+    block, e not in S.  identity: {l ± 1}; S: {2l} and n zeros;
+    S_and_identity: {2l + 1} and n copies of -1.  Output multiplicity is 2n.
     """
     if base.size != group_order:
-        raise SpectrumError(
-            f"base multiplicities sum to {base.size}, expected {group_order}"
-        )
-    pairs = list(base.entries)
-    if t_kind == "identity":
-        out = [(v + 1, m) for v, m in pairs] + [(v - 1, m) for v, m in pairs]
-    elif t_kind == "S":
-        out = [(2 * v, m) for v, m in pairs] + [(0j, group_order)]
-    elif t_kind == "S_and_identity":
-        out = [(2 * v + 1, m) for v, m in pairs] + [(-1 + 0j, group_order)]
-    else:
-        raise SpectrumError(f"bad T kind {t_kind!r}")
-    return Spectrum.from_pairs(out, base.tolerance)
+        raise SpectrumError(f"base multiplicities sum to {base.size}, expected {group_order}")
+    values, mults = _arrays(base)
+    return Spectrum.from_pairs(zip(mirror_blocks(values, t_kind, False).tolist(),
+                                   np.tile(mults, 2).tolist()), base.tolerance)
 
 
 def local_ring_unitary_spectrum(r: int, m: int, kind: str) -> Spectrum:
@@ -598,11 +617,11 @@ def local_ring_unitary_spectrum(r: int, m: int, kind: str) -> Spectrum:
     The sum formula is stated for odd r; for even r the difference
     formula applies to both kinds.
     """
-    if r < 2 or m < 1 or r % m != 0:
-        raise SpectrumError(f"invalid local parameters r={r}, m={m}")
+    # a finite local ring has r = q^l and m = q^(l-1), q = r/m the size of its residue field
+    if (r < 2 or m < 1 or r % m != 0 or algebra.prime_power(r // m) is None
+            or (r // m) ** round(math.log(r, r // m)) != r):
+        raise SpectrumError(f"invalid local parameters r={r}, m={m}: not r = q^l, m = q^(l-1)")
     q = r // m
-    if algebra.prime_power(q) is None:
-        raise SpectrumError(f"residue field size {q} is not a prime power")
     if kind not in ("difference", "sum"):
         raise SpectrumError(f"bad kind {kind!r}")
     # the printed field rows (m = 1) are these rows at m = 1, where the
@@ -622,62 +641,18 @@ def local_ring_unitary_spectrum(r: int, m: int, kind: str) -> Spectrum:
 def mdcg_local_ring_spectrum(r: int, m: int, t_kind: str, kind: str) -> Spectrum:
     """The printed closed forms for the six mirror graphs of an odd local ring.
 
-    Note: the published closed forms for the S-and-identity case disagree
-    with the actual spectra in both kinds (see the errata tests); they are
-    returned verbatim here because this function implements the printed
-    corollary.  The actual values follow from mdcg_spectrum_formula
-    (difference kind) or the character route over the doubled group.
+    Each printed row is Prop. spec-bicayleys (``mdcg_spectrum_formula``)
+    applied to the local row (``local_ring_unitary_spectrum``), except the
+    S-and-identity rows: they print [1]^r where the formula has [-1]^r, that
+    is the S row shifted by one.  That misprint is returned verbatim here
+    (see the errata tests); the corrected row is the formula itself.
     """
     if r % 2 == 0:
         raise SpectrumError("the closed forms require odd local size r")
-    if r < 3 or m < 1 or r % m != 0 or algebra.prime_power(r // m) is None:
-        raise SpectrumError(f"invalid local parameters r={r}, m={m}")
-    if kind not in ("difference", "sum"):
-        raise SpectrumError(f"bad kind {kind!r}")
-    if t_kind not in ("identity", "S", "S_and_identity"):
-        raise SpectrumError(f"bad T kind {t_kind!r}")
-
-    q = r // m
-    # the printed field rows (m = 1) are these rows at m = 1
-    if t_kind == "identity":
-        if kind == "difference":
-            return Spectrum.from_pairs(
-                [
-                    (r - m + 1, 1), (r - m - 1, 1),
-                    (1, q * (m - 1)), (-1, q * (m - 1)),
-                    (-m + 1, (r - m) // m), (-m - 1, (r - m) // m),
-                ]
-            )
-        return Spectrum.from_pairs(
-            [
-                (r - m + 1, 1), (r - m - 1, 1),
-                (m + 1, (r - m) // (2 * m)), (m - 1, (r - m) // (2 * m)),
-                (1, q * (m - 1)), (-1, q * (m - 1)),
-                (-m + 1, (r - m) // (2 * m)), (-m - 1, (r - m) // (2 * m)),
-            ]
-        )
-    if t_kind == "S":
-        if kind == "difference":
-            return Spectrum.from_pairs(
-                [(2 * (r - m), 1), (0, 2 * r - q), (-2 * m, (r - m) // m)]
-            )
-        return Spectrum.from_pairs(
-            [
-                (2 * (r - m), 1), (0, 2 * r - q),
-                (2 * m, (r - m) // (2 * m)), (-2 * m, (r - m) // (2 * m)),
-            ]
-        )
-    # S_and_identity
-    if kind == "difference":
-        return Spectrum.from_pairs(
-            [(2 * (r - m) + 1, 1), (1, 2 * r - q), (-2 * m + 1, (r - m) // m)]
-        )
-    return Spectrum.from_pairs(
-        [
-            (2 * (r - m) + 1, 1), (1, 2 * r - q),
-            (2 * m + 1, (r - m) // (2 * m)), (-2 * m + 1, (r - m) // (2 * m)),
-        ]
-    )
+    base = local_ring_unitary_spectrum(r, m, kind)
+    if t_kind != "S_and_identity":
+        return mdcg_spectrum_formula(base, t_kind, r)
+    return Spectrum.from_pairs([(v + 1, n) for v, n in mdcg_spectrum_formula(base, "S", r).entries])
 
 
 def spectrum_to_json(spec: Spectrum) -> str:

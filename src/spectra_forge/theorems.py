@@ -107,15 +107,11 @@ def product_group_with_z2(G: FiniteGroup) -> FiniteGroup:
 
 def mdcg_connection_subset(S: GroupSubset, T: GroupSubset) -> GroupSubset:
     """(S x {0}) union (T x {1}) inside the product group G x Z2, for T
-    over G = S.parent; built once per members of T and kept on S, and a T
-    over another group is rejected on every call."""
+    over G = S.parent."""
     if T.parent != S.parent:
         raise algebra.GroupError("subset over a different group")
-    memo = algebra._once(S, "_mirror_sets", dict)
-    if T.members not in memo:
-        members = tuple(2 * s for s in S.members) + tuple(2 * t + 1 for t in T.members)
-        memo[T.members] = GroupSubset(product_group_with_z2(S.parent), members)
-    return memo[T.members]
+    members = tuple(2 * s for s in S.members) + tuple(2 * t + 1 for t in T.members)
+    return GroupSubset(product_group_with_z2(S.parent), members)
 
 
 def t_subset(S: GroupSubset, t_kind: str) -> GroupSubset:
@@ -137,48 +133,47 @@ VERTEX_CAP = 4000    # vertices allowed in a dense eigensolve and at the last st
 # the spectrum route
 
 
-def spectrum_of(S: GroupSubset, kind: str, T: GroupSubset | None = None) -> spectra.Spectrum | None:
-    """Spectrum of X*(G,S), or of MX*(G;S,T) when T is given, for G = S.parent.
+def spectrum_of(S: GroupSubset, kind: str, t_kind: str | None = None) -> spectra.Spectrum | None:
+    """Spectrum of X*(G,S), or of MX*(G;S,T) for T = t_subset(S, t_kind),
+    for G = S.parent; the mirror blocks rho(S) +- rho(T) come from rho(S).
 
-    Characters over G (over G x Z2 for the mirror graph) when G is
-    abelian; otherwise the irreducible blocks of G for an undirected
-    difference-kind graph (S = S^-1, and T = T^-1 when T is given) over a
-    group that carries them, and LAPACK eigvalsh on the built graph when
-    it is undirected, refused over VERTEX_CAP vertices before any table
-    or graph is built; None for a directed graph.  Memoized on S by kind and
-    the members of T; an error is never stored, and a T over another group
-    is rejected on every call.
+    Characters when G is abelian; otherwise the irreducible blocks of G for
+    an undirected difference-kind graph over a group that carries them, and
+    LAPACK eigvalsh on the built graph when it is undirected, refused over
+    VERTEX_CAP vertices before any table or graph is built; None for a
+    directed graph, decided from S alone.  Memoized on S by (kind, t_kind);
+    an error is never stored.
     """
-    if T is not None and T.parent != S.parent:
-        raise algebra.GroupError("subset over a different group")
+    if kind not in KINDS or t_kind not in (None, *T_KINDS):
+        raise spectra.SpectrumError(f"bad kind {kind!r} or T kind {t_kind!r}")
     memo = algebra._once(S, "_spectra", dict)
-    key = (kind, None if T is None else T.members)
-    if key not in memo:
-        memo[key] = _spectrum_route(S, kind, T)
-    return memo[key]
+    if (kind, t_kind) not in memo:
+        memo[kind, t_kind] = _spectrum_route(S, kind, t_kind)
+    return memo[kind, t_kind]
 
 
-def _spectrum_route(S: GroupSubset, kind: str, T: GroupSubset | None) -> spectra.Spectrum | None:
+def _spectrum_route(S: GroupSubset, kind: str, t_kind: str | None) -> spectra.Spectrum | None:
     G = S.parent
     if G.is_abelian:
-        return spectra.spectrum_exact_abelian(
-            S if T is None else mdcg_connection_subset(S, T), kind)
+        return spectra.spectrum_exact_abelian(S, kind, t_kind)
+    # X(G,S) is undirected exactly when S = S^-1, and every T of the family
+    # inherits that; X+(G,S) exactly when S is closed under conjugation
     if kind == "difference":
-        # the difference-kind graph is undirected exactly when S = S^-1 and T = T^-1
-        if not all(algebra.is_inverse_closed(X) for X in ((S,) if T is None else (S, T))):
+        if not algebra.is_inverse_closed(S):
             return None
         if G.irreducibles is not None:
             blocks = algebra.representation_sums_over(S)
-            if T is not None:
-                # the irreducibles of G x Z2 are rho (x) (+-1): blocks rho(S) +- rho(T)
-                blocks = [np.concatenate((b + t, b - t))
-                          for b, t in zip(blocks, algebra.representation_sums_over(T))]
+            if t_kind is not None:
+                blocks = [spectra.mirror_blocks(b, t_kind, G.identity in S) for b in blocks]
             return spectra.spectrum_from_blocks(blocks)
-    n = G.order if T is None else 2 * G.order
+    n = G.order if t_kind is None else 2 * G.order
     if n > VERTEX_CAP:      # checked before any group table or graph is built
         raise algebra.GroupError(f"dense route: {n} vertices exceed cap {VERTEX_CAP}")
-    graph = graphs.cayley(S, kind) if T is None else graphs.mirror_dicayley(S, T, kind)
-    return spectra.spectrum_dense_symmetric(graph) if graph.undirected else None
+    if kind == "sum" and not algebra.is_normal(S):
+        return None
+    graph = (graphs.cayley(S, kind) if t_kind is None
+             else graphs.mirror_dicayley(S, t_subset(S, t_kind), kind))
+    return spectra.spectrum_dense_symmetric(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +285,7 @@ def check_spectrum_formulas(S: GroupSubset, kind: str) -> list[VerificationRepor
                 "identity in S: the S-with-identity family assumes e not in S"))
             continue
         formula = spectra.mdcg_spectrum_formula(base, t_kind, G.order)
-        direct = spectrum_of(S, kind, t_subset(S, t_kind))    # a route exists: the base has one
+        direct = spectrum_of(S, kind, t_kind)    # a route exists: the base has one
         if spectra.isospectral(formula, direct):
             reports.append(_report(claim, inst, True))
             continue
@@ -313,7 +308,7 @@ def check_crossed_nonisospectrality(S: GroupSubset, kind: str) -> list[Verificat
         return [_report("prop-isospec-TT", inst, None, "identity in S (family convention)")]
     specs = {}
     for t_kind in T_KINDS:
-        specs[t_kind] = spectrum_of(S, kind, t_subset(S, t_kind))
+        specs[t_kind] = spectrum_of(S, kind, t_kind)
         if specs[t_kind] is None:
             return [_report("prop-isospec-TT", inst, None,
                             "no exact route for a directed non-abelian instance")]
@@ -339,9 +334,8 @@ def check_isosp_transfer(S: GroupSubset) -> list[VerificationReport]:
     base_iso = spectra.isospectral(base_d, base_s)
     reports = []
     for t_kind in T_KINDS:
-        T = t_subset(S, t_kind)
-        md = spectrum_of(S, "difference", T)
-        ms = spectrum_of(S, "sum", T)
+        md = spectrum_of(S, "difference", t_kind)
+        ms = spectrum_of(S, "sum", t_kind)
         inst = _inst(S, f"T={t_kind}")
         claim = f"thm-isosp-XX+/{t_kind}"
         pair_iso = spectra.isospectral(md, ms)
@@ -364,8 +358,8 @@ def check_gen_isosp(S1: GroupSubset, S2: GroupSubset, kind: str) -> list[Verific
     base_iso = spectra.isospectral(b1, b2)
     reports = []
     for t_kind in T_KINDS:
-        m1 = spectrum_of(S1, kind, t_subset(S1, t_kind))
-        m2 = spectrum_of(S2, kind, t_subset(S2, t_kind))
+        m1 = spectrum_of(S1, kind, t_kind)
+        m2 = spectrum_of(S2, kind, t_kind)
         pair_iso = spectra.isospectral(m1, m2)
         witness, xfail = None, False
         if pair_iso != base_iso:
@@ -392,8 +386,7 @@ def check_parity_and_symmetry(S: GroupSubset, kind: str) -> list[VerificationRep
         return [_report("cor-integral-symmetric", inst, None, "no exact route")]
     base_cls = spectra.classify(base)
     e_in_S = S.parent.identity in S
-    classes = {tk: spectra.classify(spectrum_of(S, kind, t_subset(S, tk)))
-               for tk in T_KINDS}
+    classes = {tk: spectra.classify(spectrum_of(S, kind, tk)) for tk in T_KINDS}
     formula_ok = {tk: specbi_formula_valid(S, tk, kind) for tk in T_KINDS}
     reports = [
         _report(f"cor-integral/transfer/{tk}", inst,
@@ -493,7 +486,7 @@ def check_local_ring_closed_forms(local: finring.LocalRing) -> list[Verification
 
     for kind in KINDS:
         for t_kind in T_KINDS:
-            actual = spectrum_of(U, kind, t_subset(U, t_kind))
+            actual = spectrum_of(U, kind, t_kind)
             printed = spectra.mdcg_local_ring_spectrum(r, m, t_kind, kind)
             equal = spectra.isospectral(actual, printed)
             claim = f"cor-spec-GRR/{t_kind}/{kind}"
@@ -527,8 +520,8 @@ def _pair_units(R: FiniteRing) -> GroupSubset:
 def _even_pair_report(S: GroupSubset, inst: str) -> VerificationReport:
     """The even pair MX(G; S, S), MX+(G; S, S): isospectral, integral, even,
     symmetric and meeting the bipartite criterion."""
-    even_d = spectrum_of(S, "difference", S)
-    even_s = spectrum_of(S, "sum", S)
+    even_d = spectrum_of(S, "difference", "S")
+    even_s = spectrum_of(S, "sum", "S")
     even_cls = spectra.classify(even_d)
     even_ok = (
         spectra.isospectral(even_d, even_s)
@@ -555,14 +548,13 @@ def build_even_odd_pair(R: FiniteRing) -> list[VerificationReport]:
     inst = f"(R={R.label})"
     reports = [_even_pair_report(S, inst)]
 
-    zero_d = spectrum_of(S, "difference", t_subset(S, "identity"))
-    zero_s = spectrum_of(S, "sum", t_subset(S, "identity"))
+    zero_d = spectrum_of(S, "difference", "identity")
+    zero_s = spectrum_of(S, "sum", "identity")
     zero_ok = spectra.isospectral(zero_d, zero_s) and spectra.classify(zero_d).integral
     reports.append(_report("prop-isosp-R/zero-pair", inst, zero_ok, f"{zero_d} vs {zero_s}"))
 
-    T_odd = S.with_identity()
-    odd_d = spectrum_of(S, "difference", T_odd)
-    odd_s = spectrum_of(S, "sum", T_odd)
+    odd_d = spectrum_of(S, "difference", "S_and_identity")
+    odd_s = spectrum_of(S, "sum", "S_and_identity")
     cls_d = spectra.classify(odd_d)
     cls_s = spectra.classify(odd_s)
     both_odd = (
@@ -598,8 +590,8 @@ def iterated_pairs(R: FiniteRing, n_max: int) -> list[VerificationReport]:
     for n in range(1, n_max + 1):
         Rn = finring.artin_product(list(R.factors) + [z2] * n)
         S = finring.units(Rn)
-        d = spectrum_of(S, "difference", S)
-        s = spectrum_of(S, "sum", S)
+        d = spectrum_of(S, "difference", "S")
+        s = spectrum_of(S, "sum", "S")
         cls = spectra.classify(d)
         ok = (
             spectra.isospectral(d, s)

@@ -51,7 +51,7 @@ def test_criterion_1_cay_z4_reproduction():
     want_parity = {"identity": "odd", "S": "even", "S_and_identity": "odd"}
     want_symmetric = {"identity": True, "S": True, "S_and_identity": False}
     for t_kind, want in printed.items():
-        direct = th.spectrum_of(S, "difference", th.t_subset(S, t_kind))
+        direct = th.spectrum_of(S, "difference", t_kind)
         assert sp.isospectral(direct, want, TOL), t_kind
         cls = sp.classify(direct)
         assert cls.integral and cls.parity == want_parity[t_kind]
@@ -115,11 +115,11 @@ def test_criterion_3_z4z3_example():
         "S_and_identity": spec((9, 1), (5, 2), (1, 6), (-3, 2), (-7, 1), (-1, 12)),
     }
     for t_kind, want in printed.items():
-        direct = th.spectrum_of(U, "difference", th.t_subset(U, t_kind))
+        direct = th.spectrum_of(U, "difference", t_kind)
         assert sp.isospectral(direct, want, TOL), t_kind
     # the sum versions also match for the identity and S cases
     for t_kind in ("identity", "S"):
-        direct = th.spectrum_of(U, "sum", th.t_subset(U, t_kind))
+        direct = th.spectrum_of(U, "sum", t_kind)
         assert sp.isospectral(direct, printed[t_kind], TOL)
 
     cls0 = sp.classify(printed["identity"])
@@ -196,7 +196,7 @@ def test_criterion_4_printed_mirror_with_identity_rows():
         U = fr.units(R)
         r, m = ring.size, ring.maximal_ideal_size
         for kind in th.KINDS:
-            actual = th.spectrum_of(U, kind, U.with_identity())
+            actual = th.spectrum_of(U, kind, "S_and_identity")
             printed = sp.mdcg_local_ring_spectrum(r, m, "S_and_identity", kind)
             assert sp.isospectral(actual, printed, TOL), (ring.label, kind)
 
@@ -306,16 +306,16 @@ def test_criterion_8_even_odd_pair_end_to_end():
     assert all(r.ok for r in reports)
 
     U = fr.units(R)
-    even = th.spectrum_of(U, "difference", U)
+    even = th.spectrum_of(U, "difference", "S")
     even_cls = sp.classify(even)
     assert even_cls.integral and even_cls.parity == "even"
     assert even_cls.symmetric and even_cls.bipartite_criterion
     for kind in th.KINDS:
         assert gr.structure_report(gr.mirror_dicayley(U, U, kind)).bipartite
-    d = th.spectrum_of(U, "sum", U)
+    d = th.spectrum_of(U, "sum", "S")
     assert sp.isospectral(d, even, TOL)
 
-    for s in (th.spectrum_of(U, kind, U.with_identity()) for kind in th.KINDS):
+    for s in (th.spectrum_of(U, kind, "S_and_identity") for kind in th.KINDS):
         cls = sp.classify(s)
         assert cls.integral and cls.parity == "odd"
         assert not cls.symmetric and not cls.bipartite_criterion
@@ -352,6 +352,6 @@ def test_criterion_8_odd_pair_isospectral():
     R = fr.parse_ring("zpk:2^2*gf:3")
     U = fr.units(R)
     assert sp.isospectral(
-        th.spectrum_of(U, "difference", U.with_identity()),
-        th.spectrum_of(U, "sum", U.with_identity()), TOL
+        th.spectrum_of(U, "difference", "S_and_identity"),
+        th.spectrum_of(U, "sum", "S_and_identity"), TOL
     )

@@ -125,7 +125,7 @@ def test_equal_groups_hash_equal():
     assert callable(klein._table) and callable(f4._table)
     z = alg.cyclic(4096)
     other = alg.cyclic(4096)
-    th.spectrum_of(alg.subset(z, [1, 4095]), "difference", alg.subset(other, [0]))
+    th.mdcg_connection_subset(alg.subset(z, [1, 4095]), alg.subset(other, [0]))
     assert callable(z._table) and callable(other._table)
 
 
@@ -142,6 +142,18 @@ def test_powers_walk():
     s3 = alg.symmetric(3)
     for g in s3.elements():
         assert s3.powers(g)[-1] == s3.inv_table[g]
+
+
+def test_subset_members_must_be_integer_indices_of_the_group():
+    z8 = alg.cyclic(8)
+    for bad in (-1, z8.order, 1.5, float("nan"), np.float64(3.7)):
+        for make in (lambda m: alg.GroupSubset(z8, (2, m)), lambda m: alg.subset(z8, [2, m])):
+            with pytest.raises(alg.GroupError):
+                make(bad)
+    # integers of any type are kept, as Python ints
+    S = alg.subset(z8, np.array([5, 1, 5]))
+    assert S.members == (1, 5) and all(type(m) is int for m in S.members)
+    assert alg.GroupSubset(z8, (np.int64(3), 0)).members == (0, 3)
 
 
 def test_factorize_and_prime_power():
@@ -302,7 +314,7 @@ def test_product_table_is_composed_on_first_read():
     R = fr.artin_product(list(fr.parse_ring("zpk:2^2*gf:3").factors) + [fr.zpk(2, 1)] * 7)
     G, U = fr.additive_group(R), fr.units(R)
     assert G.order == 1536
-    th.spectrum_of(U, "difference", U)
+    th.spectrum_of(U, "difference", "S")
     Gp = th.product_group_with_z2(G)
     assert not isinstance(G._table, np.ndarray) and not isinstance(Gp._table, np.ndarray)
     table = G.op_table

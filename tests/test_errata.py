@@ -1,8 +1,7 @@
 """Documented discrepancies between printed claims and the actual spectra.
 
 Each test establishes the true value by two independent routes (abelian
-characters over the doubled group, and the dense LAPACK ``eigvalsh``
-route) and then shows the printed form differs.  These are the facts behind every
+characters, and the dense LAPACK ``eigvalsh`` route) and then shows the printed form differs.  These are the facts behind every
 xfail outcome in the verification suite.
 """
 
@@ -24,10 +23,10 @@ from oracles import random_instance, specbi_formula_valid_by_sums
 from test_properties import PROPERTY
 
 
-def dual_route_spectrum(S, T, kind):
+def dual_route_spectrum(S, t_kind, kind):
     """Character route and dense route must agree; returns the spectrum."""
-    chars = th.spectrum_of(S, kind, T)
-    graph = gr.mirror_dicayley(S, T, kind)
+    chars = th.spectrum_of(S, kind, t_kind)
+    graph = gr.mirror_dicayley(S, th.t_subset(S, t_kind), kind)
     assert graph.undirected
     dense = sp.spectrum_dense_symmetric(graph)
     assert sp.isospectral(chars, dense, 1e-7)
@@ -38,7 +37,7 @@ def test_sum_mirror_with_identity_closed_form_is_wrong():
     # Z3 with units: the 6-vertex graph is small enough to audit by hand
     z3 = alg.cyclic(3)
     S = alg.subset(z3, [1, 2])
-    actual = dual_route_spectrum(S, S.with_identity(), "sum")
+    actual = dual_route_spectrum(S, "S_and_identity", "sum")
     truth = sp.Spectrum.from_pairs([(5, 1), (1, 2), (-1, 3)])
     assert sp.isospectral(actual, truth)
     printed = sp.mdcg_local_ring_spectrum(3, 1, "S_and_identity", "sum")
@@ -54,7 +53,7 @@ def test_difference_mirror_with_identity_closed_form_is_wrong():
     # graph is loopless so its trace is zero while the printed trace is not
     z9 = fr.artin_product([fr.zpk(3, 2)])
     U = fr.units(z9)
-    actual = dual_route_spectrum(U, U.with_identity(), "difference")
+    actual = dual_route_spectrum(U, "S_and_identity", "difference")
     truth = sp.Spectrum.from_pairs([(13, 1), (1, 6), (-1, 9), (-5, 2)])
     assert sp.isospectral(actual, truth)
     printed = sp.mdcg_local_ring_spectrum(9, 3, "S_and_identity", "difference")
@@ -83,9 +82,8 @@ def test_odd_pair_is_not_isospectral():
     # the even pair shares its spectrum; the odd pair provably does not
     R = fr.parse_ring("zpk:2^2*gf:3")
     U = fr.units(R)
-    T = U.with_identity()
-    diff = dual_route_spectrum(U, T, "difference")
-    summ = dual_route_spectrum(U, T, "sum")
+    diff = dual_route_spectrum(U, "S_and_identity", "difference")
+    summ = dual_route_spectrum(U, "S_and_identity", "sum")
     assert not sp.isospectral(diff, summ)
     want_sum = sp.Spectrum.from_pairs(
         [(9, 1), (5, 1), (3, 1), (1, 8), (-1, 10), (-3, 1), (-5, 1), (-7, 1)]
@@ -116,7 +114,7 @@ def test_sum_kind_identity_case_formula_needs_symmetric_set():
     # plus-minus pairing of the crossing matching
     z4 = alg.cyclic(4)
     S = alg.subset(z4, [1])
-    actual = dual_route_spectrum(S, alg.subset(z4, [0]), "sum")
+    actual = dual_route_spectrum(S, "identity", "sum")
     r2 = np.sqrt(2)
     truth = sp.Spectrum.from_pairs([(2, 1), (r2, 2), (0, 2), (-r2, 2), (-2, 1)])
     assert sp.isospectral(actual, truth, 1e-7)
@@ -132,11 +130,11 @@ def test_sum_kind_formulas_hold_where_predicted():
     S = alg.subset(z4, [1, 3])
     base = sp.spectrum_exact_abelian(S, "sum")
     for t_kind in ("identity", "S", "S_and_identity"):
-        actual = dual_route_spectrum(S, th.t_subset(S, t_kind), "sum")
+        actual = dual_route_spectrum(S, t_kind, "sum")
         formula = sp.mdcg_spectrum_formula(base, t_kind, 4)
         assert sp.isospectral(actual, formula), t_kind
     assert sp.isospectral(
-        dual_route_spectrum(S, S.with_identity(), "sum"),
+        dual_route_spectrum(S, "S_and_identity", "sum"),
         sp.Spectrum.from_pairs([(5, 1), (1, 2), (-1, 4), (-3, 1)]),
     )
 
@@ -153,7 +151,7 @@ def test_validity_predicate_matches_reality():
         base = sp.spectrum_exact_abelian(S, "sum")
         for t_kind in ("identity", "S", "S_and_identity"):
             formula = sp.mdcg_spectrum_formula(base, t_kind, G.order)
-            actual = th.spectrum_of(S, "sum", th.t_subset(S, t_kind))
+            actual = th.spectrum_of(S, "sum", t_kind)
             predicted = th.specbi_formula_valid(S, t_kind, "sum")
             if predicted:
                 assert sp.isospectral(formula, actual), (G.label, t_kind)

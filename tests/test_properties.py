@@ -5,7 +5,8 @@ the per-value loops, bit for bit, the
 LAPACK dense route against the Jacobi oracle and the character route, the
 character route against power traces on directed instances, the boolean-gather graph kernels (the named products, Cayley, mirror)
 against their Kronecker, element-by-element and block-matrix oracles, the
-mirror route existing exactly when the base route does, and the FFT
+mirror route existing exactly when the base route does, the mirror
+characters taken from chi(S) against the FFT over G x Z2, and the FFT
 character sums against the direct exponential sums."""
 
 import math
@@ -337,7 +338,25 @@ def test_mirror_route_exists_exactly_when_base_route_does(instance, kind):
     _, S, _ = instance
     base_none = th.spectrum_of(S, kind) is None
     for t_kind in th.T_KINDS:
-        assert (th.spectrum_of(S, kind, th.t_subset(S, t_kind)) is None) == base_none
+        assert (th.spectrum_of(S, kind, t_kind) is None) == base_none
+
+
+ABELIAN_POOL = tuple(d for d in th._GROUP_POOL if alg.make_group(d).is_abelian)
+
+
+@st.composite
+def abelian_pool_sets(draw):
+    return draw(pool_subset(alg.make_group(draw(st.sampled_from(ABELIAN_POOL)))))
+
+
+@PROPERTY
+@given(abelian_pool_sets(), st.sampled_from(["difference", "sum"]), st.sampled_from(th.T_KINDS))
+def test_mirror_characters_from_chi_S_match_the_doubled_group(S, kind, t_kind):
+    # chi(S) +- chi(T) with chi(T) from chi(S), against the FFT over G x Z2
+    # of (S x {0}) u (T x {1}); S may hold the identity
+    got = th.spectrum_of(S, kind, t_kind)
+    doubled = th.mdcg_connection_subset(S, th.t_subset(S, t_kind))
+    assert same_entries(got, sp.spectrum_exact_abelian(doubled, kind), 1e-9)
 
 
 BLOCK_GROUPS = ([f"dihedral:{n}" for n in (3, 4, 5, 6, 9, 12)]
@@ -357,9 +376,9 @@ def inverse_closed_non_abelian(draw):
 @given(inverse_closed_non_abelian(), st.sampled_from([None, *th.T_KINDS]))
 def test_block_spectra_match_eigvalsh_of_the_built_graph(instance, t_kind):
     G, S = instance
-    T = None if t_kind is None else th.t_subset(S, t_kind)
-    spec = th.spectrum_of(S, "difference", T)
-    graph = gr.cayley(S, "difference") if T is None else gr.mirror_dicayley(S, T, "difference")
+    spec = th.spectrum_of(S, "difference", t_kind)
+    graph = (gr.cayley(S, "difference") if t_kind is None
+             else gr.mirror_dicayley(S, th.t_subset(S, t_kind), "difference"))
     assert "_representation_sums" in S.__dict__            # the blocks, not the dense route
     assert spec.size == graph.n
     assert same_entries(spec, eigvalsh_spectrum(graph), 1e-9)

@@ -300,6 +300,10 @@ def test_local_ring_formula_examples():
     )
     with pytest.raises(sp.SpectrumError):
         sp.local_ring_unitary_spectrum(12, 2, "difference")   # r/m = 6 not prime power
+    # a local ring has r = q^l and m = q^(l-1): m must be a power of q = r/m
+    for r, m in ((6, 2), (12, 4), (8, 2)):
+        with pytest.raises(sp.SpectrumError, match="not r = q"):
+            sp.local_ring_unitary_spectrum(r, m, "difference")
 
 
 def test_mdcg_local_ring_examples():
@@ -317,6 +321,8 @@ def test_mdcg_local_ring_examples():
     )
     with pytest.raises(sp.SpectrumError):
         sp.mdcg_local_ring_spectrum(4, 2, "S", "difference")   # even size
+    with pytest.raises(sp.SpectrumError, match="not r = q"):
+        sp.mdcg_local_ring_spectrum(15, 5, "S", "difference")  # q = 3, m = 5
 
 
 def test_closed_forms_at_m_1_are_the_printed_field_rows():

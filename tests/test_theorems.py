@@ -301,8 +301,8 @@ def test_build_even_odd_pair():
         "prop-isosp-R/even-pair", "prop-isosp-R/zero-pair",
         "thm-main/odd-classes", "prop-isosp-R/odd-pair"]
     U = fr.units(R)
-    even = th.spectrum_of(U, "difference", U)
-    odd = th.spectrum_of(U, "difference", U.with_identity())
+    even = th.spectrum_of(U, "difference", "S")
+    odd = th.spectrum_of(U, "difference", "S_and_identity")
     assert sp.isospectral(
         even, sp.Spectrum.from_pairs([(8, 1), (4, 2), (0, 18), (-4, 2), (-8, 1)]),
     )
@@ -310,7 +310,7 @@ def test_build_even_odd_pair():
         odd, sp.Spectrum.from_pairs([(9, 1), (5, 2), (1, 6), (-3, 2), (-7, 1), (-1, 12)]),
     )
     assert sp.isospectral(
-        th.spectrum_of(U, "difference", th.t_subset(U, "identity")),
+        th.spectrum_of(U, "difference", "identity"),
         sp.Spectrum.from_pairs([(5, 1), (3, 3), (1, 8), (-1, 8), (-3, 3), (-5, 1)]),
     )
     ec = sp.classify(even)
@@ -377,19 +377,18 @@ def test_units_built_once_so_their_spectra_are_shared(monkeypatch):
     assert fr.units(R) is fr.units(R)
     exact, computed = sp.spectrum_exact_abelian, []
 
-    def counted(S, kind):
+    def counted(S, kind, t_kind=None):
         computed.append(S.parent)
-        return exact(S, kind)
+        return exact(S, kind, t_kind)
 
     monkeypatch.setattr(sp, "spectrum_exact_abelian", counted)
-    base = (G, th.product_group_with_z2(G))
     on_base, total = [], []
     for call in (lambda: th.check_isosp_transfer(fr.units(R)),
                  lambda: th.build_even_odd_pair(R),
                  lambda: th.iterated_pairs(R, 2)):
         computed.clear()
         call()
-        on_base.append(sum(any(g is b for b in base) for g in computed))
+        on_base.append(sum(g is G for g in computed))
         total.append(len(computed))
     assert on_base == [8, 0, 0]    # the pair and the chain reuse the transfer's spectra
     assert total == [8, 0, 4]      # the chain computes only its two extensions
@@ -398,15 +397,15 @@ def test_units_built_once_so_their_spectra_are_shared(monkeypatch):
 def test_iterated_pairs_builds_only_the_even_pairs(monkeypatch):
     exact, kinds = sp.spectrum_exact_abelian, []
 
-    def counted(S, kind):
-        kinds.append((S.parent.order, kind))
-        return exact(S, kind)
+    def counted(S, kind, t_kind=None):
+        kinds.append((S.parent.order, kind, t_kind))
+        return exact(S, kind, t_kind)
 
     monkeypatch.setattr(sp, "spectrum_exact_abelian", counted)
     reports = th.iterated_pairs(fr.parse_ring("gf:3*zpk:2^2"), 2)
     assert [r.claim_id for r in reports] == ["prop-isosp-R/even-pair"] + ["cor-iterated"] * 2
-    # MX and MX+ with T = S, over R x Z2 and each extension: no zero or odd pair
-    assert sorted(kinds) == [(n, k) for n in (24, 48, 96) for k in ("difference", "sum")]
+    # MX and MX+ with T = S, over R and each extension: no zero or odd pair
+    assert sorted(kinds) == [(n, k, "S") for n in (12, 24, 48) for k in ("difference", "sum")]
 
 
 def test_iterated_pairs_cap_checked_before_any_work(monkeypatch):
@@ -423,8 +422,8 @@ def test_iterated_pairs_cap_checked_before_any_work(monkeypatch):
 def _even_odd_cayley_over_doubled_group(G, S):
     """The S-case and S-with-identity mirror graphs as Cayley graphs over
     G x Z2, with their parity certificates."""
-    even = th.spectrum_of(S, "difference", S)
-    odd = th.spectrum_of(S, "difference", S.with_identity())
+    even = th.spectrum_of(S, "difference", "S")
+    odd = th.spectrum_of(S, "difference", "S_and_identity")
     if even is None:
         even = sp.spectrum_dense_symmetric(gr.mirror_dicayley(S, S, "difference"))
         odd = sp.spectrum_dense_symmetric(
@@ -463,7 +462,7 @@ def test_spectrum_of_routes():
     S = z4_s13()
     assert th.spectrum_of(S, "difference") == sp.spectrum_exact_abelian(S, "difference")
     mirror = gr.mirror_dicayley(S, S.with_identity(), "sum")
-    assert sp.isospectral(th.spectrum_of(S, "sum", S.with_identity()),
+    assert sp.isospectral(th.spectrum_of(S, "sum", "S_and_identity"),
                           sp.spectrum_dense_symmetric(mirror))
     s3 = alg.symmetric(3)
     transpositions = alg.subset(s3, [g for g in s3.elements() if len(s3.powers(g)) == 2])
@@ -472,7 +471,7 @@ def test_spectrum_of_routes():
     # a directed Cayley graph of a non-abelian group has no route
     three_cycle = alg.subset(s3, [g for g in s3.elements() if len(s3.powers(g)) == 3][:1])
     assert th.spectrum_of(three_cycle, "difference") is None
-    assert th.spectrum_of(three_cycle, "difference", three_cycle) is None
+    assert th.spectrum_of(three_cycle, "difference", "S") is None
 
 
 def test_spectrum_of_routes_non_abelian_difference_graphs_through_blocks(monkeypatch):
@@ -484,8 +483,9 @@ def test_spectrum_of_routes_non_abelian_difference_graphs_through_blocks(monkeyp
                           ("sym:4", [1, 2, 6, 23])):
         S = alg.subset(alg.make_group(desc), members)
         assert alg.is_inverse_closed(S)
-        for T in (None, *(th.t_subset(S, t_kind) for t_kind in th.T_KINDS)):
-            assert th.spectrum_of(S, "difference", T).size == S.parent.order * (1 if T is None else 2)
+        for t_kind in (None, *th.T_KINDS):
+            size = S.parent.order * (1 if t_kind is None else 2)
+            assert th.spectrum_of(S, "difference", t_kind).size == size
     # the sum kind and non-abelian products keep the dense route
     S = alg.subset(alg.dihedral(5), [1, 3, 5, 7, 9])      # the reflections: undirected X+
     with pytest.raises(AssertionError, match="dense route"):
@@ -493,19 +493,22 @@ def test_spectrum_of_routes_non_abelian_difference_graphs_through_blocks(monkeyp
     S = alg.subset(alg.make_group("prod:(sym:3,cyclic:2)"), [1, 2])
     with pytest.raises(AssertionError, match="dense route"):
         th.spectrum_of(S, "difference")
-    # a directed difference graph has no route, and no graph is built to find that out
+    # a directed graph has no route, and no graph is built to find that out:
+    # the difference kind needs S = S^-1, the sum kind S closed under conjugation
     monkeypatch.setattr(gr, "cayley", no_dense)
     monkeypatch.setattr(gr, "mirror_dicayley", no_dense)
-    S = alg.subset(alg.dihedral(5), [2])
-    assert th.spectrum_of(S, "difference") is None
-    assert th.spectrum_of(alg.subset(alg.dihedral(5), [1]), "difference", S) is None
+    for S, kind in ((alg.subset(alg.dihedral(5), [2]), "difference"),
+                    (alg.subset(alg.dihedral(5), [1]), "sum"),
+                    (alg.subset(alg.symmetric(5), [1]), "sum")):
+        for t_kind in (None, *th.T_KINDS):
+            assert th.spectrum_of(S, kind, t_kind) is None
 
 
 def test_block_route_builds_no_table():
     G = alg.make_group("dihedral:2000")
     S = alg.subset(G, [1, 3, 2, 3998])      # b, ab, a and a^-1
     spec = th.spectrum_of(S, "difference")
-    mirror = th.spectrum_of(S, "difference", S.with_identity())
+    mirror = th.spectrum_of(S, "difference", "S_and_identity")
     assert callable(G._table)
     assert spec.size == 4000 and mirror.size == 8000
     assert sp.classify(spec).principal_eigenvalue == pytest.approx(4)
@@ -524,31 +527,82 @@ def test_dense_route_cap_checked_before_any_work(monkeypatch):
     assert callable(S.parent._table)
     S = alg.subset(alg.dihedral(1001), [1])
     with pytest.raises(alg.GroupError, match="4004 vertices exceed cap 4000"):
-        th.spectrum_of(S, "sum", S)
+        th.spectrum_of(S, "sum", "S")
     assert callable(S.parent._table)
-    # at the cap the graph is built
-    with pytest.raises(AssertionError, match="a graph was built"):
+    # at the cap the route goes on to decide from S whether X+ is undirected
+    def normality_decided(S):
+        raise AssertionError("normality decided")
+
+    monkeypatch.setattr(alg, "is_normal", normality_decided)
+    with pytest.raises(AssertionError, match="normality decided"):
         th.spectrum_of(alg.subset(alg.dihedral(2000), [1]), "sum")
 
 
-def test_spectrum_of_rejects_subsets_of_another_group():
-    z8, z4 = alg.cyclic(8), alg.cyclic(4)
-    cases = [(alg.subset(z8, [1, 3]), alg.subset(z4, [1])),    # only T over Z4
-             (alg.subset(z4, [1, 3]), alg.subset(z8, [1]))]    # only T over Z8
-    for S, T in cases:
+def test_spectrum_of_rejects_a_bad_kind_or_t_kind_every_time():
+    # decided before the memo and the route: over S3 the route of a directed
+    # instance answers None, which must not be stored under a bad key
+    s3 = alg.symmetric(3)
+    three_cycle = alg.subset(s3, [g for g in s3.elements() if len(s3.powers(g)) == 3][:1])
+    for S in (z4_s13(), three_cycle):
+        # a subset is not a T kind: T comes from S and its kind alone
+        for kind, t_kind in (("product", None), ("difference", "T"), ("sum", S)):
+            for _ in range(2):
+                with pytest.raises(sp.SpectrumError, match="bad"):
+                    th.spectrum_of(S, kind, t_kind)
+        assert not S.__dict__.get("_spectra")
+
+
+def test_mirror_spectra_take_rho_T_from_rho_S(monkeypatch):
+    def no_doubled_group(G):
+        raise AssertionError("G x Z2 built")
+
+    monkeypatch.setattr(th, "product_group_with_z2", no_doubled_group)
+    U = fr.units(fr.parse_ring("zpk:2^2*gf:3"))
+    for S in (z4_s13(), alg.subset(U.parent, U.members)):     # fresh subsets, empty memos
         for kind in th.KINDS:
-            for _ in range(2):      # every time: the memo never answers first
-                with pytest.raises(alg.GroupError, match="different group"):
-                    th.spectrum_of(S, kind, T)
-    # an equal group built apart is still the same group, with the same memo entry
-    S = alg.subset(alg.cyclic(8), [1, 7])
-    T = alg.subset(alg.cyclic(8), [1, 7])
-    assert th.spectrum_of(S, "difference", T) is th.spectrum_of(S, "difference", S)
+            for t_kind in (None, *th.T_KINDS):
+                size = S.parent.order * (1 if t_kind is None else 2)
+                assert th.spectrum_of(S, kind, t_kind).size == size
+    # D5 evaluates its irreducibles once, at S's members, for the base and all three T
+    G, calls = alg.dihedral(5), []
+    irreducibles = G.irreducibles
+    object.__setattr__(G, "irreducibles", lambda g: calls.append(g.tolist()) or irreducibles(g))
+    S = alg.subset(G, [1, 2, 8])
+    for t_kind in (None, *th.T_KINDS):
+        assert th.spectrum_of(S, "difference", t_kind) is not None
+    assert calls == [[1, 2, 8]]
+
+
+def _two_g_coset_unions(G):
+    """Every non-empty union of non-trivial cosets of 2G in abelian G."""
+    op = G.op_table
+    two_g = sorted({int(op[g, g]) for g in G.elements()})
+    cosets = sorted({tuple(sorted(int(op[x, h]) for h in two_g)) for x in G.elements()})
+    cosets = [c for c in cosets if G.identity not in c]
+    for pick in range(1, 2 ** len(cosets)):
+        yield alg.subset(G, [g for k, c in enumerate(cosets) if pick >> k & 1 for g in c])
+
+
+def test_unions_of_2g_cosets_have_equal_sum_and_difference_graphs():
+    # g + h and g - h differ by 2h in 2G, so X+ = X; such S is also -S, and
+    # chi(S) = 0 for every non-real chi, so the sum-kind formulas hold
+    checked = 0
+    for desc in th._GROUP_POOL:
+        G = alg.make_group(desc)
+        if not G.is_abelian:
+            continue
+        for S in _two_g_coset_unions(G):
+            assert gr.cayley(S, "sum") == gr.cayley(S, "difference"), (desc, S.members)
+            assert th.specbi_formula_valid(S, "S_and_identity", "sum"), (desc, S.members)
+            assert not [r for r in th.check_isosp_transfer(S) if r.outcome == "fail"]
+            checked += 1
+    # six cyclic groups with one non-trivial coset, three with three cosets and 7 unions
+    assert checked == 6 * 1 + 3 * 7
 
 
 def test_mirror_connection_set_rejects_a_T_over_another_group():
-    # Z2 x Z2 has Z4's order but is another group: rejected on the first
-    # call, and also once the memo holds an entry for T's members over Z4
+    # Z2 x Z2 has Z4's order but is another group: rejected on every call,
+    # also after a call with T's members over Z4
     z4, z2z2 = alg.cyclic(4), alg.make_group("prod:(cyclic:2,cyclic:2)")
     S, T = alg.subset(z4, [1, 3]), alg.subset(z2z2, [1, 2])
     for _ in range(2):
@@ -571,22 +625,21 @@ def test_spectrum_of_is_memoized_on_the_connection_set():
     S = z4_s13()
     z4 = S.parent
     fresh = alg.subset(z4, S.members)     # same instance, empty memo
-    cases = [(kind, T) for kind in th.KINDS
-             for T in (None, th.t_subset(S, "identity"), S, S.with_identity())]
-    specs = [th.spectrum_of(S, kind, T) for kind, T in cases]
-    for (kind, T), spec in zip(cases, specs):
-        # a repeat is the same object, also through a new T with equal members
-        T_again = None if T is None else alg.subset(z4, T.members)
-        assert th.spectrum_of(S, kind, T_again) is spec
-        # each (kind, T) has its own entry
-        assert spec == th.spectrum_of(fresh, kind, T)
+    cases = [(kind, t_kind) for kind in th.KINDS for t_kind in (None, *th.T_KINDS)]
+    specs = [th.spectrum_of(S, kind, t_kind) for kind, t_kind in cases]
+    for (kind, t_kind), spec in zip(cases, specs):
+        # a repeat is the same object; each (kind, t_kind) has its own entry
+        assert th.spectrum_of(S, kind, t_kind) is spec
+        assert spec == th.spectrum_of(fresh, kind, t_kind)
     assert all(a is not b for i, a in enumerate(specs) for b in specs[i + 1:])
-    # a T over another group or a bad kind still raises, every time
+    assert list(S.__dict__["_spectra"]) == cases
+    # a bad kind or T kind still raises, every time, and stores nothing
     for _ in range(2):
-        with pytest.raises(alg.GroupError):
-            th.spectrum_of(S, "difference", alg.subset(alg.cyclic(6), [1]))
+        with pytest.raises(sp.SpectrumError):
+            th.spectrum_of(S, "difference", "T")
         with pytest.raises(sp.SpectrumError):
             th.spectrum_of(S, "product")
+    assert list(S.__dict__["_spectra"]) == cases
     # the no-route answer of a directed non-abelian instance is kept too
     s3 = alg.symmetric(3)
     three_cycle = alg.subset(s3, [g for g in s3.elements() if len(s3.powers(g)) == 3][:1])
